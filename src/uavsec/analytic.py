@@ -233,6 +233,58 @@ def stc(rs: float, p_c: float, density: float) -> float:
     return rs * p_c * density
 
 
+# The closed forms term for term over arrays of cells (altitude, threshold,
+# zone radius), both branches evaluated and selected per cell. Callers pass
+# valid inputs and silence numpy's overflow warnings.
+
+def _disk_term_cells(b, u1, u2):
+    """`_disk_term` elementwise."""
+    mid = 0.5 * (u1 + u2)
+    half = 0.5 * (u2 - u1)
+    s = mid[:, None] + half[:, None] * _GL7_X
+    quad = half * ((s * np.exp(b[:, None] - s)) @ _GL7_W)
+    direct = (1.0 + u1) * np.exp(b - u1) - (1.0 + u2) * np.exp(b - u2)
+    out = np.where((u2 - u1 < 0.1) | (u2 < 1e-3), quad, direct)
+    return np.where(u2 <= u1, 0.0, out)
+
+
+def _pso_zone_cells(params: NetworkParams, beta_e, h, d) -> np.ndarray:
+    """`pso_zone_approx` per cell at altitudes h, thresholds beta_e > 0 and
+    zone radii d (d = 0 is `pso_approx`)."""
+    _require_canonical_alphas(params)
+    if params.lambda_u == 0.0:
+        return np.ones(np.shape(beta_e))
+    k = h / math.tan(params.theta_c)
+    h2 = h ** 2
+    k2 = k ** 2
+    q1 = params.lambda_u * math.pi ** 2 * np.sqrt(beta_e) / 2.0
+    b = math.pi * params.lambda_u * h2
+    log_arg = (np.log(math.pi * params.lambda_e / q1) + b
+               - q1 * (h2 + d * d))
+    beyond_k = -np.expm1(-np.exp(log_arg))
+    a = q1 * math.sqrt(params.eta_nlos / params.eta_los)
+    tail_log = b - q1 * (h2 + k2) - np.log(2.0 * q1)
+    tail = np.where(tail_log < 700.0, np.exp(tail_log), np.inf)
+    brace = tail + _disk_term_cells(b, a * np.sqrt(h2 + d * d),
+                                    a * np.sqrt(h2 + k2)) / (a * a)
+    inside_k = np.where(np.isfinite(brace),
+                        -np.expm1(-2.0 * math.pi * params.lambda_e * brace),
+                        1.0)
+    return np.where(d >= k, beyond_k, inside_k)
+
+
+def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:
+    """`pc_approx` per cell at altitudes h and thresholds beta_t > 0."""
+    h2 = h ** 2
+    k2 = (h / math.tan(params.theta_c)) ** 2
+    sqrt_c = h * np.sqrt(beta_t * params.eta_nlos / params.eta_los)
+    term_nlos = (math.pi * params.lambda_u * sqrt_c / 2.0
+                 * (math.pi - 2.0 * np.arctan((h2 + k2) / sqrt_c)))
+    term_los = (math.pi * params.lambda_u * h2 * beta_t
+                * np.log1p(k2 / (h2 * beta_t + h2)))
+    return np.exp(-term_nlos - term_los)
+
+
 # ---------------------------------------------------------------------------
 # Radial-integral reference forms (derivation-level cross-checks)
 # ---------------------------------------------------------------------------

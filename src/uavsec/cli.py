@@ -7,7 +7,7 @@ metric, half-width columns suffixed `_hw`. Rows are ordered by sweep value;
 identical config + seed gives byte-identical output.
 
 Exit codes: 0 success, 2 config parse/validation error, 3 infeasible
-optimization, 4 quadrature accuracy failure.
+optimization, 4 quadrature accuracy failure, 5 validation suite failed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_ACCURACY = 4
+EXIT_VALIDATION = 5
 
 _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
               "epsilon")
@@ -45,6 +46,14 @@ _MODELS = {"exact": ExactLoSNLoS, "rayleigh": AllRayleigh}
 
 class ConfigError(ValueError):
     """Configuration file failed to parse or validate."""
+
+
+def _number(text: str) -> float:
+    """A finite float; NaN and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite value {text.strip()!r}")
+    return value
 
 
 def _parse_angle(text: str) -> float:
@@ -58,12 +67,13 @@ def _parse_angle(text: str) -> float:
 
 def _parse_values(section) -> tuple[float, ...]:
     if "values" in section:
-        vals = tuple(float(v) for v in section["values"].replace(",", " ").split())
+        vals = tuple(_number(v)
+                     for v in section["values"].replace(",", " ").split())
     else:
         try:
-            start = float(section["start"])
-            stop = float(section["stop"])
-            step = float(section["step"])
+            start = _number(section["start"])
+            stop = _number(section["stop"])
+            step = _number(section["step"])
         except KeyError as exc:
             raise ConfigError(f"sweep needs `values` or start/stop/step "
                               f"(missing {exc})") from exc
@@ -130,13 +140,13 @@ class ExperimentConfig:
             raise ConfigError("missing [network] section")
         net = cp["network"]
         kwargs = {
-            "lambda_u": float(net["lambda_u"]),
-            "lambda_e": float(net["lambda_e"]),
+            "lambda_u": _number(net["lambda_u"]),
+            "lambda_e": _number(net["lambda_e"]),
         }
         for key in ("h", "h_min", "h_max", "eta_los", "eta_nlos",
                     "alpha_los", "alpha_nlos", "p_t"):
             if key in net:
-                kwargs[key] = float(net[key])
+                kwargs[key] = _number(net[key])
         if "theta_c" in net:
             kwargs["theta_c"] = _parse_angle(net["theta_c"])
         network = NetworkParams(**kwargs)
@@ -153,14 +163,14 @@ class ExperimentConfig:
         rt = re = None
         if cp.has_section("code"):
             code = cp["code"]
-            rt = float(code["rt"]) if "rt" in code else None
+            rt = _number(code["rt"]) if "rt" in code else None
             if "re" in code:
-                re = float(code["re"])
+                re = _number(code["re"])
             elif "rs" in code and rt is not None:
-                re = rt - float(code["rs"])
+                re = rt - _number(code["rs"])
         zone_d = None
         if cp.has_section("zone") and "d" in cp["zone"]:
-            zone_d = float(cp["zone"]["d"])
+            zone_d = _number(cp["zone"]["d"])
         sim = cp["sim"] if cp.has_section("sim") else {}
         model_name = sim.get("model", "exact").strip()
         if model_name not in _MODELS:
@@ -185,11 +195,11 @@ class ExperimentConfig:
             metrics=metrics,
             rt=rt,
             re=re,
-            epsilon=float(opt.get("epsilon", 0.01)),
+            epsilon=_number(opt.get("epsilon", "0.01")),
             zone_d=zone_d,
-            n_realizations=int(float(sim.get("n_realizations", 20000))),
+            n_realizations=int(_number(sim.get("n_realizations", "20000"))),
             seed=int(sim.get("seed", 0)),
-            window_radius=float(sim["window_radius"])
+            window_radius=_number(sim["window_radius"])
             if "window_radius" in sim else None,
             model_name=model_name,
             out_dir=out.get("directory", ""),
@@ -506,7 +516,7 @@ def main(argv=None) -> int:
         report = validate_suite(n, args.seed, args.corrupt_eta)
         print(report.format())
         print("overall:", "PASS" if report.passed else "FAIL")
-        return EXIT_OK
+        return EXIT_OK if report.passed else EXIT_VALIDATION
     return EXIT_CONFIG
 
 

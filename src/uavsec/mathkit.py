@@ -16,6 +16,7 @@ __all__ = [
     "BracketError",
     "DegenerateSumError",
     "lambert_w0",
+    "lambert_w0_array",
     "hypoexp_cdf",
     "resolve_rate_ties",
     "bisect_root",
@@ -101,6 +102,32 @@ def lambert_w0(x: float) -> float:
     if r != 0.0 and w > -1.0:
         w -= r / (ew * (w + 1.0))
     return w
+
+
+def lambert_w0_array(x: np.ndarray) -> np.ndarray:
+    """`lambert_w0` elementwise for positive x: the same seeds, Halley
+    stopping rule per element and Newton polish, run on arrays."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
+        raise ValueError("lambert_w0_array: x must be positive")
+    l1 = np.log(np.maximum(x, math.e))
+    l2 = np.log(l1)
+    w = np.where(x < math.e,
+                 x / (1.0 + x * (1.0 + x * 0.5) / (1.0 + x * 1.1)),
+                 l1 - l2 + l2 / l1)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(60):
+        ew = np.exp(w)
+        r = w * ew - x
+        w1 = w + 1.0
+        dw = np.where(done, 0.0, r / (ew * w1 - (w + 2.0) * r / (2.0 * w1)))
+        w = w - dw
+        done |= np.abs(dw) <= 1e-16 * (1.0 + np.abs(w))
+        if done.all():
+            break
+    ew = np.exp(w)
+    r = w * ew - x
+    return w - r / (ew * (w + 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ cancels in every SIR and is carried only for completeness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,12 +88,16 @@ class NetworkParams:
     p_t: float = 1.0           # cancels in all SIRs; kept for completeness
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.lambda_u < 0 or self.lambda_e < 0:
             raise ValueError("densities must be nonnegative")
         if not 0.0 < self.theta_c < math.pi / 2:
             raise ValueError("theta_c must lie in (0, pi/2)")
-        if not self.h_min <= self.h <= self.h_max:
-            raise ValueError(f"altitude {self.h} outside [{self.h_min}, {self.h_max}]")
+        if not 0.0 < self.h_min <= self.h <= self.h_max:
+            raise ValueError(f"altitude {self.h} outside [{self.h_min}, "
+                             f"{self.h_max}] or h_min not positive")
         if not self.eta_los >= self.eta_nlos > 0:
             raise ValueError("need eta_los >= eta_nlos > 0")
         if self.alpha_los <= 0 or self.alpha_nlos <= 0:
@@ -149,8 +153,9 @@ class GuardZone:
     d: float
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("guard-zone radius must be nonnegative")
+        if not 0.0 <= self.d < math.inf:
+            raise ValueError("guard-zone radius must be finite and "
+                             "nonnegative")
 
 
 def sample_ppp(density: float, r_in: float, r_out: float,

@@ -7,8 +7,11 @@ from uavsec.chart import render_chart
 from uavsec.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VALIDATION,
     ConfigError,
     ExperimentConfig,
+    ValidationReport,
+    ValidationRow,
     validate_suite,
 )
 
@@ -84,6 +87,20 @@ class TestConfigParsing:
             ExperimentConfig.from_text(TINY_CFG.replace(
                 "variable = lambda_e", "variable = bogus"))
 
+    @pytest.mark.parametrize("old,new", [
+        ("lambda_u = 1e-3", "lambda_u = nan"),
+        ("lambda_e = 1e-3", "lambda_e = inf"),
+        ("h = 10", "h = nan"),
+        ("theta_c = 45 deg", "theta_c = nan"),
+        ("re = 1", "re = -inf"),
+        ("values = 1e-4, 1e-3", "values = 1e-4, nan"),
+        ("seed = 1", "seed = 1\n[zone]\nd = inf"),
+        ("seed = 1", "seed = 1\n[optimize]\nepsilon = nan"),
+    ])
+    def test_non_finite_values_rejected(self, old, new):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_text(TINY_CFG.replace(old, new))
+
     def test_degree_parsing(self):
         cfg = ExperimentConfig.from_text(
             TINY_CFG.replace("theta_c = 45 deg", "theta_c = 0.9"))
@@ -132,6 +149,13 @@ class TestRun:
         cfg_path.write_text("[network]\nlambda_u = oops\n")
         assert cli.run(str(cfg_path), str(tmp_path)) == EXIT_CONFIG
 
+    def test_nan_config_exits_without_csv(self, tmp_path):
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(TINY_CFG.replace("lambda_u = 1e-3",
+                                             "lambda_u = nan"))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.run(str(tmp_path / "nope.cfg"), str(tmp_path)) == \
             EXIT_CONFIG
@@ -166,6 +190,17 @@ class TestEntryPoint:
         out = capsys.readouterr().out
         # one summary line per sweep point
         assert out.count("tiny: lambda_e=") == 2
+
+
+    def test_validate_exit_code_follows_verdict(self, monkeypatch, capsys):
+        for passed, code in ((False, EXIT_VALIDATION), (True, EXIT_OK)):
+            report = ValidationReport([ValidationRow("check", 0.0, 1.0,
+                                                     passed)])
+            monkeypatch.setattr(cli, "validate_suite",
+                                lambda *args, r=report: r)
+            assert cli.main(["validate", "--fast"]) == code
+            assert capsys.readouterr().out.endswith(
+                "overall: " + ("PASS" if passed else "FAIL") + "\n")
 
 
 class TestValidateSuite:

@@ -74,6 +74,14 @@ class TestLambertW:
             ref = float(scipy_special.lambertw(x).real)
             assert lambert_w0(float(x)) == pytest.approx(ref, rel=1e-13)
 
+    def test_array_form_matches_scalar(self):
+        x = 10 ** np.linspace(-12, 12, 500)
+        w = mathkit.lambert_w0_array(x)
+        ref = np.array([lambert_w0(float(v)) for v in x])
+        assert np.all(np.abs(w - ref) <= 4e-16 * np.maximum(1.0, ref))
+        with pytest.raises(ValueError):
+            mathkit.lambert_w0_array(np.array([1.0, 0.0]))
+
 
 class TestHypoexpCdf:
     def test_single_exponential(self):

@@ -74,9 +74,17 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             WiretapCode(rt=1.0, rs=2.0)
 
-    def test_guard_zone(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["lambda_u", "lambda_e", "h", "theta_c",
+                                     "h_max", "eta_los", "p_t"])
+    def test_non_finite_params_rejected(self, key, bad):
         with pytest.raises(ValueError):
-            GuardZone(-1.0)
+            params(**{key: bad})
+
+    def test_guard_zone(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                GuardZone(bad)
 
     def test_altitude_override(self):
         p = params().with_altitude(25.0)

@@ -6,8 +6,10 @@ import pytest
 from uavsec import analytic, optimizer
 from uavsec.model import GuardZone, NetworkParams
 from uavsec.optimizer import (
+    RE_CEILING,
     RE_FLOOR,
     InfeasibleError,
+    OptimumReport,
     large_zone_limit,
     default_d_grid,
     optimize_no_zone,
@@ -39,6 +41,56 @@ def surrogate_objective(p, rt, re):
     return (rt - re) * analytic.pc_simplified(p, rt)
 
 
+def oracle_search(p, eps, h_grid, d_grid=None):
+    """The per-cell loop that the block search replaced: every cell solved
+    by the scalar path in sorted altitude-major order, first maximum kept;
+    d_grid None is the no-zone search."""
+    best, failures = None, []
+    for h in np.sort(h_grid):
+        ph = p.with_altitude(float(h))
+        for d in (np.sort(d_grid) if d_grid is not None else [None]):
+            zone = GuardZone(float(d)) if d is not None else None
+            try:
+                re, rt, rs, cs = optimizer._evaluate_cell(ph, eps, zone)
+            except InfeasibleError as exc:
+                failures.append(exc.achieved_outage)
+                continue
+            if best is None or cs > best[-1]:
+                best = (ph, zone, re, rt, rs, cs)
+    if best is None:
+        raise InfeasibleError("oracle: infeasible grid", min(failures))
+    ph, zone, re, rt, rs, cs = best
+    return OptimumReport(
+        rt=rt, rs=rs, re=re, h=ph.h, cs=cs,
+        pso=optimizer._pso_at(ph, re, zone),
+        d=zone.d if zone is not None else None,
+        diagnostics={
+            "infeasible_cells": len(failures),
+            "surrogate_pc_ratio": analytic.pc_simplified(ph, rt)
+            / analytic.pc_approx(ph, 2.0 ** rt - 1.0),
+            "constraint_active": re > RE_FLOOR})
+
+
+def oracle_configs():
+    """20 seeded configs: random densities, angles and targets, plus no
+    eavesdroppers, and transmitter densities tiny enough to need the
+    bracket expansion or to leave small zones infeasible. Zone grids run
+    from 0 past K and out to slack radii."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for i in range(20):
+        lu = 10 ** rng.uniform(*((-13.5, -12.5) if i % 10 == 9 else
+                                 (-9, -7) if i % 5 == 4 else (-4, -2)))
+        le = 0.0 if i == 0 else 10 ** rng.uniform(-4, -2)
+        p = NetworkParams(lambda_u=lu, lambda_e=le,
+                          theta_c=rng.uniform(0.4, 1.2))
+        h_grid = np.arange(10.0, 50.5, rng.choice([4.0, 5.0, 8.0]))
+        d_max = 5.0 / math.sqrt(math.pi * (le or 1e-3))
+        d_grid = np.linspace(0.0, d_max, int(rng.integers(12, 30)))
+        out.append((p, 10 ** rng.uniform(-3, -0.7), h_grid, d_grid))
+    return out
+
+
 class TestSolveRe:
     def test_no_eavesdroppers_floor(self):
         assert solve_re(params(lambda_e=0.0), 0.01) == RE_FLOOR
@@ -64,10 +116,13 @@ class TestSolveRe:
         assert all(b <= a for a, b in zip(res, res[1:]))
 
     def test_epsilon_bounds(self):
-        with pytest.raises(ValueError):
-            solve_re(params(), 0.0)
-        with pytest.raises(ValueError):
-            solve_re(params(), 1.0)
+        for eps in (0.0, 1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_re(params(), eps)
+            with pytest.raises(ValueError):
+                optimize_no_zone(params(), eps)
+            with pytest.raises(ValueError):
+                optimize_zone(params(), eps)
 
 
 class TestClosedFormZoneGap:
@@ -217,3 +272,88 @@ class TestGridSearches:
     def test_infeasible_error_type_exists(self):
         err = InfeasibleError("nope", 0.5)
         assert err.achieved_outage == 0.5
+
+
+class TestBlockSearchOracle:
+    """The block search against the per-cell scalar loop it replaced."""
+
+    def test_cell_gaps_match_solve_re(self):
+        seen = {"slack": 0, "inside_k": 0, "beyond_k": 0, "expanded": 0,
+                "infeasible": 0}
+        for p, eps, h_grid, d_grid in oracle_configs():
+            h = np.repeat(h_grid, d_grid.size)
+            d = np.tile(d_grid, h_grid.size)
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                re, achieved = optimizer._solve_re_cells(p, eps, h, d)
+            for i in range(h.size):
+                ph = p.with_altitude(float(h[i]))
+                zone = GuardZone(float(d[i]))
+                try:
+                    ref = solve_re(ph, eps, zone)
+                except InfeasibleError as exc:
+                    assert np.isnan(re[i])
+                    assert achieved[i] == pytest.approx(
+                        exc.achieved_outage, rel=1e-12)
+                    seen["infeasible"] += 1
+                    continue
+                assert abs(re[i] - ref) <= 2e-12
+                assert achieved[i] == np.inf
+                if ref == RE_FLOOR:
+                    seen["slack"] += 1
+                elif ref > RE_CEILING:
+                    seen["expanded"] += 1
+                elif d[i] >= ph.los_radius:
+                    seen["beyond_k"] += 1
+                else:
+                    seen["inside_k"] += 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("block", [7, optimizer._BLOCK_CELLS])
+    def test_reports_match_oracle(self, monkeypatch, block):
+        monkeypatch.setattr(optimizer, "_BLOCK_CELLS", block)
+
+        def outcome(search, *args):
+            try:
+                return search(*args)
+            except InfeasibleError as exc:
+                return exc.achieved_outage
+
+        infeasible_grids = 0
+        for p, eps, h_grid, d_grid in oracle_configs():
+            for grid in (d_grid, None):
+                ref = outcome(oracle_search, p, eps, h_grid, grid)
+                got = (outcome(optimize_zone, p, eps, h_grid, grid)
+                       if grid is not None
+                       else outcome(optimize_no_zone, p, eps, h_grid))
+                if isinstance(ref, float):
+                    assert got == ref
+                    infeasible_grids += 1
+                    continue
+                assert (got.rt, got.rs, got.re, got.h, got.cs, got.pso,
+                        got.d) == (ref.rt, ref.rs, ref.re, ref.h, ref.cs,
+                                   ref.pso, ref.d)
+                for key, value in ref.diagnostics.items():
+                    assert got.diagnostics[key] == value, key
+        assert infeasible_grids > 0
+
+    def test_exact_ties_keep_smallest_zone(self, monkeypatch):
+        # without eavesdroppers every zone radius gives the same capacity
+        monkeypatch.setattr(optimizer, "_BLOCK_CELLS", 3)
+        rep = optimize_zone(params(lambda_e=0.0), 0.01,
+                            d_grid=[30.0, 0.0, 10.0, 20.0])
+        assert rep.d == 0.0 and rep.h == 10.0
+
+    def test_reports_infeasible_cells(self):
+        rep = optimize_zone(params(), 0.01)
+        assert rep.diagnostics["infeasible_cells"] == 0
+        assert rep.diagnostics["h_grid_size"] == 41
+        assert rep.diagnostics["d_grid_size"] == default_d_grid(params()).size
+
+    def test_rejects_grids_outside_the_domain(self):
+        with pytest.raises(ValueError):
+            optimize_no_zone(params(), 0.01, h_grid=[10.0, 60.0])
+        with pytest.raises(ValueError):
+            optimize_zone(params(), 0.01, d_grid=[0.0, -1.0])
+        with pytest.raises(ValueError):
+            optimize_zone(params(), 0.01, d_grid=[0.0, math.nan])
