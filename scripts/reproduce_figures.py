@@ -9,6 +9,7 @@ minute (for smoke runs; the bundled budgets take ~10 min).
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from uavsec import cli
 
@@ -26,12 +27,11 @@ def main() -> int:
             continue
         path = os.path.join(CONFIGS, name)
         if fast:
-            with open(path) as fh:
-                text = fh.read().replace("n_realizations = 100000",
-                                         "n_realizations = 5000")
+            cfg = replace(cli.ExperimentConfig.from_file(path),
+                          n_realizations=5000)
             tmp = os.path.join(tempfile.gettempdir(), name)
             with open(tmp, "w") as fh:
-                fh.write(text)
+                fh.write(cfg.to_text())
             path = tmp
         print(f"== {name}")
         rc = cli.run(path, out_dir)

@@ -11,7 +11,6 @@ from .model import (
     FadingModel,
     GuardZone,
     NetworkParams,
-    Realization,
     WiretapCode,
     los_radius,
     sample_ppp,
@@ -28,7 +27,6 @@ __all__ = [
     "GuardZone",
     "MetricEstimate",
     "NetworkParams",
-    "Realization",
     "SimConfig",
     "WiretapCode",
     "los_radius",

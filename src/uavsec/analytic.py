@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mathkit
-from .model import GuardZone, NetworkParams, sample_ppp
+from .model import GuardZone, NetworkParams, pathloss, rng_stream, sample_ppp
 
 __all__ = [
     "MetricEstimate",
-    "Q1Cache",
     "pc_approx",
     "pso_approx",
     "pso_zone_approx",
@@ -53,8 +52,10 @@ class MetricEstimate:
     half_width: float = 0.0
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise ValueError("half_width must be nonnegative")
+        if not math.isfinite(self.value):
+            raise ValueError("value must be finite")
+        if not 0.0 <= self.half_width < math.inf:
+            raise ValueError("half_width must be finite and nonnegative")
 
     def agrees_with(self, other: "MetricEstimate") -> bool:
         """Two-estimate comparison at combined 95% intervals."""
@@ -62,19 +63,9 @@ class MetricEstimate:
         return gap <= math.hypot(self.half_width, other.half_width)
 
 
-@dataclass(frozen=True)
-class Q1Cache:
+def _q1(params: NetworkParams, beta_e: float) -> float:
     """The recurring factor lambda_u * pi^2 * sqrt(beta_e) / 2 (units 1/m)."""
-
-    q1: float
-
-    def __post_init__(self):
-        if self.q1 < 0:
-            raise ValueError("q1 must be nonnegative")
-
-    @classmethod
-    def from_params(cls, params: NetworkParams, beta_e: float) -> "Q1Cache":
-        return cls(params.lambda_u * math.pi ** 2 * math.sqrt(beta_e) / 2.0)
+    return params.lambda_u * math.pi ** 2 * math.sqrt(beta_e) / 2.0
 
 
 def _require_canonical_alphas(params: NetworkParams):
@@ -139,7 +130,7 @@ def _pso_brace(params: NetworkParams, beta_e: float, d: float) -> float:
     """The bracketed area integral of the outage form for zone radius d < K:
     LoS-disk part on [d, K] plus the NLoS tail beyond K, both carrying the
     exp(pi*lambda_u*H^2) factor."""
-    q1 = Q1Cache.from_params(params, beta_e).q1
+    q1 = _q1(params, beta_e)
     h2 = params.h ** 2
     k2 = params.los_radius ** 2
     b = math.pi * params.lambda_u * h2
@@ -189,7 +180,7 @@ def pso_zone_approx(params: NetworkParams, beta_e: float,
     d = zone.d
     k = params.los_radius
     h2 = params.h ** 2
-    q1 = Q1Cache.from_params(params, beta_e).q1
+    q1 = _q1(params, beta_e)
     if d >= k:
         log_arg = (math.log(math.pi * params.lambda_e / q1)
                    + math.pi * params.lambda_u * h2 - q1 * (h2 + d * d))
@@ -313,7 +304,7 @@ def pc_approx_radial(params: NetworkParams, beta_t: float,
 
 def _pso_radial_brace(params: NetworkParams, beta_e: float, d: float,
                       tol: float) -> float:
-    q1 = Q1Cache.from_params(params, beta_e).q1
+    q1 = _q1(params, beta_e)
     h2 = params.h ** 2
     k = params.los_radius
     b = math.pi * params.lambda_u * h2
@@ -357,11 +348,6 @@ def pso_zone_radial(params: NetworkParams, beta_e: float, zone: GuardZone,
 # interferer configurations)
 # ---------------------------------------------------------------------------
 
-def _interferer_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
 def _connection_value(params: NetworkParams, beta_t: float,
                       pts: np.ndarray) -> float:
     """Conditional connection probability given one interferer set."""
@@ -374,7 +360,8 @@ def _connection_value(params: NetworkParams, beta_t: float,
     r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
     d2 = r2 + h2
     los = r2 < params.los_radius ** 2
-    i_los = float(np.sum(params.eta_los * d2[los] ** (-params.alpha_los / 2.0)))
+    i_los = float(np.sum(params.eta_los
+                         * pathloss(d2[los], params.alpha_los)))
     y = signal / beta_t - i_los
     if y <= 0.0:
         return 0.0
@@ -402,21 +389,11 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
         window = default_window_radius(params)
     vals = np.empty(n_realizations)
     for i in range(n_realizations):
-        pts = sample_ppp(params.lambda_u, 0.0, window, _interferer_rng(seed, i))
+        pts = sample_ppp(params.lambda_u, 0.0, window, rng_stream(seed, i))
         vals[i] = _connection_value(params, beta_t, pts)
     hw = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(n_realizations) \
         if n_realizations > 1 else 0.0
     return MetricEstimate(float(np.mean(vals)), SEMI_ANALYTIC, hw)
-
-
-def _powm(d2: np.ndarray, alpha: float) -> np.ndarray:
-    """D^-alpha from squared distances (reciprocal fast paths)."""
-    if alpha == 2.0:
-        return 1.0 / d2
-    if alpha == 4.0:
-        inv = 1.0 / d2
-        return inv * inv
-    return d2 ** (-alpha / 2.0)
 
 
 class _ExceedanceField:
@@ -461,8 +438,8 @@ class _ExceedanceField:
         log_det = np.where(
             los,
             -(p.eta_los / p.eta_nlos) * scale[:, None, None]
-            * _powm(d2, p.alpha_los),
-            -np.log1p(scale[:, None, None] * _powm(d2, p.alpha_nlos)))
+            * pathloss(d2, p.alpha_los),
+            -np.log1p(scale[:, None, None] * pathloss(d2, p.alpha_nlos)))
         return np.mean(np.exp(np.sum(log_det, axis=2)), axis=1)
 
     def _disk(self, rs, d0, d2, los):
@@ -471,9 +448,9 @@ class _ExceedanceField:
         decide almost every (radius, angle) outright; only genuinely
         mid-CDF positions pay for the signed mixture."""
         p = self.p
-        sig = p.eta_los * d0 ** (-p.alpha_los / 2.0)
-        i_los = np.sum(np.where(los, p.eta_los * _powm(d2, p.alpha_los), 0.0),
-                       axis=2)
+        sig = p.eta_los * pathloss(d0, p.alpha_los)
+        i_los = np.sum(
+            np.where(los, p.eta_los * pathloss(d2, p.alpha_los), 0.0), axis=2)
         y = sig[:, None] / self.beta_e - i_los
         rates = np.where(los, np.inf, d2 ** (p.alpha_nlos / 2.0) / p.eta_nlos)
         n_nlos = np.sum(~los, axis=2)
@@ -532,7 +509,7 @@ def pso_exact(params: NetworkParams, beta_e: float,
     k = params.los_radius
     vals = np.empty(n_realizations)
     for i in range(n_realizations):
-        pts = sample_ppp(params.lambda_u, 0.0, window, _interferer_rng(seed, i))
+        pts = sample_ppp(params.lambda_u, 0.0, window, rng_stream(seed, i))
         field = _ExceedanceField(params, beta_e, pts, n_angles)
 
         def g(rs):

@@ -42,6 +42,19 @@ _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
               "epsilon")
 _MODES = ("analyze", "simulate", "validate", "optimize")
 _MODELS = {"exact": ExactLoSNLoS, "rayleigh": AllRayleigh}
+_NETWORK_KEYS = ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
+                 "eta_los", "eta_nlos", "alpha_los", "alpha_nlos")
+# Every section and key the parser reads; anything else is an error.
+_KEYS = {
+    "experiment": ("mode", "name", "metrics"),
+    "network": _NETWORK_KEYS,
+    "sweep": ("variable", "values", "start", "stop", "step"),
+    "code": ("rt", "re", "rs"),
+    "zone": ("d",),
+    "sim": ("n_realizations", "seed", "window_radius", "model"),
+    "optimize": ("epsilon",),
+    "output": ("directory", "charts", "log_x", "log_y"),
+}
 
 
 class ConfigError(ValueError):
@@ -132,6 +145,13 @@ class ExperimentConfig:
 
     @classmethod
     def _build(cls, cp, default_name):
+        for section in cp.sections():
+            if section not in _KEYS:
+                raise ConfigError(f"unknown section [{section}]")
+            unknown = sorted(set(cp.options(section)) - set(_KEYS[section]))
+            if unknown:
+                raise ConfigError(f"unknown key(s) in [{section}]: "
+                                  f"{', '.join(unknown)}")
         exp = cp["experiment"] if cp.has_section("experiment") else {}
         mode = exp.get("mode", "analyze").strip()
         if mode not in _MODES:
@@ -144,7 +164,7 @@ class ExperimentConfig:
             "lambda_e": _number(net["lambda_e"]),
         }
         for key in ("h", "h_min", "h_max", "eta_los", "eta_nlos",
-                    "alpha_los", "alpha_nlos", "p_t"):
+                    "alpha_los", "alpha_nlos"):
             if key in net:
                 kwargs[key] = _number(net[key])
         if "theta_c" in net:
@@ -218,8 +238,7 @@ class ExperimentConfig:
         w(f"name = {self.name}\n")
         w(f"metrics = {', '.join(self.metrics)}\n\n")
         w("[network]\n")
-        for key in ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
-                    "eta_los", "eta_nlos", "alpha_los", "alpha_nlos", "p_t"):
+        for key in _NETWORK_KEYS:
             w(f"{key} = {getattr(net, key)!r}\n")
         w("\n[sweep]\n")
         w(f"variable = {self.sweep_variable}\n")

@@ -1,5 +1,5 @@
-"""Network domain types, PPP sampling, and the elevation-angle-dependent
-LoS/NLoS channel and SIR computations.
+"""Network domain types, PPP sampling, the elevation-angle-dependent
+LoS/NLoS channel kernel, and the seed-to-stream convention.
 
 Geometry: the typical legitimate receiver sits at the origin of the ground
 plane with its serving transmitter directly overhead at altitude H. A ground
@@ -7,14 +7,13 @@ node at horizontal distance r sees the transmitter at elevation angle
 arcsin(H / sqrt(r^2 + H^2)); the link is line-of-sight iff that angle exceeds
 theta_c, i.e. iff r < K = H*cot(theta_c). LoS links are deterministic with
 path-loss exponent alpha_los; NLoS links carry unit-mean exponential
-(Rayleigh power) fading with exponent alpha_nlos. The transmit power p_t
-cancels in every SIR and is carried only for completeness.
+(Rayleigh power) fading with exponent alpha_nlos.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,12 +24,11 @@ __all__ = [
     "NetworkParams",
     "WiretapCode",
     "GuardZone",
-    "Realization",
     "los_radius",
     "sample_ppp",
-    "link_gain",
-    "sir_legitimate",
-    "sir_eavesdropper",
+    "pathloss",
+    "gains",
+    "rng_stream",
     "rule_window_radius",
     "default_window_radius",
     "outage_window_radius",
@@ -85,7 +83,6 @@ class NetworkParams:
     eta_nlos: float = 0.01     # 20 dB LoS advantage at 1 m by default
     alpha_los: float = 2.0
     alpha_nlos: float = 4.0
-    p_t: float = 1.0           # cancels in all SIRs; kept for completeness
 
     def __post_init__(self):
         for f in fields(self):
@@ -102,8 +99,6 @@ class NetworkParams:
             raise ValueError("need eta_los >= eta_nlos > 0")
         if self.alpha_los <= 0 or self.alpha_nlos <= 0:
             raise ValueError("path-loss exponents must be positive")
-        if self.p_t <= 0:
-            raise ValueError("transmit power must be positive")
 
     @property
     def los_radius(self) -> float:
@@ -178,106 +173,41 @@ def sample_ppp(density: float, r_in: float, r_out: float,
     return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
 
 
-def link_gain(r: float, h: float, params: NetworkParams, model: type,
-              fading_draw: float = 1.0) -> float:
-    """Received power factor eta*S*D^-alpha for a link of horizontal span r.
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream spawned from `seed` under the integer key path
+    `key`; every stream in the package is derived this way."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=key))
 
-    LoS branch (r < K): eta_los, alpha_los, S = 1 under ExactLoSNLoS or the
-    draw under AllRayleigh. NLoS branch (r >= K, ties to NLoS): eta_nlos,
-    alpha_nlos, S = draw under both models.
+
+def pathloss(d2: np.ndarray, alpha: float) -> np.ndarray:
+    """D^-alpha from squared distance; reciprocal fast paths for the
+    canonical exponents (np.power is ~50x slower)."""
+    if alpha == 2.0:
+        return 1.0 / d2
+    if alpha == 4.0:
+        inv = 1.0 / d2
+        return inv * inv
+    return d2 ** (-alpha / 2.0)
+
+
+def gains(params: NetworkParams, model: type, d2: np.ndarray,
+          horiz2: np.ndarray, fades: np.ndarray) -> np.ndarray:
+    """Received power factor eta*S*D^-alpha per link, from squared 3-D
+    distance `d2`, squared horizontal span `horiz2` and unit-mean
+    exponential draws `fades`.
+
+    LoS branch (horizontal span < K): eta_los, alpha_los, S = 1 under
+    ExactLoSNLoS or the draw under AllRayleigh. NLoS branch (span >= K,
+    ties go NLoS): eta_nlos, alpha_nlos, S = the draw under both models.
     """
-    d2 = r * r + h * h
-    if r < los_radius(h, params.theta_c):
-        s = fading_draw if model.los_faded else 1.0
-        return params.eta_los * s * d2 ** (-params.alpha_los / 2.0)
-    return params.eta_nlos * fading_draw * d2 ** (-params.alpha_nlos / 2.0)
-
-
-# Link-key spaces for the counter-based fading streams.
-_LINK_SIG0 = 0
-_LINK_U0 = 1
-_LINK_0E = 2
-_LINK_UE = 3
-
-
-@dataclass
-class Realization:
-    """One sampled snapshot of the point processes around the typical pair.
-
-    `interferers` and `eavesdroppers` are (n, 2) horizontal positions inside
-    the declared window; the typical receiver is at the origin with its
-    transmitter at (0, 0, H). Fading draws are materialized lazily, indexed
-    by (seed, realization index, link endpoints) through a counter-based
-    generator, so both fading models re-running the same realization share
-    the NLoS draws.
-    """
-
-    interferers: np.ndarray
-    eavesdroppers: np.ndarray
-    seed: int = 0
-    index: int = 0
-    _fading: dict = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def sample(cls, params: NetworkParams, window_radius: float, seed: int,
-               index: int = 0, zone: GuardZone | None = None) -> "Realization":
-        """Draw interferers on [0, R_w) and eavesdroppers on [d, R_w)."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        interferers = sample_ppp(params.lambda_u, 0.0, window_radius, rng)
-        d = zone.d if zone is not None else 0.0
-        eavesdroppers = sample_ppp(params.lambda_e, min(d, window_radius),
-                                   window_radius, rng)
-        return cls(interferers=interferers, eavesdroppers=eavesdroppers,
-                   seed=seed, index=index)
-
-    def fading(self, space: int, i: int = 0, j: int = 0) -> float:
-        """Unit-mean exponential draw for one link, cached per realization."""
-        key = (space, i, j)
-        val = self._fading.get(key)
-        if val is None:
-            counter = (space << 48) | (i << 24) | j
-            bitgen = np.random.Philox(
-                key=np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.index],
-                             dtype=np.uint64),
-                counter=np.array([counter, 0, 0, 0], dtype=np.uint64))
-            val = float(np.random.Generator(bitgen).standard_exponential())
-            self._fading[key] = val
-        return val
-
-
-def sir_legitimate(real: Realization, params: NetworkParams,
-                   model: type = ExactLoSNLoS) -> float:
-    """SIR at the typical receiver; +inf when there are no interferers."""
-    sig_draw = real.fading(_LINK_SIG0) if model.los_faded else 1.0
-    signal = params.eta_los * sig_draw * (params.h ** 2) ** (-params.alpha_los / 2.0)
-    interference = 0.0
-    for i, (x, y) in enumerate(np.atleast_2d(real.interferers)
-                               if real.interferers.size else []):
-        r = math.hypot(x, y)
-        interference += link_gain(r, params.h, params, model,
-                                  real.fading(_LINK_U0, i))
-    if interference == 0.0:
-        return math.inf
-    return signal / interference
-
-
-def sir_eavesdropper(real: Realization, e_index: int, params: NetworkParams,
-                     model: type = ExactLoSNLoS) -> float:
-    """SIR at eavesdropper `e_index`; eavesdroppers decode individually."""
-    ex, ey = real.eavesdroppers[e_index]
-    r0 = math.hypot(ex, ey)
-    signal = link_gain(r0, params.h, params, model,
-                       real.fading(_LINK_0E, 0, e_index))
-    interference = 0.0
-    for i, (x, y) in enumerate(np.atleast_2d(real.interferers)
-                               if real.interferers.size else []):
-        r = math.hypot(x - ex, y - ey)
-        interference += link_gain(r, params.h, params, model,
-                                  real.fading(_LINK_UE, i, e_index))
-    if interference == 0.0:
-        return math.inf
-    return signal / interference
+    los = horiz2 < params.los_radius ** 2
+    out = np.empty_like(d2)
+    s_los = fades[los] if model.los_faded else 1.0
+    out[los] = params.eta_los * s_los * pathloss(d2[los], params.alpha_los)
+    out[~los] = (params.eta_nlos * fades[~los]
+                 * pathloss(d2[~los], params.alpha_nlos))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ and secrecy-transmission-capacity definitions, under either fading model.
 
 Realizations are processed in fixed-size chunks, each driven by its own
 random stream spawned from the master seed, so estimates are bit-identical
-for a given (params, thresholds, config) regardless of progress batching,
-and chunks could be evaluated concurrently without changing the result.
+for a given (params, thresholds, config), and chunks could be evaluated
+concurrently without changing the result.
 Within a chunk the draw order is canonical (counts, positions, link fading,
 signal fading), and fading is drawn for every link under both fading
 models, so runs that differ only in the model share their NLoS draws.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from .model import (
     NetworkParams,
     WiretapCode,
     connection_window_radius,
+    gains,
     outage_window_radius,
+    rng_stream,
 )
 
 __all__ = ["SimConfig", "sim_connection", "sim_outage", "sim_stc"]
@@ -51,26 +53,19 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls: realization count, window, seed, fading model,
-    and a progress-reporting batch size (no effect on the estimates)."""
+    """Simulation controls: realization count, window, seed, fading model."""
 
     n_realizations: int
     window_radius: Optional[float] = None   # None -> per-metric policy
     seed: int = 0
     model: type = ExactLoSNLoS
-    batch_size: int = 20000
-    progress: Optional[Callable[[int, int], None]] = None
 
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("need n_realizations >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-
-
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(0x5EED, chunk_index)))
+        if self.window_radius is not None and not (
+                0.0 < self.window_radius < math.inf):
+            raise ValueError("window_radius must be finite and positive")
 
 
 def _chunk_size(expected_work: float, lo: int = 16, hi: int = 8192) -> int:
@@ -78,17 +73,6 @@ def _chunk_size(expected_work: float, lo: int = 16, hi: int = 8192) -> int:
     if expected_work <= 0:
         return hi
     return int(max(lo, min(hi, 1.2e7 / expected_work)))
-
-
-def _pathloss(d2: np.ndarray, alpha: float) -> np.ndarray:
-    """D^-alpha from squared distance; reciprocal fast paths for the
-    canonical exponents (np.power is ~50x slower)."""
-    if alpha == 2.0:
-        return 1.0 / d2
-    if alpha == 4.0:
-        inv = 1.0 / d2
-        return inv * inv
-    return d2 ** (-alpha / 2.0)
 
 
 def _binary_estimate(successes: int, n: int) -> MetricEstimate:
@@ -104,26 +88,6 @@ def _binary_estimate(successes: int, n: int) -> MetricEstimate:
     return MetricEstimate(p, MONTE_CARLO, hw)
 
 
-def _progress(cfg: SimConfig, done: int, last_report: int) -> int:
-    if cfg.progress is not None and (done - last_report >= cfg.batch_size
-                                     or done == cfg.n_realizations):
-        cfg.progress(done, cfg.n_realizations)
-        return done
-    return last_report
-
-
-def _segmented_gains(params: NetworkParams, model: type, d2: np.ndarray,
-                     horiz2: np.ndarray, fades: np.ndarray) -> np.ndarray:
-    """eta*S*D^-alpha per link, branch chosen by horizontal distance."""
-    los = horiz2 < params.los_radius ** 2
-    gains = np.empty_like(d2)
-    s_los = fades[los] if model.los_faded else 1.0
-    gains[los] = params.eta_los * s_los * _pathloss(d2[los], params.alpha_los)
-    gains[~los] = (params.eta_nlos * fades[~los]
-                   * _pathloss(d2[~los], params.alpha_nlos))
-    return gains
-
-
 def sim_connection(params: NetworkParams, beta_t: float,
                    cfg: SimConfig) -> MetricEstimate:
     """Fraction of realizations whose legitimate-receiver SIR exceeds beta_t."""
@@ -136,24 +100,21 @@ def sim_connection(params: NetworkParams, beta_t: float,
     chunk = _chunk_size(area_mean)
     n = cfg.n_realizations
     successes = 0
-    done = 0
-    reported = 0
     sig_pathloss = params.eta_los * h2 ** (-params.alpha_los / 2.0)
     for ci, start in enumerate(range(0, n, chunk)):
         m = min(chunk, n - start)
-        rng = _chunk_rng(cfg.seed, ci)
+        rng = rng_stream(cfg.seed, 0x5EED, ci)
         counts = rng.poisson(area_mean, m)
         total = int(counts.sum())
         seg = np.repeat(np.arange(m), counts)
         horiz2 = rng.random(total) * window ** 2   # r^2 uniform on the disk
         fades = rng.standard_exponential(total)
         sig_fades = rng.standard_exponential(m)
-        gains = _segmented_gains(params, cfg.model, horiz2 + h2, horiz2, fades)
-        interference = np.bincount(seg, weights=gains, minlength=m)
+        interference = np.bincount(
+            seg, weights=gains(params, cfg.model, horiz2 + h2, horiz2, fades),
+            minlength=m)
         signal = sig_pathloss * (sig_fades if cfg.model.los_faded else 1.0)
         successes += int(np.count_nonzero(signal > beta_t * interference))
-        done += m
-        reported = _progress(cfg, done, reported)
     return _binary_estimate(successes, n)
 
 
@@ -191,17 +152,14 @@ def sim_outage(params: NetworkParams, beta_e: float,
         e_win = d0 + max(50.0, params.los_radius)
         u_win = max(u_win, e_win + 100.0)
     h2 = params.h ** 2
-    k2 = params.los_radius ** 2
     u_mean = params.lambda_u * math.pi * u_win ** 2
     e_mean = params.lambda_e * math.pi * (e_win ** 2 - d0 ** 2)
     chunk = _chunk_size(u_mean + e_mean + e_mean * max(u_mean, 1.0))
     n = cfg.n_realizations
     outages = 0
-    done = 0
-    reported = 0
     for ci, start in enumerate(range(0, n, chunk)):
         m = min(chunk, n - start)
-        rng = _chunk_rng(cfg.seed, ci)
+        rng = rng_stream(cfg.seed, 0x5EED, ci)
         u_counts = rng.poisson(u_mean, m)
         e_counts = rng.poisson(e_mean, m) if e_mean > 0 else np.zeros(m, int)
         tu = int(u_counts.sum())
@@ -213,8 +171,6 @@ def sim_outage(params: NetworkParams, beta_e: float,
         ephi = rng.random(te) * (2.0 * math.pi)
         sig_fades = rng.standard_exponential(te)
         if te == 0:
-            done += m
-            reported = _progress(cfg, done, reported)
             continue
         ux = ur * np.cos(uphi)
         uy = ur * np.sin(uphi)
@@ -236,24 +192,16 @@ def sim_outage(params: NetworkParams, beta_e: float,
             dx = ux[pair_u] - ex[pair_e]
             dy = uy[pair_u] - ey[pair_e]
             horiz2 = dx * dx + dy * dy
-            gains = _segmented_gains(params, cfg.model, horiz2 + h2, horiz2,
-                                     pair_fades)
-            interference = np.bincount(pair_e, weights=gains, minlength=te)
+            interference = np.bincount(
+                pair_e, weights=gains(params, cfg.model, horiz2 + h2, horiz2,
+                                      pair_fades), minlength=te)
         else:
             interference = np.zeros(te)
 
-        sig_los = er2 < k2
-        signal = np.empty(te)
-        s_los = sig_fades[sig_los] if cfg.model.los_faded else 1.0
-        signal[sig_los] = (params.eta_los * s_los
-                           * _pathloss(er2[sig_los] + h2, params.alpha_los))
-        signal[~sig_los] = (params.eta_nlos * sig_fades[~sig_los]
-                            * _pathloss(er2[~sig_los] + h2, params.alpha_nlos))
+        signal = gains(params, cfg.model, er2 + h2, er2, sig_fades)
         decoded = signal > beta_e * interference
         outages += int(np.count_nonzero(
             np.bincount(e_seg, weights=decoded, minlength=m) > 0))
-        done += m
-        reported = _progress(cfg, done, reported)
     return _binary_estimate(outages, n)
 
 

@@ -7,7 +7,6 @@ import pytest
 from uavsec import analytic
 from uavsec.analytic import (
     MetricEstimate,
-    Q1Cache,
     effective_density,
     pc_approx,
     pc_approx_radial,
@@ -189,14 +188,14 @@ class TestDensityAndCapacity:
             assert stc(rs, min(pc * 1.1, 1.0), lam) >= stc(rs, pc, lam)
 
     def test_q1_cache(self):
-        q = Q1Cache.from_params(params(), 4.0)
-        assert q.q1 == pytest.approx(1e-3 * math.pi ** 2)
-        with pytest.raises(ValueError):
-            Q1Cache(-1.0)
+        assert analytic._q1(params(), 4.0) == pytest.approx(
+            1e-3 * math.pi ** 2)
 
     def test_metric_estimate_validation(self):
-        with pytest.raises(ValueError):
-            MetricEstimate(0.5, half_width=-0.1)
+        for value, hw in ((0.5, -0.1), (math.nan, math.nan), (math.nan, 0.0),
+                          (0.5, math.nan), (math.inf, 0.0), (0.5, math.inf)):
+            with pytest.raises(ValueError):
+                MetricEstimate(value, half_width=hw)
         a = MetricEstimate(0.50, half_width=0.02)
         b = MetricEstimate(0.53, half_width=0.025)
         assert a.agrees_with(b)

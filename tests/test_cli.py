@@ -156,6 +156,18 @@ class TestRun:
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("h = 10", "h = 10\neta_nlso = 0.5"),
+        ("h = 10", "h = 10\np_t = 7"),
+        ("seed = 1", "seed = 1\nbatch_size = 10"),
+        ("[sweep]", "[sweeep]\nvariable = h\n\n[sweep]"),
+    ])
+    def test_unknown_key_exits_without_csv(self, tmp_path, old, new):
+        cfg_path = tmp_path / "typo.cfg"
+        cfg_path.write_text(TINY_CFG.replace(old, new))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.run(str(tmp_path / "nope.cfg"), str(tmp_path)) == \
             EXIT_CONFIG

@@ -10,18 +10,17 @@ from uavsec.model import (
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
-    Realization,
     WiretapCode,
     connection_window_radius,
     default_window_radius,
-    link_gain,
+    gains,
     los_radius,
     outage_window_radius,
+    rng_stream,
     rule_window_radius,
     sample_ppp,
-    sir_eavesdropper,
-    sir_legitimate,
 )
+from uavsec.montecarlo import SimConfig, sim_outage
 
 
 def params(**kw):
@@ -76,7 +75,7 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["lambda_u", "lambda_e", "h", "theta_c",
-                                     "h_max", "eta_los", "p_t"])
+                                     "h_max", "eta_los"])
     def test_non_finite_params_rejected(self, key, bad):
         with pytest.raises(ValueError):
             params(**{key: bad})
@@ -123,6 +122,30 @@ class TestSamplePpp:
         assert np.all(r >= 50.0) and np.all(r < 200.0)
 
 
+# Scalar oracle of the channel: one link at a time, explicit positions and
+# fades, its own D^-alpha arithmetic. `model.gains` must agree with it.
+
+def link_gain(r, h, p, model, fading_draw=1.0):
+    """eta*S*D^-alpha for a link of horizontal span r (ties to NLoS)."""
+    d2 = r * r + h * h
+    if r < los_radius(h, p.theta_c):
+        s = fading_draw if model.los_faded else 1.0
+        return p.eta_los * s * d2 ** (-p.alpha_los / 2.0)
+    return p.eta_nlos * fading_draw * d2 ** (-p.alpha_nlos / 2.0)
+
+
+def sir(p, model, interferers, fades, at=(0.0, 0.0), sig_fade=1.0):
+    """SIR at ground position `at` from the transmitter above the origin:
+    the typical receiver by default, an eavesdropper elsewhere; +inf
+    without interferers."""
+    x0, y0 = at
+    signal = link_gain(math.hypot(x0, y0), p.h, p, model, sig_fade)
+    interference = sum(
+        link_gain(math.hypot(x - x0, y - y0), p.h, p, model, f)
+        for (x, y), f in zip(interferers, fades))
+    return signal / interference if interference else math.inf
+
+
 class TestLinkGain:
     def test_overhead_los(self):
         p = params()
@@ -152,80 +175,87 @@ class TestLinkGain:
             pytest.approx(2.0 * link_gain(1.0, 10.0, p, ExactLoSNLoS))
 
 
-def fixed_fading(real, value=1.0):
-    """Force every lazily-drawn fading coefficient to `value`."""
-    class _Ones(dict):
-        def get(self, key, default=None):
-            return value
-    real._fading = _Ones()
-
-
 class TestSir:
     def test_no_interferers_infinite(self):
-        real = Realization(interferers=np.empty((0, 2)),
-                           eavesdroppers=np.array([[30.0, 0.0]]))
         p = params()
-        assert sir_legitimate(real, p) == math.inf
-        assert sir_eavesdropper(real, 0, p) == math.inf
+        assert sir(p, ExactLoSNLoS, [], []) == math.inf
+        assert sir(p, ExactLoSNLoS, [], [], at=(30.0, 0.0)) == math.inf
 
     def test_single_nlos_interferer(self):
         p = params()
-        real = Realization(interferers=np.array([[30.0, 0.0]]),
-                           eavesdroppers=np.empty((0, 2)))
-        draw = real.fading(1, 0)
+        draw = 0.7
         expected = (p.eta_los * 10.0 ** -2) / \
             (p.eta_nlos * draw * (30.0 ** 2 + 100.0) ** -2)
-        assert sir_legitimate(real, p, ExactLoSNLoS) == pytest.approx(expected)
+        assert sir(p, ExactLoSNLoS, [(30.0, 0.0)], [draw]) == \
+            pytest.approx(expected)
 
     def test_eta_cancels_for_nlos_pair(self):
         # eavesdropper outside K, one NLoS interferer, unit draws
         p = params()
-        real = Realization(interferers=np.array([[40.0, 0.0]]),
-                           eavesdroppers=np.array([[0.0, 25.0]]))
-        fixed_fading(real)
         d0e2 = 25.0 ** 2 + 100.0
         due2 = 40.0 ** 2 + 25.0 ** 2 + 100.0
-        assert sir_eavesdropper(real, 0, p) == pytest.approx(
-            d0e2 ** -2 / due2 ** -2, rel=1e-12)
-
-    def test_transmit_power_cancels(self):
-        real = Realization(interferers=np.array([[15.0, 5.0], [80.0, 2.0]]),
-                           eavesdroppers=np.array([[12.0, -3.0]]), seed=5)
-        vals = []
-        for p_t in (0.1, 1.0, 10.0):
-            p = params(p_t=p_t)
-            vals.append((sir_legitimate(real, p, ExactLoSNLoS),
-                         sir_eavesdropper(real, 0, p, AllRayleigh)))
-        assert vals[0] == vals[1] == vals[2]
-
-    def test_rayleigh_signal_draw_unit_mean(self):
-        draws = np.array([Realization(np.empty((0, 2)), np.empty((0, 2)),
-                                      seed=9, index=i).fading(0)
-                          for i in range(100_000)])
-        se = float(np.std(draws)) / math.sqrt(len(draws))
-        assert abs(draws.mean() - 1.0) <= 3 * se
-
-    def test_fading_shared_between_models(self):
-        real = Realization(interferers=np.array([[30.0, 0.0]]),
-                           eavesdroppers=np.empty((0, 2)), seed=3)
-        a = real.fading(1, 0)
-        b = real.fading(1, 0)
-        assert a == b  # cached, model-independent key
+        assert sir(p, ExactLoSNLoS, [(40.0, 0.0)], [1.0],
+                   at=(0.0, 25.0)) == pytest.approx(d0e2 ** -2 / due2 ** -2,
+                                                    rel=1e-12)
 
     def test_realization_sampling_deterministic(self):
-        p = params()
-        a = Realization.sample(p, 300.0, seed=6, index=2)
-        b = Realization.sample(p, 300.0, seed=6, index=2)
-        assert np.array_equal(a.interferers, b.interferers)
-        assert np.array_equal(a.eavesdroppers, b.eavesdroppers)
-        c = Realization.sample(p, 300.0, seed=6, index=3)
-        assert not np.array_equal(a.interferers, c.interferers)
+        # the per-index interferer stream of the semi-analytic evaluators
+        a = sample_ppp(1e-3, 0.0, 300.0, rng_stream(6, 2))
+        b = sample_ppp(1e-3, 0.0, 300.0, rng_stream(6, 2))
+        assert np.array_equal(a, b)
+        c = sample_ppp(1e-3, 0.0, 300.0, rng_stream(6, 3))
+        assert not np.array_equal(a, c)
 
     def test_zone_restricts_eavesdroppers(self):
-        p = params(lambda_e=5e-3)
-        real = Realization.sample(p, 300.0, seed=1, zone=GuardZone(50.0))
-        r = np.hypot(real.eavesdroppers[:, 0], real.eavesdroppers[:, 1])
-        assert np.all(r >= 50.0)
+        # at beta_e = 0 an outage happens iff an eavesdropper lies in the
+        # sampled annulus [d, R) (about 0.54 here, 0.76 without the zone)
+        p = params(lambda_u=1e-4, lambda_e=5e-6)
+        est = sim_outage(p, 0.0, GuardZone(200.0), SimConfig(20_000, 300.0,
+                                                              seed=1))
+        expected = -math.expm1(-p.lambda_e * math.pi
+                               * (300.0 ** 2 - 200.0 ** 2))
+        assert abs(est.value - expected) <= 3 * est.half_width
+
+
+class TestGainsMatchOracle:
+    """`model.gains` plus `np.bincount`, as the simulator sums them, against
+    the scalar oracle on identical positions and fades."""
+
+    @staticmethod
+    def layouts(k):
+        # (interferers, receivers): hand-placed LoS and NLoS links with
+        # interferers exactly at r = K from the typical receiver and from
+        # the eavesdropper at (0, 25), then random layouts
+        yield (np.array([[k, 0.0], [3.0, -4.0], [60.0, 20.0], [k, 25.0]]),
+               np.array([[0.0, 0.0], [0.0, 25.0], [5.0, 5.0],
+                         [-80.0, 10.0]]))
+        rng = np.random.default_rng(11)
+        for n_u, n_rx in ((1, 2), (7, 5), (25, 10), (0, 3)):
+            yield (rng.uniform(-150.0, 150.0, (n_u, 2)),
+                   rng.uniform(-100.0, 100.0, (n_rx, 2)))
+
+    @pytest.mark.parametrize("model", [ExactLoSNLoS, AllRayleigh])
+    def test_sirs_match(self, model):
+        p = params()
+        h2 = p.h ** 2
+        rng = np.random.default_rng(12)
+        for u, rx in self.layouts(p.los_radius):
+            n_u, n_rx = len(u), len(rx)
+            fades = rng.standard_exponential((n_rx, n_u))
+            sig_fades = rng.standard_exponential(n_rx)
+            pair_rx = np.repeat(np.arange(n_rx), n_u)
+            d = u[np.tile(np.arange(n_u), n_rx)] - rx[pair_rx]
+            horiz2 = d[:, 0] ** 2 + d[:, 1] ** 2
+            interference = np.bincount(
+                pair_rx, weights=gains(p, model, horiz2 + h2, horiz2,
+                                       fades.ravel()), minlength=n_rx)
+            r2 = rx[:, 0] ** 2 + rx[:, 1] ** 2
+            signal = gains(p, model, r2 + h2, r2, sig_fades)
+            for j in range(n_rx):
+                want = sir(p, model, u, fades[j], rx[j], sig_fades[j])
+                got = (signal[j] / interference[j] if interference[j]
+                       else math.inf)
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestWindowPolicies:

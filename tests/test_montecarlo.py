@@ -10,11 +10,11 @@ from uavsec.model import (
     GuardZone,
     NetworkParams,
     WiretapCode,
+    gains,
 )
 from uavsec.montecarlo import (
     SimConfig,
     _binary_estimate,
-    _segmented_gains,
     sim_connection,
     sim_outage,
     sim_stc,
@@ -159,26 +159,16 @@ class TestEstimateHelpers:
         rng = np.random.default_rng(0)
         horiz2 = rng.uniform(0.0, 200.0 ** 2, 500)
         fades = rng.standard_exponential(500)
-        g_exact = _segmented_gains(p, ExactLoSNLoS, horiz2 + 100.0, horiz2,
-                                   fades)
-        g_ray = _segmented_gains(p, AllRayleigh, horiz2 + 100.0, horiz2,
-                                 fades)
+        g_exact = gains(p, ExactLoSNLoS, horiz2 + 100.0, horiz2, fades)
+        g_ray = gains(p, AllRayleigh, horiz2 + 100.0, horiz2, fades)
         nlos = horiz2 >= p.los_radius ** 2
         assert np.array_equal(g_exact[nlos], g_ray[nlos])
         los = ~nlos
         assert np.allclose(g_ray[los], g_exact[los] * fades[los])
 
-    def test_progress_hook_called(self):
-        calls = []
-        cfg = SimConfig(5000, 100.0, seed=1, batch_size=1000,
-                        progress=lambda done, total: calls.append((done, total)))
-        sim_connection(params(), 31.0, cfg)
-        assert calls
-        assert calls[-1] == (5000, 5000)
-        assert all(t == 5000 for _, t in calls)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(0)
-        with pytest.raises(ValueError):
-            SimConfig(10, batch_size=0)
+        for bad in (math.nan, math.inf, -5.0, 0.0):
+            with pytest.raises(ValueError):
+                SimConfig(100, window_radius=bad)
