@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Audit the outage-simulation window policy: compare the policy windows
-against doubled windows at a few configurations and report the shift in
-units of the Monte Carlo half-width.
+(eavesdropper window e_win, interferer window u_win, after any guard-zone
+widening) against equal windows of twice u_win at a few configurations and
+report the shift in units of the Monte Carlo half-width.
 
 Usage: python scripts/outage_window_audit.py [n_realizations]
 """
@@ -16,12 +17,12 @@ from uavsec.montecarlo import SimConfig, _outage_windows, sim_outage
 def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
     beta_e = 1.0
-    print(f"{'config':28s} {'policy':>9s} {'doubled':>9s} "
-          f"{'shift/hw':>9s} {'closed form':>12s}")
+    print(f"{'config':28s} {'e_win':>7s} {'u_win':>7s} {'policy':>9s} "
+          f"{'doubled':>9s} {'shift/hw':>9s} {'closed form':>12s}")
     for le, d in ((3e-5, None), (1e-4, None), (1e-4, 10.0), (3e-4, 20.0)):
         p = NetworkParams(lambda_u=1e-3, lambda_e=le, h=10.0)
         zone = GuardZone(d) if d is not None else None
-        e_win, u_win = _outage_windows(p, beta_e, SimConfig(n))
+        e_win, u_win = _outage_windows(p, beta_e, SimConfig(n), zone)
         a = sim_outage(p, beta_e, zone, SimConfig(n, seed=7,
                                                   model=ExactLoSNLoS))
         b = sim_outage(p, beta_e, zone,
@@ -30,7 +31,8 @@ def main() -> int:
         cf = (analytic.pso_zone_approx(p, beta_e, zone) if zone
               else analytic.pso_approx(p, beta_e))
         label = f"lambda_e={le:g}" + (f", d={d:g}" if d else "")
-        print(f"{label:28s} {a.value:9.5f} {b.value:9.5f} "
+        print(f"{label:28s} {e_win:7.1f} {u_win:7.1f} {a.value:9.5f} "
+              f"{b.value:9.5f} "
               f"{abs(a.value - b.value) / a.half_width:9.2f} {cf:12.5f}")
     return 0
 

@@ -200,14 +200,13 @@ def gains(params: NetworkParams, model: type, d2: np.ndarray,
     LoS branch (horizontal span < K): eta_los, alpha_los, S = 1 under
     ExactLoSNLoS or the draw under AllRayleigh. NLoS branch (span >= K,
     ties go NLoS): eta_nlos, alpha_nlos, S = the draw under both models.
+    Both branches are evaluated on every link and selected elementwise,
+    which is cheaper than gathering and scattering each branch.
     """
-    los = horiz2 < params.los_radius ** 2
-    out = np.empty_like(d2)
-    s_los = fades[los] if model.los_faded else 1.0
-    out[los] = params.eta_los * s_los * pathloss(d2[los], params.alpha_los)
-    out[~los] = (params.eta_nlos * fades[~los]
-                 * pathloss(d2[~los], params.alpha_nlos))
-    return out
+    s_los = fades if model.los_faded else 1.0
+    return np.where(horiz2 < params.los_radius ** 2,
+                    params.eta_los * s_los * pathloss(d2, params.alpha_los),
+                    params.eta_nlos * fades * pathloss(d2, params.alpha_nlos))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
 """Ground-truth Monte Carlo simulator for the connection, secrecy-outage
 and secrecy-transmission-capacity definitions, under either fading model.
 
-Realizations are processed in fixed-size chunks, each driven by its own
-random stream spawned from the master seed, so estimates are bit-identical
-for a given (params, thresholds, config), and chunks could be evaluated
-concurrently without changing the result.
-Within a chunk the draw order is canonical (counts, positions, link fading,
-signal fading), and fading is drawn for every link under both fading
-models, so runs that differ only in the model share their NLoS draws.
+Realizations are processed in chunks, each driven by its own random
+stream spawned from the master seed, so estimates are bit-identical for a
+given (params, thresholds, config), and chunks could be evaluated
+concurrently without changing the result. The chunk is the stream
+partition and is frozen: changing `_chunk_size` changes every simulator
+CSV. Within a chunk the draw order is canonical (counts, positions, link
+fading, signal fading), and fading is drawn for every link under both
+fading models, so runs that differ only in the model share their NLoS
+draws.
+
+The block bounds memory: inside a chunk, links are built, faded and summed
+a block of whole receivers at a time (`_blocks`, at most `_BLOCK_BYTES` of
+link temporaries). The block's fades are the next draws of the chunk's
+stream, and each receiver's interference is summed in the same order
+whatever the block size, so estimates do not depend on it.
 
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -49,6 +57,14 @@ from .model import (
 __all__ = ["SimConfig", "sim_connection", "sim_outage", "sim_stc"]
 
 _Z95 = 1.959963984540054
+
+# Memory bound of one block of links. A link (eavesdropper-interferer pair
+# or interferer-receiver link) holds at most _LINK_BYTES of live
+# temporaries (tracemalloc shows about 90 per pair), so a block is 2^16
+# links: it stays in cache, and measured faster than 2^12..2^15 and
+# 2^18..2^22.
+_BLOCK_BYTES = 8 << 20
+_LINK_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -69,10 +85,34 @@ class SimConfig:
 
 
 def _chunk_size(expected_work: float, lo: int = 16, hi: int = 8192) -> int:
-    """Pick a per-chunk realization count that keeps arrays ~O(10^7)."""
+    """Per-chunk realization count, about 1.2e7 / expected links per
+    realization.
+
+    Frozen: the chunk is the random-stream partition, so changing this
+    changes every simulator CSV. Memory is bounded by `_blocks`, not here.
+    """
     if expected_work <= 0:
         return hi
     return int(max(lo, min(hi, 1.2e7 / expected_work)))
+
+
+def _blocks(sizes: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    """Split consecutive receivers, receiver i owning sizes[i] links, into
+    blocks of whole receivers with at most _BLOCK_BYTES of links (a
+    receiver with more links is a block of its own).
+
+    Yields (lo, hi, first, last): receivers [lo, hi) own links
+    [first, last) of the concatenated link arrays.
+    """
+    ends = np.cumsum(sizes)
+    cap = max(1, _BLOCK_BYTES // _LINK_BYTES)
+    lo = first = 0
+    while lo < len(ends):
+        hi = max(int(np.searchsorted(ends, first + cap, side="right")),
+                 lo + 1)
+        last = int(ends[hi - 1])
+        yield lo, hi, first, last
+        lo, first = hi, last
 
 
 def _binary_estimate(successes: int, n: int) -> MetricEstimate:
@@ -105,37 +145,49 @@ def sim_connection(params: NetworkParams, beta_t: float,
         m = min(chunk, n - start)
         rng = rng_stream(cfg.seed, 0x5EED, ci)
         counts = rng.poisson(area_mean, m)
-        total = int(counts.sum())
-        seg = np.repeat(np.arange(m), counts)
-        horiz2 = rng.random(total) * window ** 2   # r^2 uniform on the disk
-        fades = rng.standard_exponential(total)
+        horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
+        interference = np.empty(m)
+        for lo, hi, first, last in _blocks(counts):
+            span2 = horiz2[first:last]
+            fades = rng.standard_exponential(last - first)
+            interference[lo:hi] = np.bincount(
+                np.repeat(np.arange(hi - lo), counts[lo:hi]),
+                weights=gains(params, cfg.model, span2 + h2, span2, fades),
+                minlength=hi - lo)
         sig_fades = rng.standard_exponential(m)
-        interference = np.bincount(
-            seg, weights=gains(params, cfg.model, horiz2 + h2, horiz2, fades),
-            minlength=m)
         signal = sig_pathloss * (sig_fades if cfg.model.los_faded else 1.0)
         successes += int(np.count_nonzero(signal > beta_t * interference))
     return _binary_estimate(successes, n)
 
 
-def _outage_windows(params: NetworkParams, beta_e: float,
-                    cfg: SimConfig) -> tuple[float, float]:
-    """(eavesdropper window, interferer window) for the outage simulator."""
+def _outage_windows(params: NetworkParams, beta_e: float, cfg: SimConfig,
+                    zone: Optional[GuardZone] = None) -> tuple[float, float]:
+    """(eavesdropper window, interferer window) for the outage simulator.
+
+    A guard zone that swallows the eavesdropper window (d >= window) widens
+    it to d + max(50 m, K), and the interferer window to at least 100 m
+    beyond that.
+    """
     if cfg.window_radius is not None:
         if cfg.window_radius <= params.los_radius:
             raise ValueError("window_radius must exceed the LoS radius")
-        return cfg.window_radius, cfg.window_radius
-    e_win = outage_window_radius(params, beta_e)
-    # Interference-coverage margin: beyond the LoS reach and wide enough
-    # that an in-window eavesdropper almost surely has interferers closer
-    # than the cut (void probability e^-30); an eavesdropper at the sampling
-    # edge with a half-empty interference field would decode far too often.
-    if params.lambda_u > 0:
-        void = math.sqrt(30.0 / (math.pi * params.lambda_u))
+        e_win = u_win = cfg.window_radius
     else:
-        void = 0.0
-    margin = max(2.0 * params.los_radius, min(void, 500.0), 50.0)
-    return e_win, e_win + margin
+        e_win = outage_window_radius(params, beta_e)
+        # Interference-coverage margin: beyond the LoS reach and wide
+        # enough that an in-window eavesdropper almost surely has
+        # interferers closer than the cut (void probability e^-30); an
+        # eavesdropper at the sampling edge with a half-empty interference
+        # field would decode far too often.
+        if params.lambda_u > 0:
+            void = math.sqrt(30.0 / (math.pi * params.lambda_u))
+        else:
+            void = 0.0
+        u_win = e_win + max(2.0 * params.los_radius, min(void, 500.0), 50.0)
+    if zone is not None and zone.d >= e_win:
+        e_win = zone.d + max(50.0, params.los_radius)
+        u_win = max(u_win, e_win + 100.0)
+    return e_win, u_win
 
 
 def sim_outage(params: NetworkParams, beta_e: float,
@@ -146,11 +198,7 @@ def sim_outage(params: NetworkParams, beta_e: float,
     interferers on [0, R_u]; see the module docstring for the window policy.
     """
     d0 = zone.d if zone is not None else 0.0
-    e_win, u_win = _outage_windows(params, beta_e, cfg)
-    if d0 >= e_win:
-        # Zone swallows the whole effective eavesdropper region.
-        e_win = d0 + max(50.0, params.los_radius)
-        u_win = max(u_win, e_win + 100.0)
+    e_win, u_win = _outage_windows(params, beta_e, cfg, zone)
     h2 = params.h ** 2
     u_mean = params.lambda_u * math.pi * u_win ** 2
     e_mean = params.lambda_e * math.pi * (e_win ** 2 - d0 ** 2)
@@ -178,25 +226,25 @@ def sim_outage(params: NetworkParams, beta_e: float,
         ex = er * np.cos(ephi)
         ey = er * np.sin(ephi)
         e_seg = np.repeat(np.arange(m), e_counts)
-        u_offset = np.concatenate(([0], np.cumsum(u_counts)[:-1]))
 
-        # Pair every eavesdropper with the interferers of its realization.
+        # Pair every eavesdropper with the interferers of its realization,
+        # one block of eavesdroppers at a time; `u_first` is the index of
+        # the first interferer an eavesdropper sees.
         lens = u_counts[e_seg]
-        pairs = int(lens.sum())
-        pair_fades = rng.standard_exponential(pairs)
-        if pairs:
-            pair_e = np.repeat(np.arange(te), lens)
-            starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            within = np.arange(pairs) - np.repeat(starts, lens)
-            pair_u = within + np.repeat(u_offset[e_seg], lens)
-            dx = ux[pair_u] - ex[pair_e]
-            dy = uy[pair_u] - ey[pair_e]
+        u_first = (np.cumsum(u_counts) - u_counts)[e_seg]
+        interference = np.empty(te)
+        for lo, hi, first, last in _blocks(lens):
+            blens = lens[lo:hi]
+            pair_fades = rng.standard_exponential(last - first)
+            pair_e = np.repeat(np.arange(hi - lo), blens)
+            pair_u = np.arange(last - first) + np.repeat(
+                u_first[lo:hi] - (np.cumsum(blens) - blens), blens)
+            dx = ux[pair_u] - np.repeat(ex[lo:hi], blens)
+            dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
             horiz2 = dx * dx + dy * dy
-            interference = np.bincount(
+            interference[lo:hi] = np.bincount(
                 pair_e, weights=gains(params, cfg.model, horiz2 + h2, horiz2,
-                                      pair_fades), minlength=te)
-        else:
-            interference = np.zeros(te)
+                                      pair_fades), minlength=hi - lo)
 
         signal = gains(params, cfg.model, er2 + h2, er2, sig_fades)
         decoded = signal > beta_e * interference

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uavsec import analytic
+from uavsec import analytic, montecarlo
 from uavsec.model import (
     AllRayleigh,
     ExactLoSNLoS,
@@ -15,6 +17,7 @@ from uavsec.model import (
 from uavsec.montecarlo import (
     SimConfig,
     _binary_estimate,
+    _outage_windows,
     sim_connection,
     sim_outage,
     sim_stc,
@@ -114,6 +117,110 @@ class TestOutageSim:
         p = params(lambda_e=1e-3)
         est = sim_outage(p, 1.0, GuardZone(150.0), SimConfig(2000, seed=3))
         assert 0.0 <= est.value <= 0.05
+
+    def test_swallowing_zone_widens_windows(self):
+        p = params()
+        cfg = SimConfig(2000)
+        assert _outage_windows(p, 1.0, cfg) == pytest.approx((64.6, 162.3),
+                                                             abs=0.1)
+        assert _outage_windows(p, 1.0, cfg, GuardZone(150.0)) == (200.0,
+                                                                  300.0)
+        # a zone inside the window leaves both windows alone
+        assert (_outage_windows(p, 1.0, cfg, GuardZone(20.0))
+                == _outage_windows(p, 1.0, cfg))
+
+
+# Block-invariance cases. Outage: policy windows with and without a zone;
+# an explicit window where lambda_u = 1e-4 leaves some eavesdroppers with no
+# interferer; two full chunks plus a last chunk whose two realizations hold
+# no eavesdropper; no eavesdroppers at all. Connection: two chunks under
+# the policy window, an explicit window, and no links at all.
+_OUTAGE_CASES = [
+    (params(), None, SimConfig(300, seed=1)),
+    (params(lambda_e=3e-4), GuardZone(15.0), SimConfig(1000, seed=2)),
+    (params(lambda_u=1e-4), GuardZone(10.0), SimConfig(200, 80.0, seed=3)),
+    (params(lambda_e=1e-5), None, SimConfig(2 * 8192 + 2, seed=4)),
+    (params(lambda_e=0.0), None, SimConfig(100, seed=5)),
+]
+_CONNECTION_CASES = [
+    (params(), SimConfig(8192 + 5, seed=6)),
+    (params(lambda_u=1e-2), SimConfig(500, 100.0, seed=7)),
+    (params(lambda_u=0.0), SimConfig(100, seed=8)),
+]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("model", [ExactLoSNLoS, AllRayleigh])
+    def test_estimates_do_not_depend_on_block_size(self, monkeypatch,
+                                                   model):
+        runs = {}
+        for links in (None, 1, 3, 1 << 40):   # None: the module's budget
+            if links is not None:
+                monkeypatch.setattr(montecarlo, "_BLOCK_BYTES",
+                                    links * montecarlo._LINK_BYTES)
+            runs[links] = [
+                sim_outage(p, 1.0, zone, replace(cfg, model=model))
+                for p, zone, cfg in _OUTAGE_CASES] + [
+                sim_connection(p, 3.0, replace(cfg, model=model))
+                for p, cfg in _CONNECTION_CASES]
+        assert runs[1] == runs[3] == runs[None] == runs[1 << 40]
+
+    def test_invariance_cases_reach_the_edges(self, monkeypatch):
+        # The outage cases above hold a chunk without eavesdroppers,
+        # eavesdroppers without interferers and eavesdroppers whose pairs
+        # exceed a 3-pair block. `_blocks` gets each eavesdropper's pair
+        # count, once per chunk that has eavesdroppers.
+        blocks = montecarlo._blocks
+        sizes = []
+        for p, zone, cfg in _OUTAGE_CASES:
+            seen = []
+            monkeypatch.setattr(montecarlo, "_blocks",
+                                lambda s, seen=seen: seen.append(s)
+                                or blocks(s))
+            sim_outage(p, 1.0, zone, cfg)
+            sizes.append(seen)
+        assert len(sizes[3]) == 2 and sizes[4] == []   # of 3 and 1 chunks
+        assert (sizes[2][0] == 0).any()
+        assert sizes[0][0].max() > 3
+
+    @pytest.mark.parametrize("run, expected", [
+        (lambda: sim_outage(params(lambda_u=1e-2, lambda_e=1e-2), 1.0, None,
+                            SimConfig(300, seed=31)),
+         "(0.23, 0.047620806277121126)"),
+        (lambda: sim_outage(params(lambda_e=1e-4), 1.0, None,
+                            SimConfig(20_000, seed=24)),
+         "(0.0566, 0.0032025007840097764)"),
+        (lambda: sim_outage(params(lambda_e=3e-4), 1.0, GuardZone(15.0),
+                            SimConfig(3000, seed=22, model=AllRayleigh)),
+         "(0.048, 0.007649385645711224)"),
+        (lambda: sim_outage(params(h=20.0), 0.5, GuardZone(10.0),
+                            SimConfig(1500, 80.0, seed=23)),
+         "(0.5613333333333334, 0.0251119359501625)"),
+        (lambda: sim_connection(params(), 31.0, SimConfig(20_000, seed=25)),
+         "(0.72445, 0.006192093553042943)"),
+        (lambda: sim_connection(params(lambda_u=1e-2), 0.3,
+                                SimConfig(2400, 400.0, seed=26,
+                                          model=AllRayleigh)),
+         "(0.5895833333333333, 0.019680111907048943)"),
+    ], ids=["outage-2-dense-chunks", "outage-3-sparse-chunks",
+            "outage-zone-rayleigh", "outage-window", "connection-3-chunks",
+            "connection-2-dense-chunks-rayleigh"])
+    def test_golden_streams(self, run, expected):
+        # Pinned estimates: a change to chunking or draw order changes the
+        # random streams, and so every simulator CSV, and must fail here.
+        est = run()
+        assert repr((est.value, est.half_width)) == expected
+
+    def test_outage_memory_bounded(self):
+        # Without blocks this call peaks at about 370 MiB of pair arrays.
+        tracemalloc.start()
+        try:
+            sim_outage(params(lambda_e=3e-3), 1.0, None,
+                       SimConfig(1000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestStcSim:
