@@ -228,15 +228,23 @@ def stc(rs: float, p_c: float, density: float) -> float:
 # zone radius), both branches evaluated and selected per cell. Callers pass
 # valid inputs and silence numpy's overflow warnings.
 
-def _disk_term_cells(b, u1, u2):
-    """`_disk_term` elementwise."""
+def _disk_moments_cells(b, u1, u2):
+    """`_disk_term` elementwise, and with it the second moment
+    exp(b) * integral of s^2*exp(-s) over [u1, u2] by the same split
+    (the antiderivative of s^2*exp(-s) is -(2 + 2s + s^2)*exp(-s))."""
     mid = 0.5 * (u1 + u2)
     half = 0.5 * (u2 - u1)
     s = mid[:, None] + half[:, None] * _GL7_X
-    quad = half * ((s * np.exp(b[:, None] - s)) @ _GL7_W)
-    direct = (1.0 + u1) * np.exp(b - u1) - (1.0 + u2) * np.exp(b - u2)
-    out = np.where((u2 - u1 < 0.1) | (u2 < 1e-3), quad, direct)
-    return np.where(u2 <= u1, 0.0, out)
+    tilt = s * np.exp(b[:, None] - s)
+    e1, e2 = np.exp(b - u1), np.exp(b - u2)
+    quad = (u2 - u1 < 0.1) | (u2 < 1e-3)
+    first = np.where(quad, half * (tilt @ _GL7_W),
+                     (1.0 + u1) * e1 - (1.0 + u2) * e2)
+    second = np.where(quad, half * ((s * tilt) @ _GL7_W),
+                      (2.0 + u1 * (2.0 + u1)) * e1
+                      - (2.0 + u2 * (2.0 + u2)) * e2)
+    empty = u2 <= u1
+    return np.where(empty, 0.0, first), np.where(empty, 0.0, second)
 
 
 def _pso_zone_cells(params: NetworkParams, beta_e, h, d) -> np.ndarray:
@@ -256,8 +264,8 @@ def _pso_zone_cells(params: NetworkParams, beta_e, h, d) -> np.ndarray:
     a = q1 * math.sqrt(params.eta_nlos / params.eta_los)
     tail_log = b - q1 * (h2 + k2) - np.log(2.0 * q1)
     tail = np.where(tail_log < 700.0, np.exp(tail_log), np.inf)
-    brace = tail + _disk_term_cells(b, a * np.sqrt(h2 + d * d),
-                                    a * np.sqrt(h2 + k2)) / (a * a)
+    brace = tail + _disk_moments_cells(b, a * np.sqrt(h2 + d * d),
+                                       a * np.sqrt(h2 + k2))[0] / (a * a)
     inside_k = np.where(np.isfinite(brace),
                         -np.expm1(-2.0 * math.pi * params.lambda_e * brace),
                         1.0)

@@ -115,15 +115,20 @@ def lambert_w0_array(x: np.ndarray) -> np.ndarray:
     w = np.where(x < math.e,
                  x / (1.0 + x * (1.0 + x * 0.5) / (1.0 + x * 1.1)),
                  l1 - l2 + l2 / l1)
-    done = np.zeros(x.shape, dtype=bool)
+    # Iterate only the elements still moving: a few never meet the stopping
+    # rule (their last step is one rounding) and run all 60 steps.
+    flat_w, flat_x = w.reshape(-1), x.reshape(-1)
+    live = np.arange(flat_w.size)
     for _ in range(60):
-        ew = np.exp(w)
-        r = w * ew - x
-        w1 = w + 1.0
-        dw = np.where(done, 0.0, r / (ew * w1 - (w + 2.0) * r / (2.0 * w1)))
-        w = w - dw
-        done |= np.abs(dw) <= 1e-16 * (1.0 + np.abs(w))
-        if done.all():
+        wl, xl = flat_w[live], flat_x[live]
+        ew = np.exp(wl)
+        r = wl * ew - xl
+        w1 = wl + 1.0
+        dw = r / (ew * w1 - (wl + 2.0) * r / (2.0 * w1))
+        wl = wl - dw
+        flat_w[live] = wl
+        live = live[np.abs(dw) > 1e-16 * (1.0 + np.abs(wl))]
+        if live.size == 0:
             break
     ew = np.exp(w)
     r = w * ew - x

@@ -9,9 +9,14 @@ closed form. Reported capacities always use the full closed-form connection
 probability at the candidate rates, not the surrogate; the surrogate/full
 ratio is surfaced in the diagnostics.
 
-The grid is screened in array blocks, every cell running the same root
-search and capacity formulas as numpy arrays; the winning cell is re-solved
-by the scalar path, which alone produces the reported numbers.
+The grid is screened in array blocks, every cell running the capacity
+formulas as numpy arrays; the winning cell is re-solved by the scalar path
+(a 1e-12 bisection), which alone produces the reported numbers. The screen
+finds each cell's rate gap by root formulas instead: a zone covering the
+LoS disk leaves only the NLoS tail, whose outage equation inverts through
+Lambert W (`re_closed_zone`); smaller zones run a safeguarded Newton on the
+convex log-outage in q = lambda_u pi^2 sqrt(beta_e) / 2, started from that
+tail-only root, which lies at or below the true one.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ __all__ = [
 # above it; the constraint is inactive in that regime anyway.
 RE_FLOOR = 1e-6
 RE_CEILING = 40.0
+# Bracket width (bps/Hz) at which `solve_re`'s bisection stops.
+_RE_TOL = 1e-12
+# Spacing (m) of the default altitude and zone-radius grids.
+_GRID_STEP = 1.0
 
 _LN2 = math.log(2.0)
 
@@ -86,7 +95,7 @@ def _pso_at(params: NetworkParams, re: float,
 
 
 def solve_re(params: NetworkParams, epsilon: float,
-             zone: Optional[GuardZone] = None, tol: float = 1e-12) -> float:
+             zone: Optional[GuardZone] = None) -> float:
     """Smallest admissible rate gap: the root of P_so(re) = epsilon, or the
     floor when the constraint is already slack there."""
     if not 0.0 < epsilon < 1.0:
@@ -104,7 +113,30 @@ def solve_re(params: NetworkParams, epsilon: float,
             raise InfeasibleError(
                 f"outage target {epsilon:g} unreachable: minimum outage "
                 f"{achieved:g} at re = {hi:g} bps/Hz", achieved)
-    return mathkit.bisect_root(f, RE_FLOOR, hi, tol)
+    return mathkit.bisect_root(f, RE_FLOOR, hi, _RE_TOL)
+
+
+def _q_of_re(params: NetworkParams, re):
+    """q = lambda_u pi^2 sqrt(beta_e) / 2 (1/m), the outage forms' variable,
+    at rate gaps re (scalars or arrays)."""
+    return params.lambda_u * math.pi ** 2 * np.sqrt(2.0 ** re - 1.0) / 2.0
+
+
+def _re_of_q(params: NetworkParams, q):
+    """Inverse of `_q_of_re`."""
+    z = 2.0 * q / (params.lambda_u * math.pi ** 2)
+    return np.log1p(z * z) / _LN2
+
+
+def _tail_root(params: NetworkParams, epsilon: float, h, s, w0):
+    """The q at which the NLoS tail beyond horizontal radius sqrt(s - h^2)
+    alone meets the outage target: q*s = W0(pi lambda_e s e^(pi lambda_u
+    h^2) / L) with L = -log(1 - epsilon). Scalars with `mathkit.lambert_w0`,
+    arrays with `mathkit.lambert_w0_array`."""
+    arg = (math.pi * params.lambda_e * s
+           * np.exp(math.pi * params.lambda_u * h ** 2)
+           / (-math.log1p(-epsilon)))
+    return w0(arg) / s
 
 
 def re_closed_zone(params: NetworkParams, epsilon: float,
@@ -118,17 +150,13 @@ def re_closed_zone(params: NetworkParams, epsilon: float,
         raise ValueError("re_closed_zone requires d >= the LoS radius")
     if params.lambda_e == 0.0:
         return RE_FLOOR
-    s = params.h ** 2 + zone.d ** 2
-    arg = (math.pi * params.lambda_e * s
-           * math.exp(math.pi * params.lambda_u * params.h ** 2)
-           / (-math.log1p(-epsilon)))
-    try:
-        w = mathkit.lambert_w0(arg)
-    except ValueError as exc:
-        raise InfeasibleError(f"closed-form rate gap undefined: {exc}",
-                              float("nan")) from exc
-    beta_e = 4.0 * w * w / (math.pi ** 4 * params.lambda_u ** 2 * s * s)
-    return max(math.log1p(beta_e) / _LN2, RE_FLOOR)
+    with np.errstate(over="ignore"):
+        re = _re_of_q(params, _tail_root(params, epsilon, params.h,
+                                         params.h ** 2 + zone.d ** 2,
+                                         mathkit.lambert_w0))
+    if not math.isfinite(re):
+        raise InfeasibleError("closed-form rate gap undefined", float("nan"))
+    return max(float(re), RE_FLOOR)
 
 
 def _w_argument(params: NetworkParams, re_star, h):
@@ -168,22 +196,31 @@ def large_zone_limit(params: NetworkParams) -> tuple[float, float]:
     return r, r
 
 
-def default_h_grid(params: NetworkParams, step: float = 1.0) -> np.ndarray:
-    return np.arange(params.h_min, params.h_max + step / 2.0, step)
+def default_h_grid(params: NetworkParams) -> np.ndarray:
+    """Altitudes h_min..h_max in 1 m steps."""
+    return np.arange(params.h_min, params.h_max + _GRID_STEP / 2.0,
+                     _GRID_STEP)
 
 
-def default_d_grid(params: NetworkParams, step: float = 1.0) -> np.ndarray:
+def default_d_grid(params: NetworkParams) -> np.ndarray:
     """Zone radii 0..D_max in 1 m steps, with D_max = 5/sqrt(pi*lambda_e)
     (density thinning e^-25 there, so larger zones are pointless)."""
     if params.lambda_e <= 0.0:
         return np.array([0.0])
     d_max = 5.0 / math.sqrt(math.pi * params.lambda_e)
-    return np.arange(0.0, d_max + step / 2.0, step)
+    return np.arange(0.0, d_max + _GRID_STEP / 2.0, _GRID_STEP)
 
 
 # Cells screened per array block: bounds the temporaries (GL7 nodes, Halley
-# iterates) to a few hundred kB whatever the grid size.
-_BLOCK_CELLS = 1024
+# and Newton iterates) to about a megabyte whatever the grid size.
+_BLOCK_CELLS = 4096
+# The screen's Newton stops a cell once a step moves its rate gap by at
+# most _NEWTON_TOL (bps/Hz). Cells take 5 steps at the median; cells whose
+# LoS annulus is a few ulps wide (outage = rounding noise) take up to about
+# 50, and geometric bisection alone would need about 60 from the widest
+# bracket, so the fixed cap _NEWTON_CAP is never what stops a cell.
+_NEWTON_TOL = 1e-13
+_NEWTON_CAP = 100
 
 
 def _evaluate_cell(params: NetworkParams, epsilon: float,
@@ -197,38 +234,108 @@ def _evaluate_cell(params: NetworkParams, epsilon: float,
     return re, rt, rs, analytic.stc(rs, pc, density)
 
 
+def _newton_q(params: NetworkParams, g, q, lo, hi):
+    """Roots of the decreasing convex functions g(q, j) -> (values, slopes)
+    of cells j inside the brackets [lo, hi] (0 < lo), from starts q at or
+    below the roots, where Newton climbs monotonically. A step that leaves
+    the bracket or is not finite becomes a bisection (geometric: a bracket
+    spans decades), and so does a step from right of the root (g < 0, from
+    rounding or lost convexity) longer than half the previous one, as in
+    Numerical Recipes' rtsafe. Returns the rate gaps and the steps each
+    cell took."""
+    re = _re_of_q(params, q)
+    steps = np.zeros(q.shape, dtype=int)
+    last = hi - lo
+    j = np.arange(q.size)
+    for _ in range(_NEWTON_CAP):
+        val, slope = g(q[j], j)
+        lo[j] = np.where(val > 0.0, q[j], lo[j])
+        hi[j] = np.where(val < 0.0, q[j], hi[j])
+        newton = q[j] - val / slope
+        fast = ((newton >= lo[j]) & (newton <= hi[j])
+                & ((val > 0.0) | (np.abs(newton - q[j]) <= 0.5 * last[j])))
+        new = np.where(fast, newton, np.sqrt(lo[j] * hi[j]))
+        last[j] = np.abs(new - q[j])
+        q[j] = new
+        steps[j] += 1
+        prev, re[j] = re[j], _re_of_q(params, new)
+        j = j[np.abs(re[j] - prev) > _NEWTON_TOL]
+        if j.size == 0:
+            break
+    return re, steps
+
+
+def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
+    """G(q) = log(T + D) - log(rho) per cell and its slope, where P_so =
+    epsilon is T + D = rho = L / (2 pi lambda_e): T = e^(b - q s) / (2q) is
+    the NLoS tail beyond sqrt(s - h^2) and D = integral over the LoS annulus
+    [s1, s2] = [sqrt(h^2 + d^2), sqrt(h^2 + k^2)] of x e^(b - c q x) dx,
+    with b = pi lambda_u h^2 and c = sqrt(eta_N/eta_L)
+    (`analytic._pso_zone_cells` term for term). Both terms are log-convex
+    and decreasing in q, so G is convex and decreasing. Returns G(q, j) for
+    the cells j."""
+    b = math.pi * params.lambda_u * h ** 2
+    c = math.sqrt(params.eta_nlos / params.eta_los)
+    s1 = np.sqrt(h ** 2 + d * d)
+    s2 = np.sqrt(h ** 2 + k * k)
+    log_rho = math.log(-math.log1p(-epsilon)
+                       / (2.0 * math.pi * params.lambda_e))
+
+    def g(q, j):
+        a = c * q
+        tail = np.exp(b[j] - q * s[j] - np.log(2.0 * q))
+        u1, u2 = a * s1[j], a * s2[j]
+        disk, disk2 = analytic._disk_moments_cells(b[j], u1, u2)
+        disk, disk2 = disk / (a * a), disk2 / a ** 3
+        brace = tail + disk
+        return (np.log(brace) - log_rho,
+                -(tail * (s[j] + 1.0 / q) + c * disk2) / brace)
+    return g
+
+
 def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
                     d: np.ndarray):
-    """`solve_re` for each cell (altitude h[i], zone radius d[i]) on arrays:
-    the same slack test, bracket, single expansion and bisection. Returns
-    the rate gaps, NaN where the target is unreachable, and those cells'
-    outage at the expanded bracket end (+inf elsewhere)."""
-    f = lambda re: analytic._pso_zone_cells(params, 2.0 ** re - 1.0, h,
-                                            d) - epsilon
-    lo = np.full(h.shape, RE_FLOOR)
-    hi = np.full(h.shape, RE_CEILING)
-    slack = (f(lo) <= 0.0) | (params.lambda_e == 0.0)
+    """`solve_re` for each cell (altitude h[i], zone radius d[i]) on arrays.
+    Returns the rate gaps, NaN where the target is unreachable, and those
+    cells' outage at the expanded bracket end 2 * RE_CEILING (+inf
+    elsewhere).
+
+    Cells with d >= K take the Lambert-W root of `re_closed_zone`, floored
+    at RE_FLOOR and infeasible above 2 * RE_CEILING. The others (and any
+    whose closed form overflows) keep `solve_re`'s slack test, bracket and
+    single expansion, and the bracketed cells run `_newton_q` on the
+    log-outage from the tail-only root."""
+    if params.lambda_e == 0.0:
+        return np.full(h.shape, RE_FLOOR), np.full(h.shape, np.inf)
+    k = h / math.tan(params.theta_c)
+    s = h ** 2 + np.maximum(d, k) ** 2
+    q0 = _tail_root(params, epsilon, h, s, mathkit.lambert_w0_array)
+    re = np.maximum(_re_of_q(params, q0), RE_FLOOR)
+    i = np.flatnonzero((d < k) | np.isnan(re))
+    f = lambda re: analytic._pso_zone_cells(params, 2.0 ** re - 1.0, h[i],
+                                            d[i]) - epsilon
+    lo = np.full(i.shape, RE_FLOOR)
+    hi = np.full(i.shape, RE_CEILING)
+    slack = f(lo) <= 0.0
     hi[f(hi) > 0.0] = 2.0 * RE_CEILING     # one automatic bracket expansion
     fhi = f(hi)
-    infeasible = ~slack & (fhi > 0.0)
-    bisect = ~slack & (fhi < 0.0)
-    re = np.where(~slack & (fhi == 0.0), hi, RE_FLOOR)
-    active = bisect.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        active &= (hi - lo > 1e-12) & (mid > lo) & (mid < hi)
-        if not active.any():
-            break
-        fm = f(mid)
-        hit = active & (fm == 0.0)
-        re[hit] = mid[hit]
-        bisect &= ~hit
-        active &= ~hit
-        lo = np.where(active & (fm > 0.0), mid, lo)
-        hi = np.where(active & ~(fm > 0.0), mid, hi)
-    re = np.where(bisect, 0.5 * (lo + hi), re)
-    return (np.where(infeasible, np.nan, re),
-            np.where(infeasible, fhi + epsilon, np.inf))
+    re[i] = np.where(~slack & (fhi > 0.0), np.inf,
+                     np.where(~slack & (fhi == 0.0), hi, RE_FLOOR))
+    bracketed = ~slack & (fhi < 0.0)
+    if bracketed.any():
+        i, lo, hi = i[bracketed], lo[bracketed], hi[bracketed]
+        lo, hi = _q_of_re(params, lo), _q_of_re(params, hi)
+        re[i], _ = _newton_q(
+            params, _log_outage_cells(params, epsilon, h[i], d[i], k[i],
+                                      s[i]),
+            np.where(q0[i] > lo, np.minimum(q0[i], hi), lo), lo, hi)
+    infeasible = re > 2.0 * RE_CEILING
+    achieved = np.full(h.shape, np.inf)
+    if infeasible.any():
+        achieved[infeasible] = analytic._pso_zone_cells(
+            params, 2.0 ** (2.0 * RE_CEILING) - 1.0, h[infeasible],
+            d[infeasible])
+    return np.where(infeasible, np.nan, re), achieved
 
 
 def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
