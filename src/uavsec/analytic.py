@@ -7,10 +7,12 @@ and, for the outage forms, the all-Rayleigh treatment of LoS links plus an
 expectation swap over the interferer process; they are exact for the
 connection probability under that fading treatment and are validated
 against simulation in the small-outage regime. The semi-analytic
-`pc_exact`/`pso_exact` evaluators average the conditional success/exceedance
-probabilities (a hypoexponential CDF inside the LoS disk, a product form
-outside) over sampled interferer configurations, with the eavesdropper
-process integrated out analytically.
+`pc_exact`/`pso_exact` evaluators average one conditional kernel, the
+probability that a ground node's SIR from the transmitter overhead exceeds
+a threshold given the interferers (a hypoexponential CDF inside the LoS
+disk, a product form outside), over sampled interferer configurations:
+at the origin for the typical receiver, and integrated over the
+eavesdropper process for the outage.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mathkit
-from .model import GuardZone, NetworkParams, pathloss, rng_stream, sample_ppp
+from .model import (GuardZone, NetworkParams, pathloss, q1, rng_stream,
+                    sample_ppp)
 
 __all__ = [
     "MetricEstimate",
@@ -31,9 +34,6 @@ __all__ = [
     "pc_simplified",
     "effective_density",
     "stc",
-    "pc_approx_radial",
-    "pso_approx_radial",
-    "pso_zone_radial",
     "pc_exact",
     "pso_exact",
 ]
@@ -61,11 +61,6 @@ class MetricEstimate:
         """Two-estimate comparison at combined 95% intervals."""
         gap = abs(self.value - other.value)
         return gap <= math.hypot(self.half_width, other.half_width)
-
-
-def _q1(params: NetworkParams, beta_e: float) -> float:
-    """The recurring factor lambda_u * pi^2 * sqrt(beta_e) / 2 (units 1/m)."""
-    return params.lambda_u * math.pi ** 2 * math.sqrt(beta_e) / 2.0
 
 
 def _require_canonical_alphas(params: NetworkParams):
@@ -118,6 +113,8 @@ def _disk_term(b: float, u1: float, u2: float) -> float:
     """
     if u2 <= u1:
         return 0.0
+    if b - u1 > 700.0:
+        return math.inf     # past float range: the outage saturates at 1
     if u2 - u1 < 0.1 or u2 < 1e-3:
         mid = 0.5 * (u1 + u2)
         half = 0.5 * (u2 - u1)
@@ -130,14 +127,14 @@ def _pso_brace(params: NetworkParams, beta_e: float, d: float) -> float:
     """The bracketed area integral of the outage form for zone radius d < K:
     LoS-disk part on [d, K] plus the NLoS tail beyond K, both carrying the
     exp(pi*lambda_u*H^2) factor."""
-    q1 = _q1(params, beta_e)
+    q = q1(params, beta_e)
     h2 = params.h ** 2
     k2 = params.los_radius ** 2
     b = math.pi * params.lambda_u * h2
-    a = q1 * math.sqrt(params.eta_nlos / params.eta_los)
+    a = q * math.sqrt(params.eta_nlos / params.eta_los)
     s1 = math.sqrt(h2 + d * d)
     s2 = math.sqrt(h2 + k2)
-    tail_log = b - q1 * (h2 + k2) - math.log(2.0 * q1)
+    tail_log = b - q * (h2 + k2) - math.log(2.0 * q)
     tail = math.exp(tail_log) if tail_log < 700.0 else math.inf
     disk = _disk_term(b, a * s1, a * s2) / (a * a)
     return tail + disk
@@ -180,10 +177,10 @@ def pso_zone_approx(params: NetworkParams, beta_e: float,
     d = zone.d
     k = params.los_radius
     h2 = params.h ** 2
-    q1 = _q1(params, beta_e)
+    q = q1(params, beta_e)
     if d >= k:
-        log_arg = (math.log(math.pi * params.lambda_e / q1)
-                   + math.pi * params.lambda_u * h2 - q1 * (h2 + d * d))
+        log_arg = (math.log(math.pi * params.lambda_e / q)
+                   + math.pi * params.lambda_u * h2 - q * (h2 + d * d))
         if log_arg > 700.0:
             return 1.0
         return -math.expm1(-math.exp(log_arg))
@@ -256,13 +253,13 @@ def _pso_zone_cells(params: NetworkParams, beta_e, h, d) -> np.ndarray:
     k = h / math.tan(params.theta_c)
     h2 = h ** 2
     k2 = k ** 2
-    q1 = params.lambda_u * math.pi ** 2 * np.sqrt(beta_e) / 2.0
+    q = q1(params, beta_e)
     b = math.pi * params.lambda_u * h2
-    log_arg = (np.log(math.pi * params.lambda_e / q1) + b
-               - q1 * (h2 + d * d))
+    log_arg = (np.log(math.pi * params.lambda_e / q) + b
+               - q * (h2 + d * d))
     beyond_k = -np.expm1(-np.exp(log_arg))
-    a = q1 * math.sqrt(params.eta_nlos / params.eta_los)
-    tail_log = b - q1 * (h2 + k2) - np.log(2.0 * q1)
+    a = q * math.sqrt(params.eta_nlos / params.eta_los)
+    tail_log = b - q * (h2 + k2) - np.log(2.0 * q)
     tail = np.where(tail_log < 700.0, np.exp(tail_log), np.inf)
     brace = tail + _disk_moments_cells(b, a * np.sqrt(h2 + d * d),
                                        a * np.sqrt(h2 + k2))[0] / (a * a)
@@ -285,133 +282,45 @@ def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Radial-integral reference forms (derivation-level cross-checks)
-# ---------------------------------------------------------------------------
-
-def pc_approx_radial(params: NetworkParams, beta_t: float,
-                     tol: float = 1e-10) -> float:
-    """`pc_approx` evaluated from its polar-coordinate integral form."""
-    _require_canonical_alphas(params)
-    if beta_t == 0.0 or params.lambda_u == 0.0:
-        return 1.0
-    h2 = params.h ** 2
-    k = params.los_radius
-    c_nlos = beta_t * h2 * params.eta_nlos / params.eta_los
-
-    def f_nlos(r):
-        t = r * r + h2
-        return (1.0 - 1.0 / (1.0 + c_nlos / (t * t))) * r
-
-    def f_los(r):
-        return (1.0 - 1.0 / (1.0 + beta_t * h2 / (r * r + h2))) * r
-
-    i_los = mathkit.integrate_radial(f_los, 0.0, k, tol) if k > 0 else 0.0
-    i_nlos = mathkit.integrate_radial(f_nlos, k, math.inf, tol)
-    return math.exp(-2.0 * math.pi * params.lambda_u * (i_los + i_nlos))
-
-
-def _pso_radial_brace(params: NetworkParams, beta_e: float, d: float,
-                      tol: float) -> float:
-    q1 = _q1(params, beta_e)
-    h2 = params.h ** 2
-    k = params.los_radius
-    b = math.pi * params.lambda_u * h2
-    a = q1 * math.sqrt(params.eta_nlos / params.eta_los)
-
-    def f_los(r):
-        return np.exp(b - a * np.sqrt(r * r + h2)) * r
-
-    def f_nlos(r):
-        return np.exp(b - q1 * (r * r + h2)) * r
-
-    total = 0.0
-    if d < k:
-        total += mathkit.integrate_radial(f_los, d, k, tol)
-    total += mathkit.integrate_radial(f_nlos, max(d, k), math.inf, tol)
-    return total
-
-
-def pso_approx_radial(params: NetworkParams, beta_e: float,
-                      tol: float = 1e-10) -> float:
-    """`pso_approx` evaluated from its polar-coordinate integral form."""
-    _require_canonical_alphas(params)
-    if params.lambda_e == 0.0:
-        return 0.0
-    brace = _pso_radial_brace(params, beta_e, 0.0, tol)
-    return -math.expm1(-2.0 * math.pi * params.lambda_e * brace)
-
-
-def pso_zone_radial(params: NetworkParams, beta_e: float, zone: GuardZone,
-                    tol: float = 1e-10) -> float:
-    """`pso_zone_approx` evaluated from its polar-coordinate integral form."""
-    _require_canonical_alphas(params)
-    if params.lambda_e == 0.0:
-        return 0.0
-    brace = _pso_radial_brace(params, beta_e, zone.d, tol)
-    return -math.expm1(-2.0 * math.pi * params.lambda_e * brace)
-
-
-# ---------------------------------------------------------------------------
 # Semi-analytic evaluators (conditional forms averaged over sampled
 # interferer configurations)
 # ---------------------------------------------------------------------------
 
-def _connection_value(params: NetworkParams, beta_t: float,
-                      pts: np.ndarray) -> float:
-    """Conditional connection probability given one interferer set."""
-    if beta_t == 0.0:
-        return 1.0
-    h2 = params.h ** 2
-    signal = params.eta_los * h2 ** (-params.alpha_los / 2.0)
-    if pts.shape[0] == 0:
-        return 1.0
-    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    d2 = r2 + h2
-    los = r2 < params.los_radius ** 2
-    i_los = float(np.sum(params.eta_los
-                         * pathloss(d2[los], params.alpha_los)))
-    y = signal / beta_t - i_los
-    if y <= 0.0:
-        return 0.0
-    d2_nlos = d2[~los]
-    if d2_nlos.size == 0:
-        return 1.0
-    rates = d2_nlos ** (params.alpha_nlos / 2.0) / params.eta_nlos
-    return mathkit.hypoexp_cdf(rates, y)
-
-
 def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
-             window: float | None = None, seed: int = 0) -> MetricEstimate:
+             window: float = 200.0, seed: int = 0) -> MetricEstimate:
     """Connection probability by averaging the conditional hypoexponential
     form over sampled interferer configurations.
 
     Low-variance counterpart of the plain simulator: the fading is
-    integrated out analytically per configuration; with no NLoS interferers
-    the event degenerates to a deterministic comparison against the LoS
-    interference.
+    integrated out analytically per configuration (the `_ExceedanceField`
+    kernel at the origin, one angle); with no NLoS interferers the event
+    degenerates to a deterministic comparison against the LoS interference.
     """
     if n_realizations < 1:
         raise ValueError("need n_realizations >= 1")
-    from .model import default_window_radius
-    if window is None:
-        window = default_window_radius(params)
-    vals = np.empty(n_realizations)
-    for i in range(n_realizations):
-        pts = sample_ppp(params.lambda_u, 0.0, window, rng_stream(seed, i))
-        vals[i] = _connection_value(params, beta_t, pts)
+    vals = np.ones(n_realizations)      # beta_t = 0 always connects
+    if beta_t != 0.0:
+        origin = np.zeros(1)
+        for i in range(n_realizations):
+            pts = sample_ppp(params.lambda_u, 0.0, window,
+                             rng_stream(seed, i))
+            vals[i] = _ExceedanceField(params, beta_t, pts,
+                                       1).mean_over_angles(origin)[0]
     hw = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(n_realizations) \
         if n_realizations > 1 else 0.0
     return MetricEstimate(float(np.mean(vals)), SEMI_ANALYTIC, hw)
 
 
 class _ExceedanceField:
-    """Conditional P(eavesdropper at position e decodes | interferers),
-    vectorized over batches of radii and the angle grid."""
+    """Conditional P(SIR at ground position x from the transmitter above the
+    origin exceeds beta | interferers at `pts`), vectorized over batches of
+    radii and the angle grid: an eavesdropper at x decodes, or at x = 0 the
+    typical receiver connects."""
 
-    def __init__(self, params: NetworkParams, beta_e: float, pts: np.ndarray,
+    def __init__(self, params: NetworkParams, beta: float, pts: np.ndarray,
                  n_angles: int):
         self.p = params
-        self.beta_e = beta_e
+        self.beta = beta
         self.ux = pts[:, 0] if pts.size else np.empty(0)
         self.uy = pts[:, 1] if pts.size else np.empty(0)
         self.k2 = params.los_radius ** 2
@@ -442,7 +351,7 @@ class _ExceedanceField:
         if rs[0] ** 2 < self.k2:
             return self._disk(rs, d0, d2, los)
         # NLoS signal: interferer fading integrates to a product form.
-        scale = self.beta_e * d0 ** (p.alpha_nlos / 2.0)
+        scale = self.beta * d0 ** (p.alpha_nlos / 2.0)
         log_det = np.where(
             los,
             -(p.eta_los / p.eta_nlos) * scale[:, None, None]
@@ -459,7 +368,7 @@ class _ExceedanceField:
         sig = p.eta_los * pathloss(d0, p.alpha_los)
         i_los = np.sum(
             np.where(los, p.eta_los * pathloss(d2, p.alpha_los), 0.0), axis=2)
-        y = sig[:, None] / self.beta_e - i_los
+        y = sig[:, None] / self.beta - i_los
         rates = np.where(los, np.inf, d2 ** (p.alpha_nlos / 2.0) / p.eta_nlos)
         n_nlos = np.sum(~los, axis=2)
         vals = np.where(y > 0.0, 1.0, 0.0)

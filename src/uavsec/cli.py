@@ -7,7 +7,7 @@ metric, half-width columns suffixed `_hw`. Rows are ordered by sweep value;
 identical config + seed gives byte-identical output.
 
 Exit codes: 0 success, 2 config parse/validation error, 3 infeasible
-optimization, 4 quadrature accuracy failure, 5 validation suite failed.
+optimization, 5 validation suite failed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 
-from . import __version__, analytic, mathkit, optimizer
+from . import __version__, analytic, optimizer
 from .chart import render_chart
 from .model import (
     AllRayleigh,
@@ -35,7 +35,6 @@ from .montecarlo import SimConfig, sim_connection, sim_outage
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_ACCURACY = 4
 EXIT_VALIDATION = 5
 
 _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
@@ -67,6 +66,14 @@ def _number(text: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"non-finite value {text.strip()!r}")
     return value
+
+
+def _flag(text: str, key: str) -> bool:
+    """`true` or `false` (any case); anything else is an error."""
+    word = text.strip().lower()
+    if word not in ("true", "false"):
+        raise ConfigError(f"{key} must be true or false, got {text.strip()!r}")
+    return word == "true"
 
 
 def _parse_angle(text: str) -> float:
@@ -206,6 +213,15 @@ class ExperimentConfig:
         for m in metrics:
             if m not in ("pc", "pso", "cs"):
                 raise ConfigError(f"unknown metric {m!r}")
+        # A float form such as 1e5 is a valid count; a fraction is an error,
+        # not truncated. Seeds parse as exact integers (they may exceed 2^53).
+        n_realizations = _number(sim.get("n_realizations", "20000"))
+        if not n_realizations.is_integer() or n_realizations < 1:
+            raise ConfigError(f"n_realizations must be a whole number >= 1, "
+                              f"got {n_realizations!r}")
+        seed = int(sim.get("seed", "0"))
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         return cls(
             name=exp.get("name", default_name).strip() or default_name,
             mode=mode,
@@ -217,15 +233,15 @@ class ExperimentConfig:
             re=re,
             epsilon=_number(opt.get("epsilon", "0.01")),
             zone_d=zone_d,
-            n_realizations=int(_number(sim.get("n_realizations", "20000"))),
-            seed=int(sim.get("seed", 0)),
+            n_realizations=int(n_realizations),
+            seed=seed,
             window_radius=_number(sim["window_radius"])
             if "window_radius" in sim else None,
             model_name=model_name,
             out_dir=out.get("directory", ""),
-            charts=out.get("charts", "false").strip().lower() == "true",
-            log_x=out.get("log_x", "false").strip().lower() == "true",
-            log_y=out.get("log_y", "false").strip().lower() == "true",
+            charts=_flag(out.get("charts", "false"), "charts"),
+            log_x=_flag(out.get("log_x", "false"), "log_x"),
+            log_y=_flag(out.get("log_y", "false"), "log_y"),
         )
 
     def to_text(self) -> str:
@@ -395,9 +411,6 @@ def run(config_path: str, out_dir: str | None = None) -> int:
     except optimizer.InfeasibleError as exc:
         print(f"error: infeasible optimization: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except mathkit.AccuracyError as exc:
-        print(f"error: quadrature accuracy: {exc}", file=sys.stderr)
-        return EXIT_ACCURACY
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

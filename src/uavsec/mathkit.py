@@ -1,5 +1,5 @@
 """Self-contained numerical kernels: Lambert W, hypoexponential CDF,
-bisection, adaptive radial quadrature.
+bisection, adaptive quadrature on finite radial intervals.
 
 Everything here is a pure function of its inputs and safe to call from
 any number of threads.
@@ -312,63 +312,49 @@ def _gk15(f, a: float, b: float):
 
 def integrate_radial(f, a: float, b: float, tol: float = 1e-10,
                      breakpoints=(), max_panels: int = 4000) -> float:
-    """Adaptive G7/K15 quadrature of a vectorized integrand on [a, b].
+    """Adaptive G7/K15 quadrature of a vectorized integrand on the finite
+    interval [a, b].
 
-    `b` may be `inf`; the tail is mapped through r = c + t/(1-t) on
-    t in (0, 1), which needs f to decay at least like r^-3. Known kinks
-    (e.g. a branch radius) should be passed as `breakpoints` so panels
-    never straddle them. Raises `AccuracyError` (carrying the best
+    Known kinks (e.g. a branch radius) should be passed as `breakpoints` so
+    panels never straddle them. Raises `AccuracyError` (carrying the best
     estimate) if the relative tolerance is not met within the panel budget.
     """
     import heapq
 
     if a < 0.0:
         raise ValueError("integrate_radial: a must be nonnegative")
-    infinite = math.isinf(b)
-    if not infinite and b <= a:
+    if not math.isfinite(b):
+        raise ValueError("integrate_radial: b must be finite")
+    if b <= a:
         if b == a:
             return 0.0
         raise ValueError("integrate_radial: b must exceed a")
 
-    pts = [a] + sorted(p for p in set(float(p) for p in breakpoints) if a < p < b if not math.isinf(p))
-    finite_end = pts[-1] if infinite else b
-    if infinite:
-        # Tail starts at the last finite breakpoint (or a itself).
-        tail_start = finite_end
-    else:
-        pts.append(b)
-
-    panels = []  # (-err, lo, hi, val, err, transformed)
+    pts = [a] + sorted(set(float(p) for p in breakpoints if a < p < b)) + [b]
+    panels = []  # (-err, counter, lo, hi, val, err)
     counter = 0
 
-    def push(lo, hi, transformed):
+    def push(lo, hi):
         nonlocal counter
-        if transformed:
-            g = lambda t: f(tail_start + t / (1.0 - t)) / (1.0 - t) ** 2
-            val, err = _gk15(g, lo, hi)
-        else:
-            val, err = _gk15(f, lo, hi)
-        heapq.heappush(panels, (-err, counter, lo, hi, val, err, transformed))
+        val, err = _gk15(f, lo, hi)
+        heapq.heappush(panels, (-err, counter, lo, hi, val, err))
         counter += 1
 
     for lo, hi in zip(pts[:-1], pts[1:]):
-        push(lo, hi, False)
-    if infinite:
-        push(0.0, 0.5, True)
-        push(0.5, 1.0, True)
+        push(lo, hi)
 
     for _ in range(max_panels):
         total = math.fsum(p[4] for p in panels)
         err_total = math.fsum(p[5] for p in panels)
         if err_total <= tol * max(abs(total), 1e-300):
             return total
-        neg_err, _, lo, hi, val, err, transformed = heapq.heappop(panels)
+        neg_err, _, lo, hi, val, err = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            heapq.heappush(panels, (neg_err, counter, lo, hi, val, err, transformed))
+            heapq.heappush(panels, (neg_err, counter, lo, hi, val, err))
             break
-        push(lo, mid, transformed)
-        push(mid, hi, transformed)
+        push(lo, mid)
+        push(mid, hi)
 
     total = math.fsum(p[4] for p in panels)
     err_total = math.fsum(p[5] for p in panels)

@@ -29,8 +29,8 @@ __all__ = [
     "pathloss",
     "gains",
     "rng_stream",
+    "q1",
     "rule_window_radius",
-    "default_window_radius",
     "outage_window_radius",
 ]
 
@@ -209,6 +209,13 @@ def gains(params: NetworkParams, model: type, d2: np.ndarray,
                     params.eta_nlos * fades * pathloss(d2, params.alpha_nlos))
 
 
+def q1(params: NetworkParams, beta_e):
+    """The outage forms' variable q1 = lambda_u pi^2 sqrt(beta_e) / 2 (1/m)
+    at thresholds beta_e: a float for a scalar, an array for an array."""
+    sqrt = np.sqrt if isinstance(beta_e, np.ndarray) else math.sqrt
+    return params.lambda_u * math.pi ** 2 * sqrt(beta_e) / 2.0
+
+
 # ---------------------------------------------------------------------------
 # Simulation-window policies
 # ---------------------------------------------------------------------------
@@ -220,11 +227,6 @@ def rule_window_radius(params: NetworkParams) -> float:
     k2 = params.los_radius ** 2
     h2 = params.h ** 2
     return math.sqrt(1001.0 * (k2 + h2) - h2)
-
-
-def default_window_radius(params: NetworkParams) -> float:
-    """Conservative default: max(50 K, 2000 m, 0.1%-tail rule radius)."""
-    return max(50.0 * params.los_radius, 2000.0, rule_window_radius(params))
 
 
 def connection_window_radius(params: NetworkParams, beta_t: float,
@@ -268,10 +270,10 @@ def outage_window_radius(params: NetworkParams, beta_e: float,
     floor = 3.0 * params.los_radius + 30.0
     if params.lambda_e <= 0.0 or beta_e <= 0.0 or params.lambda_u <= 0.0:
         return max(floor, 100.0)
-    q1 = params.lambda_u * math.pi ** 2 * math.sqrt(beta_e) / 2.0
+    q = q1(params, beta_e)
     k = -math.log1p(-residual)
-    r2 = (math.log(math.pi * params.lambda_e / (q1 * k))
-          + math.pi * params.lambda_u * params.h ** 2) / q1 - params.h ** 2
+    r2 = (math.log(math.pi * params.lambda_e / (q * k))
+          + math.pi * params.lambda_u * params.h ** 2) / q - params.h ** 2
     if r2 <= 0.0:
         return floor
     return max(floor, 1.25 * math.sqrt(r2))

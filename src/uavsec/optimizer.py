@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, mathkit
-from .model import GuardZone, NetworkParams
+from .model import GuardZone, NetworkParams, q1
 
 __all__ = [
     "InfeasibleError",
@@ -116,14 +116,8 @@ def solve_re(params: NetworkParams, epsilon: float,
     return mathkit.bisect_root(f, RE_FLOOR, hi, _RE_TOL)
 
 
-def _q_of_re(params: NetworkParams, re):
-    """q = lambda_u pi^2 sqrt(beta_e) / 2 (1/m), the outage forms' variable,
-    at rate gaps re (scalars or arrays)."""
-    return params.lambda_u * math.pi ** 2 * np.sqrt(2.0 ** re - 1.0) / 2.0
-
-
 def _re_of_q(params: NetworkParams, q):
-    """Inverse of `_q_of_re`."""
+    """The rate gap at which `model.q1` takes the value q."""
     z = 2.0 * q / (params.lambda_u * math.pi ** 2)
     return np.log1p(z * z) / _LN2
 
@@ -324,7 +318,7 @@ def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
     bracketed = ~slack & (fhi < 0.0)
     if bracketed.any():
         i, lo, hi = i[bracketed], lo[bracketed], hi[bracketed]
-        lo, hi = _q_of_re(params, lo), _q_of_re(params, hi)
+        lo, hi = q1(params, 2.0 ** lo - 1.0), q1(params, 2.0 ** hi - 1.0)
         re[i], _ = _newton_q(
             params, _log_outage_cells(params, epsilon, h[i], d[i], k[i],
                                       s[i]),
@@ -396,9 +390,11 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
             _pso_at(p, 2.0 * RE_CEILING, zone))
     p, zone = at(best[1])
     re, rt, rs, cs = _evaluate_cell(p, epsilon, zone)
+    pc = analytic.pc_approx(p, 2.0 ** rt - 1.0)
     diagnostics["infeasible_cells"] = infeasible
+    # inf when the full form underflows to 0 (a diagnostic, never a CSV value)
     diagnostics["surrogate_pc_ratio"] = (
-        analytic.pc_simplified(p, rt) / analytic.pc_approx(p, 2.0 ** rt - 1.0))
+        analytic.pc_simplified(p, rt) / pc if pc > 0.0 else math.inf)
     diagnostics["constraint_active"] = re > RE_FLOOR
     return OptimumReport(rt=rt, rs=rs, re=re, h=p.h, cs=cs,
                          pso=_pso_at(p, re, zone),

@@ -10,17 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from oracles import pc_radial, pso_radial
 
 from uavsec import analytic, optimizer
 from uavsec.analytic import (
     pc_approx,
-    pc_approx_radial,
     pc_exact,
     pso_approx,
-    pso_approx_radial,
     pso_exact,
     pso_zone_approx,
-    pso_zone_radial,
 )
 from uavsec.mathkit import hypoexp_cdf, lambert_w0
 from uavsec.model import (
@@ -156,14 +154,14 @@ def test_criterion_06_derivation_cross_checks():
                           theta_c=rng.uniform(0.3, 1.2))
         bt = 10 ** rng.uniform(0.0, 4.0)
         be = 10 ** rng.uniform(-1.0, 2.0)
-        pc_cf, pc_ref = pc_approx(p, bt), pc_approx_radial(p, bt, 1e-10)
+        pc_cf, pc_ref = pc_approx(p, bt), pc_radial(p, bt)
         worst = max(worst, abs(pc_cf - pc_ref) / max(pc_ref, 1e-300))
-        so_cf, so_ref = pso_approx(p, be), pso_approx_radial(p, be, 1e-10)
+        so_cf, so_ref = pso_approx(p, be), pso_radial(p, be)
         worst = max(worst, abs(so_cf - so_ref) / max(so_ref, 1e-300))
         for frac in (rng.uniform(0.05, 0.95), rng.uniform(1.05, 3.0)):
             zone = GuardZone(frac * p.los_radius)
             z_cf = pso_zone_approx(p, be, zone)
-            z_ref = pso_zone_radial(p, be, zone, 1e-10)
+            z_ref = pso_radial(p, be, zone.d)
             worst = max(worst, abs(z_cf - z_ref) / max(z_ref, 1e-300))
     report(6, "closed forms match radial-integral derivations (<=1e-6 rel)",
            worst <= 1e-6, f"worst relative gap = {worst:.2e}")

@@ -3,20 +3,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import pc_radial, pso_radial
 
-from uavsec import analytic
+from uavsec import analytic, model
 from uavsec.analytic import (
     MetricEstimate,
     effective_density,
     pc_approx,
-    pc_approx_radial,
     pc_exact,
     pc_simplified,
     pso_approx,
-    pso_approx_radial,
     pso_exact,
     pso_zone_approx,
-    pso_zone_radial,
     stc,
 )
 from uavsec.model import GuardZone, NetworkParams
@@ -61,8 +61,7 @@ class TestConnectionClosedForm:
             p = random_params(rng)
             bt = 10 ** rng.uniform(0.0, 4.0)
             a = pc_approx(p, bt)
-            b = pc_approx_radial(p, bt, tol=1e-10)
-            assert a == pytest.approx(b, rel=1e-8)
+            assert a == pytest.approx(pc_radial(p, bt), rel=1e-8)
 
     def test_requires_canonical_exponents(self):
         p = params(alpha_nlos=3.0)
@@ -91,8 +90,8 @@ class TestOutageClosedForm:
         for _ in range(20):
             p = random_params(rng)
             be = 10 ** rng.uniform(-1.0, 2.0)
-            assert pso_approx(p, be) == pytest.approx(
-                pso_approx_radial(p, be, tol=1e-11), rel=1e-6)
+            assert pso_approx(p, be) == pytest.approx(pso_radial(p, be),
+                                                      rel=1e-6)
 
     def test_no_interference_means_certain_outage(self):
         assert pso_approx(params(lambda_u=0.0), 1.0) == 1.0
@@ -127,7 +126,7 @@ class TestZoneOutage:
             be = 10 ** rng.uniform(-1.0, 2.0)
             d = rng.uniform(0.0, 0.95) * p.los_radius
             assert pso_zone_approx(p, be, GuardZone(d)) == pytest.approx(
-                pso_zone_radial(p, be, GuardZone(d), tol=1e-11), rel=1e-6)
+                pso_radial(p, be, d), rel=1e-6)
 
     def test_matches_radial_integral_above_k(self):
         rng = np.random.default_rng(12)
@@ -136,7 +135,7 @@ class TestZoneOutage:
             be = 10 ** rng.uniform(-1.0, 2.0)
             d = p.los_radius * rng.uniform(1.0, 3.0)
             assert pso_zone_approx(p, be, GuardZone(d)) == pytest.approx(
-                pso_zone_radial(p, be, GuardZone(d), tol=1e-11), rel=1e-6)
+                pso_radial(p, be, d), rel=1e-6)
 
 
 class TestSurrogateConnection:
@@ -188,8 +187,12 @@ class TestDensityAndCapacity:
             assert stc(rs, min(pc * 1.1, 1.0), lam) >= stc(rs, pc, lam)
 
     def test_q1_cache(self):
-        assert analytic._q1(params(), 4.0) == pytest.approx(
-            1e-3 * math.pi ** 2)
+        q = model.q1(params(), 4.0)
+        assert type(q) is float
+        assert q == pytest.approx(1e-3 * math.pi ** 2)
+        betas = np.array([0.5, 4.0, 1e6])
+        assert model.q1(params(), betas).tolist() == [
+            model.q1(params(), b) for b in betas.tolist()]
 
     def test_metric_estimate_validation(self):
         for value, hw in ((0.5, -0.1), (math.nan, math.nan), (math.nan, 0.0),
@@ -202,14 +205,66 @@ class TestDensityAndCapacity:
         assert not a.agrees_with(MetricEstimate(0.60, half_width=0.01))
 
 
+# pi lambda_u H^2 = 711.5 here, past exp's float range once the LoS-disk
+# term is reached: the outage forms must saturate at 1, not raise.
+OVERFLOW = dict(lambda_u=0.09206, lambda_e=1.1223e-3, h=49.598,
+                theta_c=0.5790, h_min=10.0, h_max=50.0)
+
+
+class TestOverflowSaturation:
+    def test_direct_disk_term(self):
+        p = NetworkParams(**OVERFLOW)
+        assert pso_approx(p, 0.1445) == 1.0
+        assert pso_zone_approx(p, 0.1445, GuardZone(5.0)) == 1.0
+
+    def test_quadrature_disk_term(self):
+        # a zone just inside K leaves a narrow annulus, the GL7 branch
+        p = NetworkParams(**OVERFLOW)
+        zone = GuardZone(p.los_radius * (1.0 - 1e-9))
+        assert pso_zone_approx(p, 0.1445, zone) == 1.0
+
+
+density = st.floats(-8.0, -1.0).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lambda_u=density, lambda_e=density,
+       h=st.floats(1.0, 100.0),
+       theta_c=st.one_of(st.floats(1e-6, 0.05),
+                         st.floats(math.pi / 2 - 0.05, math.pi / 2,
+                                   exclude_max=True)),
+       beta=st.floats(-6.0, 6.0).map(lambda x: 10.0 ** x),
+       d_kind=st.sampled_from(("zero", "K", "random")),
+       frac=st.floats(0.0, 3.0))
+@example(lambda_u=0.09206, lambda_e=1.1223e-3, h=49.598, theta_c=0.5790,
+         beta=0.1445, d_kind="zero", frac=0.0)
+@example(lambda_u=0.0921, lambda_e=1.1223e-3, h=49.0, theta_c=0.579,
+         beta=97837.72254080574, d_kind="K", frac=0.0)
+def test_closed_forms_are_probabilities_at_extremes(
+        lambda_u, lambda_e, h, theta_c, beta, d_kind, frac):
+    p = NetworkParams(lambda_u=lambda_u, lambda_e=lambda_e, h=h,
+                      theta_c=theta_c, h_min=h, h_max=h)
+    d = {"zero": 0.0, "K": p.los_radius,
+         "random": frac * p.los_radius}[d_kind]
+    for v in (pc_approx(p, beta), pso_approx(p, beta),
+              pso_zone_approx(p, beta, GuardZone(d))):
+        assert type(v) is float and 0.0 <= v <= 1.0, v
+
+
+def connection_value(p, beta_t, pts):
+    """The conditional kernel as `pc_exact` evaluates it: the typical
+    receiver at the origin, one angle."""
+    field = analytic._ExceedanceField(p, beta_t, pts, 1)
+    return field.mean_over_angles(np.zeros(1))[0]
+
+
 class TestConditionalConnectionValue:
     def test_empty_configuration(self):
-        v = analytic._connection_value(params(), 31.0, np.empty((0, 2)))
-        assert v == 1.0
+        assert connection_value(params(), 31.0, np.empty((0, 2))) == 1.0
 
     def test_los_interferer_dominates(self):
         # any LoS interferer exceeds the threshold margin at these scales
-        v = analytic._connection_value(params(), 31.0, np.array([[5.0, 0.0]]))
+        v = connection_value(params(), 31.0, np.array([[5.0, 0.0]]))
         assert v == 0.0
 
     def test_pure_nlos_matches_single_exponential(self):
@@ -217,12 +272,14 @@ class TestConditionalConnectionValue:
         pts = np.array([[50.0, 0.0]])
         y = p.eta_los / (31.0 * p.h ** 2)
         rate = (50.0 ** 2 + p.h ** 2) ** 2 / p.eta_nlos
-        assert analytic._connection_value(p, 31.0, pts) == pytest.approx(
+        assert connection_value(p, 31.0, pts) == pytest.approx(
             -math.expm1(-rate * y), rel=1e-12)
 
     def test_zero_threshold(self):
-        assert analytic._connection_value(params(), 0.0,
-                                          np.array([[5.0, 0.0]])) == 1.0
+        # the guard keeps the kernel's margin S/beta_t from dividing by zero
+        p = params(lambda_u=1.0)
+        est = pc_exact(p, 0.0, n_realizations=4, window=10.0, seed=0)
+        assert est.value == 1.0 and est.half_width == 0.0
 
 
 class TestExactEvaluators:

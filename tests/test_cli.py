@@ -101,6 +101,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text(TINY_CFG.replace(old, new))
 
+    def test_whole_float_counts_and_flag_case(self):
+        cfg = ExperimentConfig.from_text(
+            TINY_CFG.replace("n_realizations = 500", "n_realizations = 1e5")
+            + "\n[output]\ncharts = TRUE\nlog_x = False\n")
+        assert cfg.n_realizations == 100_000
+        assert type(cfg.n_realizations) is int
+        assert cfg.charts and not cfg.log_x and not cfg.log_y
+
     def test_degree_parsing(self):
         cfg = ExperimentConfig.from_text(
             TINY_CFG.replace("theta_c = 45 deg", "theta_c = 0.9"))
@@ -167,6 +175,38 @@ class TestRun:
         cfg_path.write_text(TINY_CFG.replace(old, new))
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("n_realizations = 500", "n_realizations = 1000.7"),
+        ("n_realizations = 500", "n_realizations = 0"),
+        ("seed = 1", "seed = -3"),
+        ("seed = 1", "seed = 1\n[output]\ncharts = yes"),
+        ("seed = 1", "seed = 1\n[output]\nlog_x = ture"),
+        ("seed = 1", "seed = 1\n[output]\nlog_y = 1"),
+    ])
+    def test_out_of_domain_value_exits_without_csv(self, tmp_path, old, new):
+        for mode in ("analyze", "simulate"):
+            cfg_path = tmp_path / "bad.cfg"
+            cfg_path.write_text(TINY_CFG.replace(old, new).replace(
+                "mode = analyze", f"mode = {mode}"))
+            assert cli.run(str(cfg_path), str(tmp_path / "out")) == \
+                EXIT_CONFIG
+            assert not (tmp_path / "out").exists()
+
+    def test_saturated_outage_writes_csv(self, tmp_path):
+        # pi lambda_u H^2 = 711.5 is past exp's float range in the outage
+        # form's LoS-disk term: the outage saturates at 1
+        text = (TINY_CFG.replace("lambda_u = 1e-3", "lambda_u = 0.09206")
+                .replace("h = 10", "h = 49.598\nh_max = 50")
+                .replace("theta_c = 45 deg", "theta_c = 0.5790 rad")
+                .replace("re = 1", "re = 0.1947174628935997")
+                .replace("values = 1e-4, 1e-3", "values = 1.1223e-3"))
+        cfg_path = tmp_path / "sat.cfg"
+        cfg_path.write_text(text)
+        assert cli.run(str(cfg_path), str(tmp_path)) == EXIT_OK
+        header, row = (tmp_path / "tiny.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["pso_approx"] \
+            == "1"
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.run(str(tmp_path / "nope.cfg"), str(tmp_path)) == \

@@ -182,11 +182,6 @@ class TestBisect:
 
 
 class TestIntegrateRadial:
-    def test_gaussian_tail(self):
-        val = integrate_radial(lambda r: r * np.exp(-r * r), 0.0, math.inf,
-                               1e-12)
-        assert val == pytest.approx(0.5, rel=1e-10)
-
     def test_linear(self):
         assert integrate_radial(lambda r: r, 0.0, 1.0, 1e-12) == \
             pytest.approx(0.5, rel=1e-12)
@@ -196,11 +191,6 @@ class TestIntegrateRadial:
         exact = 0.5 + (16.0 - 1.0) / 4.0
         val = integrate_radial(f, 0.0, 2.0, 1e-12, breakpoints=(1.0,))
         assert val == pytest.approx(exact, rel=1e-12)
-
-    def test_decaying_tail_power(self):
-        # integral of r^-3 from 1 to inf = 1/2
-        val = integrate_radial(lambda r: r ** -3.0, 1.0, math.inf, 1e-11)
-        assert val == pytest.approx(0.5, rel=1e-9)
 
     def test_budget_exhaustion_carries_estimate(self):
         f = lambda r: np.sin(1000.0 * r) ** 2
@@ -212,6 +202,11 @@ class TestIntegrateRadial:
     def test_zero_width(self):
         assert integrate_radial(lambda r: r, 2.0, 2.0, 1e-10) == 0.0
 
+    def test_non_finite_bound_rejected(self):
+        for b in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                integrate_radial(lambda r: r * np.exp(-r * r), 0.0, b, 1e-12)
+
 
 @settings(max_examples=40)
 @given(st.lists(st.floats(min_value=0.2, max_value=8.0), min_size=1,
@@ -219,4 +214,15 @@ class TestIntegrateRadial:
        st.floats(min_value=0.0, max_value=30.0))
 def test_hypoexp_is_probability(rates, y):
     v = hypoexp_cdf(rates, y)
+    assert 0.0 <= v <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1e3),
+       st.lists(st.floats(-1e-9, 1e-9), min_size=2, max_size=5),
+       st.floats(0.0, 50.0))
+def test_hypoexp_clustered_rates_are_probability(base, offsets, y_scale):
+    # rates within 1e-9 relative of each other take the mpmath path
+    rates = [base * (1.0 + o) for o in offsets]
+    v = hypoexp_cdf(rates, y_scale / base)
     assert 0.0 <= v <= 1.0

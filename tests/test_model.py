@@ -12,7 +12,6 @@ from uavsec.model import (
     NetworkParams,
     WiretapCode,
     connection_window_radius,
-    default_window_radius,
     gains,
     los_radius,
     outage_window_radius,
@@ -265,10 +264,6 @@ class TestWindowPolicies:
         k2, h2 = p.los_radius ** 2, p.h ** 2
         ratio = (k2 + h2) / (r * r + h2)
         assert ratio <= 1e-3 * (1 + 1e-9)
-
-    def test_default_is_conservative(self):
-        p = params()
-        assert default_window_radius(p) >= max(2000.0, rule_window_radius(p))
 
     def test_connection_window_bounds(self):
         p = params()

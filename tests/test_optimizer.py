@@ -136,6 +136,18 @@ class TestSolveRe:
                for d in (0.0, 5.0, 10.0, 20.0, 40.0, 80.0)]
         assert all(b <= a for a, b in zip(res, res[1:]))
 
+    def test_saturated_outage_form(self):
+        # pi lambda_u H^2 = 711.5 overflows exp in the LoS-disk term; the
+        # outage there saturates at 1 and the root lies beyond it
+        p = NetworkParams(lambda_u=0.09206, lambda_e=1.1223e-3, h=49.598,
+                          theta_c=0.5790, h_min=10.0, h_max=50.0)
+        for zone in (None, GuardZone(5.0)):
+            re = solve_re(p, 0.01, zone)
+            assert RE_FLOOR < re < RE_CEILING
+            assert analytic.pso_zone_approx(
+                p, 2.0 ** re - 1.0, zone or GuardZone(0.0)) == \
+                pytest.approx(0.01, abs=1e-6)
+
     def test_epsilon_bounds(self):
         for eps in (0.0, 1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -289,6 +301,16 @@ class TestGridSearches:
     def test_reports_surrogate_gap(self):
         rep = optimize_zone(params(), 0.01)
         assert rep.diagnostics["surrogate_pc_ratio"] > 0.0
+
+    def test_underflowing_connection_gives_non_finite_ratio(self):
+        # at the winner (h = 49, rt = 16.6) pc_approx underflows to 0
+        p = NetworkParams(lambda_u=0.0921, lambda_e=1.1223e-3, h=49.6,
+                          h_min=49.0, h_max=50.0, theta_c=0.579)
+        rep = optimize_no_zone(p, 0.01)
+        assert analytic.pc_approx(p.with_altitude(rep.h),
+                                  2.0 ** rep.rt - 1.0) == 0.0
+        assert rep.cs == 0.0
+        assert not math.isfinite(rep.diagnostics["surrogate_pc_ratio"])
 
     def test_infeasible_error_type_exists(self):
         err = InfeasibleError("nope", 0.5)
