@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mathkit
-from .model import (GuardZone, NetworkParams, pathloss, q1, rng_stream,
-                    sample_ppp)
+from .model import (BLOCK_LINKS, GuardZone, NetworkParams, pathloss, q1,
+                    rng_stream, sample_ppp)
 
 __all__ = [
     "MetricEstimate",
@@ -223,12 +223,16 @@ def stc(rs: float, p_c: float, density: float) -> float:
 
 # The closed forms term for term over arrays of cells (altitude, threshold,
 # zone radius), both branches evaluated and selected per cell. Callers pass
-# valid inputs and silence numpy's overflow warnings.
+# valid inputs; exponents past float range saturate as in the scalar forms.
 
 def _disk_moments_cells(b, u1, u2):
     """`_disk_term` elementwise, and with it the second moment
     exp(b) * integral of s^2*exp(-s) over [u1, u2] by the same split
-    (the antiderivative of s^2*exp(-s) is -(2 + 2s + s^2)*exp(-s))."""
+    (the antiderivative of s^2*exp(-s) is -(2 + 2s + s^2)*exp(-s)).
+    Cells past float range (b - u1 > 700) give inf for both, as in
+    `_disk_term`, and are evaluated at b = u1 so that nothing overflows."""
+    saturated = b - u1 > 700.0
+    b = np.where(saturated, u1, b)
     mid = 0.5 * (u1 + u2)
     half = 0.5 * (u2 - u1)
     s = mid[:, None] + half[:, None] * _GL7_X
@@ -241,6 +245,7 @@ def _disk_moments_cells(b, u1, u2):
                       (2.0 + u1 * (2.0 + u1)) * e1
                       - (2.0 + u2 * (2.0 + u2)) * e2)
     empty = u2 <= u1
+    first[saturated] = second[saturated] = np.inf
     return np.where(empty, 0.0, first), np.where(empty, 0.0, second)
 
 
@@ -257,10 +262,11 @@ def _pso_zone_cells(params: NetworkParams, beta_e, h, d) -> np.ndarray:
     b = math.pi * params.lambda_u * h2
     log_arg = (np.log(math.pi * params.lambda_e / q) + b
                - q * (h2 + d * d))
-    beyond_k = -np.expm1(-np.exp(log_arg))
+    beyond_k = -np.expm1(-np.exp(np.minimum(log_arg, 700.0)))
     a = q * math.sqrt(params.eta_nlos / params.eta_los)
     tail_log = b - q * (h2 + k2) - np.log(2.0 * q)
-    tail = np.where(tail_log < 700.0, np.exp(tail_log), np.inf)
+    tail = np.where(tail_log < 700.0, np.exp(np.minimum(tail_log, 700.0)),
+                    np.inf)
     brace = tail + _disk_moments_cells(b, a * np.sqrt(h2 + d * d),
                                        a * np.sqrt(h2 + k2))[0] / (a * a)
     inside_k = np.where(np.isfinite(brace),
@@ -292,30 +298,97 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
     form over sampled interferer configurations.
 
     Low-variance counterpart of the plain simulator: the fading is
-    integrated out analytically per configuration (the `_ExceedanceField`
-    kernel at the origin, one angle); with no NLoS interferers the event
-    degenerates to a deterministic comparison against the LoS interference.
+    integrated out analytically per configuration (the exceedance kernel
+    at the receiver's own position, `_exceedance_at_origin`); with no NLoS
+    interferers the event degenerates to a deterministic comparison
+    against the LoS interference.
     """
     if n_realizations < 1:
         raise ValueError("need n_realizations >= 1")
     vals = np.ones(n_realizations)      # beta_t = 0 always connects
     if beta_t != 0.0:
-        origin = np.zeros(1)
         for i in range(n_realizations):
             pts = sample_ppp(params.lambda_u, 0.0, window,
                              rng_stream(seed, i))
-            vals[i] = _ExceedanceField(params, beta_t, pts,
-                                       1).mean_over_angles(origin)[0]
+            vals[i] = _exceedance_at_origin(params, beta_t, pts)
     hw = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(n_realizations) \
         if n_realizations > 1 else 0.0
     return MetricEstimate(float(np.mean(vals)), SEMI_ANALYTIC, hw)
 
 
+def _exceedance_at_origin(params: NetworkParams, beta: float,
+                          pts: np.ndarray) -> float:
+    """The exceedance kernel at the single point x = 0, where the typical
+    receiver connects: one row of the LoS-disk branch (`_disk_rows`), built
+    from the interferers' own distances, with no angle grid and no 3-D
+    geometry."""
+    if pts.size == 0:
+        return 1.0
+    h2 = params.h ** 2
+    horiz2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    d2 = (horiz2 + h2)[None, :]
+    sig = params.eta_los * pathloss(np.full(1, h2), params.alpha_los)
+    return float(_disk_rows(params, beta, sig, d2,
+                            (horiz2 < params.los_radius ** 2)[None, :],
+                            np.empty_like(d2))[0])
+
+
+def _disk_rows(p: NetworkParams, beta: float, sig, d2, los,
+               work) -> np.ndarray:
+    """LoS signal: per position, the hypoexponential CDF of the NLoS
+    interference at the margin left by the deterministic LoS interference.
+
+    A position is a row of `d2` / `los` (its squared 3-D distance to every
+    interferer, and which of those links are LoS) with signal power `sig`;
+    `work`, shaped like `d2`, is overwritten. The LoS interference is summed
+    over the whole row, zeros included, after writing only the LoS pairs.
+    Chernoff screens, evaluated on the open rows only (positive margin and
+    some NLoS interferer), decide almost every position in one vectorized
+    step; only genuinely mid-CDF positions pay for the signed mixture.
+    """
+    work.fill(0.0)
+    at = np.flatnonzero(los)
+    work.reshape(-1)[at] = p.eta_los * pathloss(d2.reshape(-1)[at],
+                                                p.alpha_los)
+    y = sig / beta - np.sum(work, axis=1)
+    n_nlos = los.shape[1] - np.count_nonzero(los, axis=1)
+    vals = np.where(y > 0.0, 1.0, 0.0)
+    rows = np.flatnonzero((y > 0.0) & (n_nlos > 0))
+    if rows.size == 0:
+        return vals
+    y, n_nlos, los = y[rows], n_nlos[rows], los[rows]
+    rates = np.where(los, np.inf, d2[rows] ** (p.alpha_nlos / 2.0)
+                     / p.eta_nlos)
+    lam_min = np.min(rates, axis=1)
+    inv_rates = np.where(los, 0.0, 1.0 / rates)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log P(I >= y) <= -sum log1p(-t/rate) - t*y at t = lam_min/2
+        upper = (-np.sum(np.log1p(-0.5 * lam_min[:, None] * inv_rates),
+                         axis=1)
+                 - 0.5 * lam_min * y)
+        # log P(I <= y) <= t*y - sum log1p(t/rate) at t = 4n/y
+        t0 = 4.0 * n_nlos / y
+        lower = t0 * y - np.sum(np.log1p(t0[:, None] * inv_rates), axis=1)
+    # P(I >= y) <= 1e-10 leaves the 1; else P(I <= y) <= 1e-12 gives 0.
+    unsure = ~(upper < -23.0)
+    vals[rows[unsure & (lower < -28.0)]] = 0.0
+    for j in np.flatnonzero(unsure & ~(lower < -28.0)):
+        vals[rows[j]] = mathkit.hypoexp_cdf(rates[j][~los[j]], float(y[j]))
+    return vals
+
+
 class _ExceedanceField:
     """Conditional P(SIR at ground position x from the transmitter above the
     origin exceeds beta | interferers at `pts`), vectorized over batches of
-    radii and the angle grid: an eavesdropper at x decodes, or at x = 0 the
-    typical receiver connects."""
+    radii and the angle grid: an eavesdropper at x decodes.
+
+    The (radius, angle, interferer) pairs are built a block of radii at a
+    time, in buffers allocated once per field and filled in place: a block
+    holds at most `BLOCK_LINKS` pairs, and a radius with more pairs is a
+    block of its own. Each element keeps the operations of evaluating the
+    whole batch at once, and each sum runs over the same contiguous row, so
+    results do not depend on the block size.
+    """
 
     def __init__(self, params: NetworkParams, beta: float, pts: np.ndarray,
                  n_angles: int):
@@ -328,14 +401,27 @@ class _ExceedanceField:
         phis = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
         self.cos = np.cos(phis)
         self.sin = np.sin(phis)
+        pairs = n_angles * self.ux.size
+        self.block = max(1, BLOCK_LINKS // max(pairs, 1))
+        self._d2 = np.empty(self.block * pairs)
+        self._work = np.empty(self.block * pairs)
+        self._los = np.empty(self.block * pairs, dtype=bool)
 
     def _geometry(self, rs: np.ndarray):
-        ex = rs[:, None] * self.cos[None, :]
-        ey = rs[:, None] * self.sin[None, :]
-        dx = self.ux[None, None, :] - ex[:, :, None]
-        dy = self.uy[None, None, :] - ey[:, :, None]
-        horiz2 = dx * dx + dy * dy
-        return horiz2 + self.h2, horiz2 < self.k2
+        """Squared 3-D distances and LoS mask of the block's pairs, shaped
+        (radius, angle, interferer), in the field's buffers; the work
+        buffer, shaped alike, is returned free."""
+        shape = (rs.size, self.cos.size, self.ux.size)
+        d2, work, los = (b[:math.prod(shape)].reshape(shape)
+                         for b in (self._d2, self._work, self._los))
+        np.subtract(self.ux, (rs[:, None] * self.cos)[:, :, None], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(self.uy, (rs[:, None] * self.sin)[:, :, None], out=work)
+        np.multiply(work, work, out=work)
+        np.add(d2, work, out=d2)                    # horizontal span^2
+        np.less(d2, self.k2, out=los)
+        np.add(d2, self.h2, out=d2)
+        return d2, los, work
 
     def mean_over_angles(self, rs: np.ndarray) -> np.ndarray:
         """Angle-averaged exceedance probability at each radius in `rs`.
@@ -347,55 +433,39 @@ class _ExceedanceField:
         if self.ux.size == 0:
             return np.ones_like(rs)
         d0 = rs * rs + self.h2
-        d2, los = self._geometry(rs)
-        if rs[0] ** 2 < self.k2:
-            return self._disk(rs, d0, d2, los)
-        # NLoS signal: interferer fading integrates to a product form.
-        scale = self.beta * d0 ** (p.alpha_nlos / 2.0)
-        log_det = np.where(
-            los,
-            -(p.eta_los / p.eta_nlos) * scale[:, None, None]
-            * pathloss(d2, p.alpha_los),
-            -np.log1p(scale[:, None, None] * pathloss(d2, p.alpha_nlos)))
-        return np.mean(np.exp(np.sum(log_det, axis=2)), axis=1)
+        disk = rs[0] ** 2 < self.k2
+        if disk:
+            sig = p.eta_los * pathloss(d0, p.alpha_los)
+        else:
+            scale = self.beta * d0 ** (p.alpha_nlos / 2.0)
+        out = np.empty_like(rs)
+        m, n = self.cos.size, self.ux.size
+        for lo in range(0, rs.size, self.block):
+            hi = min(lo + self.block, rs.size)
+            d2, los, work = self._geometry(rs[lo:hi])
+            if disk:
+                vals = _disk_rows(p, self.beta, np.repeat(sig[lo:hi], m),
+                                  d2.reshape(-1, n), los.reshape(-1, n),
+                                  work.reshape(-1, n))
+                out[lo:hi] = np.mean(vals.reshape(hi - lo, m), axis=1)
+            else:
+                out[lo:hi] = self._product(scale[lo:hi], d2, los, work)
+        return out
 
-    def _disk(self, rs, d0, d2, los):
-        """LoS signal: hypoexponential CDF of the NLoS interference at the
-        margin left by the deterministic LoS interference. Chernoff screens
-        decide almost every (radius, angle) outright; only genuinely
-        mid-CDF positions pay for the signed mixture."""
+    def _product(self, scale, d2, los, work):
+        """NLoS signal: interferer fading integrates to a product form,
+        log1p on every pair in place, then the LoS pairs (found by flat
+        index) overwritten with their deterministic term."""
         p = self.p
-        sig = p.eta_los * pathloss(d0, p.alpha_los)
-        i_los = np.sum(
-            np.where(los, p.eta_los * pathloss(d2, p.alpha_los), 0.0), axis=2)
-        y = sig[:, None] / self.beta - i_los
-        rates = np.where(los, np.inf, d2 ** (p.alpha_nlos / 2.0) / p.eta_nlos)
-        n_nlos = np.sum(~los, axis=2)
-        vals = np.where(y > 0.0, 1.0, 0.0)
-        open_pos = (y > 0.0) & (n_nlos > 0)
-        if np.any(open_pos):
-            ypos = np.maximum(y, 0.0)
-            lam_min = np.min(rates, axis=2)
-            inv_rates = np.where(los, 0.0, 1.0 / rates)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # log P(I >= y) <= -sum log1p(-t/rate) - t*y at t = lam_min/2
-                upper = (-np.sum(np.log1p(-0.5 * lam_min[:, :, None]
-                                          * inv_rates), axis=2)
-                         - 0.5 * lam_min * ypos)
-                # log P(I <= y) <= t*y - sum log1p(t/rate) at t = 4n/y
-                t0 = 4.0 * np.maximum(n_nlos, 1) / np.where(y > 0, y, 1.0)
-                lower = (t0 * ypos
-                         - np.sum(np.log1p(t0[:, :, None] * inv_rates),
-                                  axis=2))
-            for i, m in zip(*np.nonzero(open_pos)):
-                if upper[i, m] < -23.0:       # P(I >= y) <= 1e-10
-                    vals[i, m] = 1.0
-                elif lower[i, m] < -28.0:     # P(I <= y) <= 1e-12
-                    vals[i, m] = 0.0
-                else:
-                    vals[i, m] = mathkit.hypoexp_cdf(
-                        rates[i, m][~los[i, m]], float(y[i, m]))
-        return np.mean(vals, axis=1)
+        w = pathloss(d2, p.alpha_nlos, out=work)
+        np.multiply(scale[:, None, None], w, out=w)
+        np.log1p(w, out=w)
+        np.negative(w, out=w)
+        at = np.flatnonzero(los)
+        c = -(p.eta_los / p.eta_nlos) * scale
+        w.reshape(-1)[at] = (c[at // (d2.size // scale.size)]
+                             * pathloss(d2.reshape(-1)[at], p.alpha_los))
+        return np.mean(np.exp(np.sum(w, axis=2)), axis=1)
 
 
 def pso_exact(params: NetworkParams, beta_e: float,

@@ -44,6 +44,7 @@ import numpy as np
 
 from .analytic import MONTE_CARLO, MetricEstimate, effective_density
 from .model import (
+    BLOCK_LINKS,
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
@@ -60,11 +61,10 @@ _Z95 = 1.959963984540054
 
 # Memory bound of one block of links. A link (eavesdropper-interferer pair
 # or interferer-receiver link) holds at most _LINK_BYTES of live
-# temporaries (tracemalloc shows about 90 per pair), so a block is 2^16
-# links: it stays in cache, and measured faster than 2^12..2^15 and
-# 2^18..2^22.
-_BLOCK_BYTES = 8 << 20
+# temporaries (tracemalloc shows about 90 per pair), so a block is
+# BLOCK_LINKS links.
 _LINK_BYTES = 128
+_BLOCK_BYTES = BLOCK_LINKS * _LINK_BYTES
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,9 @@ def sim_outage(params: NetworkParams, beta_e: float,
 
     Eavesdroppers are sampled on [d, R_e] (annulus outside the guard zone),
     interferers on [0, R_u]; see the module docstring for the window policy.
+    Every position is drawn, but only the interferers of realizations with
+    an eavesdropper are converted to x/y (cos/sin) and paired, one block of
+    eavesdroppers at a time (`_blocks`).
     """
     d0 = zone.d if zone is not None else 0.0
     e_win, u_win = _outage_windows(params, beta_e, cfg, zone)
@@ -220,18 +223,22 @@ def sim_outage(params: NetworkParams, beta_e: float,
         sig_fades = rng.standard_exponential(te)
         if te == 0:
             continue
-        ux = ur * np.cos(uphi)
-        uy = ur * np.sin(uphi)
+        # cos/sin cost about 30 multiplies an element, and at small
+        # lambda_e most realizations have no eavesdropper to pair with.
+        paired = np.where(e_counts > 0, u_counts, 0)
+        keep = np.repeat(e_counts > 0, u_counts)
+        ux = ur[keep] * np.cos(uphi[keep])
+        uy = ur[keep] * np.sin(uphi[keep])
         er = np.sqrt(er2)
         ex = er * np.cos(ephi)
         ey = er * np.sin(ephi)
         e_seg = np.repeat(np.arange(m), e_counts)
 
         # Pair every eavesdropper with the interferers of its realization,
-        # one block of eavesdroppers at a time; `u_first` is the index of
-        # the first interferer an eavesdropper sees.
+        # one block of eavesdroppers at a time; `u_first` is the index in
+        # `ux` of the first interferer an eavesdropper sees.
         lens = u_counts[e_seg]
-        u_first = (np.cumsum(u_counts) - u_counts)[e_seg]
+        u_first = (np.cumsum(paired) - paired)[e_seg]
         interference = np.empty(te)
         for lo, hi, first, last in _blocks(lens):
             blens = lens[lo:hi]

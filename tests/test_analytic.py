@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import pc_radial, pso_radial
+from oracles import ExceedanceField, pc_radial, pso_radial
 
 from uavsec import analytic, model
 from uavsec.analytic import (
@@ -223,6 +224,18 @@ class TestOverflowSaturation:
         zone = GuardZone(p.los_radius * (1.0 - 1e-9))
         assert pso_zone_approx(p, 0.1445, zone) == 1.0
 
+    def test_array_disk_term(self):
+        # the optimizer's per-cell form saturates by itself too, with no
+        # overflow or inf - inf under the suite's RuntimeWarning filter
+        p = NetworkParams(**OVERFLOW)
+        got = analytic._pso_zone_cells(p, np.full(3, 0.1445),
+                                       np.full(3, p.h),
+                                       np.array([0.0, 10.0, 5 * p.h]))
+        assert got.tolist() == [
+            pso_approx(p, 0.1445), pso_zone_approx(p, 0.1445, GuardZone(10.0)),
+            pso_zone_approx(p, 0.1445, GuardZone(5 * p.h))]
+        assert got[:2].tolist() == [1.0, 1.0]
+
 
 density = st.floats(-8.0, -1.0).map(lambda x: 10.0 ** x)
 
@@ -253,9 +266,8 @@ def test_closed_forms_are_probabilities_at_extremes(
 
 def connection_value(p, beta_t, pts):
     """The conditional kernel as `pc_exact` evaluates it: the typical
-    receiver at the origin, one angle."""
-    field = analytic._ExceedanceField(p, beta_t, pts, 1)
-    return field.mean_over_angles(np.zeros(1))[0]
+    receiver at the origin."""
+    return analytic._exceedance_at_origin(p, beta_t, pts)
 
 
 class TestConditionalConnectionValue:
@@ -321,6 +333,23 @@ class TestExactEvaluators:
         with pytest.raises(ValueError):
             pso_exact(params(), 1.0, GuardZone(300.0), window=200.0)
 
+    @pytest.mark.parametrize("lambda_u", [1e-3, 1e-2])
+    @pytest.mark.parametrize("h, d", [(10.0, 20.0), (20.0, 15.0)])
+    def test_pso_exact_memory_bounded(self, lambda_u, h, d):
+        # A realization holds one block of pairs: the field's two float
+        # buffers and its mask (17 bytes a pair) and, on the LoS-disk
+        # branch, the open rows' gathered temporaries (about 41 more).
+        # Whole-batch geometry peaked at 5.7 MiB at lambda_u = 1e-3 and
+        # 40 MiB at 1e-2.
+        tracemalloc.start()
+        try:
+            pso_exact(params(lambda_u=lambda_u, h=h), 1.0, GuardZone(d),
+                      n_realizations=1, window=200.0, seed=0, tol=1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * model.BLOCK_LINKS
+
     def test_disk_field_screens_match_direct_evaluation(self):
         # the Chernoff screens must only shortcut values that the full
         # signed-mixture evaluation reproduces to the screening tolerance
@@ -352,3 +381,103 @@ class TestExactEvaluators:
                         d2[~los] ** 2 / p.eta_nlos, y))
             slow.append(np.mean(vals))
         np.testing.assert_allclose(fast, slow, atol=1e-8)
+
+
+def _field_config(i):
+    """Seeded configuration i of the kernel oracle test: network, threshold,
+    interferers, angle count and 15 radii on one side of K."""
+    rng = np.random.default_rng(7000 + i)
+    alphas = [(2.0, 4.0)] * 5 + [(2.5, 3.0)]
+    a_los, a_nlos = alphas[i % 6]
+    p = NetworkParams(lambda_u=1e-3, lambda_e=1e-3,
+                      h=rng.uniform(10.0, 50.0),
+                      theta_c=rng.uniform(0.4, 1.2),
+                      eta_nlos=10.0 ** rng.uniform(-3.0, 0.0),
+                      alpha_los=a_los, alpha_nlos=a_nlos, h_max=50.0)
+    k = p.los_radius
+    kind = i % 8
+    # Radii inside K run the hypoexponential mixture, O(n^2) per position
+    # and in mpmath when the rates crowd: keep those sets small.
+    disk = kind == 6 or (kind != 7 and rng.random() < 0.5)
+    if kind == 0:
+        n, reach = 0, 1.0
+    elif kind == 1:
+        n, reach = 1, rng.uniform(0.5, 3.0) * k
+    elif kind == 6:                 # crowded LoS disk
+        n, reach = int(rng.integers(20, 60)), rng.uniform(1.2, 2.5) * k
+    elif kind == 7:                 # one radius per block at 64 angles
+        n, reach = int(rng.integers(1100, 1300)), 200.0
+    else:
+        n = int(rng.integers(2, 40 if disk else 150))
+        reach = rng.uniform(2.0, 6.0) * k
+    r = reach * np.sqrt(rng.random(n))
+    phi = rng.random(n) * 2.0 * math.pi
+    pts = np.column_stack((r * np.cos(phi), r * np.sin(phi)))
+    n_angles = 64 if (i // 8) % 2 or kind == 7 else 1
+    lo, hi = (0.0, k) if disk else (k, k + rng.uniform(1.0, 4.0) * k)
+    rs = np.sort(rng.uniform(lo, hi, 15))
+    beta = 10.0 ** rng.uniform(-1.5, 1.5)
+    if kind == 6:
+        # Threshold that leaves a margin of the order of the mean NLoS
+        # interference after several LoS interferers, at the first radius:
+        # LoS sums of three or more terms then reach the mixture.
+        d2 = (pts[:, 0] - rs[0]) ** 2 + pts[:, 1] ** 2 + p.h ** 2
+        los = d2 - p.h ** 2 < k * k
+        i_los = np.sum(p.eta_los / d2[los])
+        i_nlos = np.sum(p.eta_nlos / d2[~los] ** (p.alpha_nlos / 2.0))
+        beta = (p.eta_los / (rs[0] ** 2 + p.h ** 2)
+                / (i_los + i_nlos * rng.uniform(0.3, 3.0)))
+    return p, beta, pts, n_angles, rs
+
+
+class TestKernelOracle:
+    """The blocked exceedance kernel against the whole-batch kernel it
+    replaced (`oracles.ExceedanceField`): equal bit for bit."""
+
+    N_CONFIGS = 240
+
+    def test_field_matches_whole_batch_kernel(self, monkeypatch):
+        from uavsec import mathkit
+        calls = []
+        cdf = mathkit.hypoexp_cdf
+        monkeypatch.setattr(mathkit, "hypoexp_cdf",
+                            lambda *a: calls.append(1) or cdf(*a))
+        seen = set()
+        for i in range(self.N_CONFIGS):
+            p, beta, pts, n_angles, rs = _field_config(i)
+            want = ExceedanceField(p, beta, pts, n_angles).mean_over_angles(rs)
+            whole = 15 * n_angles * max(len(pts), 1)     # one block
+            for budget in (model.BLOCK_LINKS, 1, whole):
+                monkeypatch.setattr(analytic, "BLOCK_LINKS", budget)
+                field = analytic._ExceedanceField(p, beta, pts, n_angles)
+                assert np.array_equal(field.mean_over_angles(rs), want), \
+                    (i, budget)
+                if budget == model.BLOCK_LINKS:
+                    seen.add(("block", min(field.block, 15)))
+            seen |= {("pts", min(len(pts), 2)), ("angles", n_angles)}
+            horiz2 = (pts[:, 0] - rs[:, None]) ** 2 + pts[:, 1] ** 2
+            if rs[0] >= p.los_radius and (horiz2 < p.los_radius ** 2).any():
+                seen.add("los pairs in the product form")
+        assert {("pts", 0), ("pts", 1), ("pts", 2), ("angles", 1),
+                ("angles", 64), ("block", 1), ("block", 15),
+                "los pairs in the product form"} <= seen
+        assert len(calls) > 100         # disk rows that reach the mixture
+
+    # Thresholds of 1e5 and more leave margins of the order of the NLoS
+    # interference, so most realizations reach the mixture; 31 is the
+    # benchmark's, decided by the screens.
+    @pytest.mark.parametrize("lambda_u, h, beta", [
+        (1e-4, 10.0, 1e6), (1e-3, 10.0, 31.0), (1e-3, 10.0, 1e5),
+        (1e-3, 20.0, 1e5), (1e-2, 20.0, 31.0)])
+    def test_pc_exact_matches_field_at_origin(self, lambda_u, h, beta):
+        p = params(lambda_u=lambda_u, h=h)
+        vals = []
+        for i in range(60):
+            pts = model.sample_ppp(p.lambda_u, 0.0, 200.0,
+                                   model.rng_stream(4, i))
+            vals.append(ExceedanceField(p, beta, pts, 1).mean_over_angles(
+                np.zeros(1))[0])
+        est = pc_exact(p, beta, n_realizations=60, window=200.0, seed=4)
+        assert est.value == float(np.mean(vals))
+        assert est.half_width == 1.96 * float(np.std(vals, ddof=1)) \
+            / math.sqrt(60)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import gains as gains_both_branches
+from oracles import pathloss as pathloss_expr
 
 from uavsec.model import (
     AllRayleigh,
@@ -15,6 +17,7 @@ from uavsec.model import (
     gains,
     los_radius,
     outage_window_radius,
+    pathloss,
     rng_stream,
     rule_window_radius,
     sample_ppp,
@@ -255,6 +258,29 @@ class TestGainsMatchOracle:
                 got = (signal[j] / interference[j] if interference[j]
                        else math.inf)
                 assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [ExactLoSNLoS, AllRayleigh])
+    def test_equals_both_branch_evaluation(self, model):
+        # LoS only at the LoS links changes no bit of a simulator block
+        rng = np.random.default_rng(13)
+        for p in (params(), params(h=40.0, alpha_los=2.5, alpha_nlos=3.0)):
+            k = p.los_radius
+            for n in (0, 1, 1000, 1 << 16):
+                horiz2 = (rng.uniform(0.0, 3.0 * k, n) ** 2
+                          if n != 1 else np.array([k * k]))   # tie: NLoS
+                fades = rng.standard_exponential(n)
+                want = gains_both_branches(p, model, horiz2 + p.h ** 2,
+                                           horiz2, fades)
+                got = gains(p, model, horiz2 + p.h ** 2, horiz2, fades)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 4.5])
+    def test_pathloss_in_place(self, alpha):
+        d2 = np.random.default_rng(14).uniform(1.0, 1e5, 999)
+        out = np.empty_like(d2)
+        assert pathloss(d2, alpha, out=out) is out
+        assert np.array_equal(out, pathloss_expr(d2, alpha))
+        assert np.array_equal(pathloss(d2, alpha), out)
 
 
 class TestWindowPolicies:

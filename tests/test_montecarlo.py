@@ -196,6 +196,12 @@ class TestBlocks:
         (lambda: sim_outage(params(h=20.0), 0.5, GuardZone(10.0),
                             SimConfig(1500, 80.0, seed=23)),
          "(0.5613333333333334, 0.0251119359501625)"),
+        (lambda: sim_outage(params(lambda_e=3e-5), 1.0, None,
+                            SimConfig(20_000, seed=28)),
+         "(0.017, 0.0017915721915767102)"),
+        (lambda: sim_outage(params(lambda_u=3e-3, lambda_e=3e-3, h=20.0),
+                            1.0, None, SimConfig(3000, 30.0, seed=29)),
+         "(0.215, 0.014700818712605217)"),
         (lambda: sim_connection(params(), 31.0, SimConfig(20_000, seed=25)),
          "(0.72445, 0.006192093553042943)"),
         (lambda: sim_connection(params(lambda_u=1e-2), 0.3,
@@ -203,7 +209,9 @@ class TestBlocks:
                                           model=AllRayleigh)),
          "(0.5895833333333333, 0.019680111907048943)"),
     ], ids=["outage-2-dense-chunks", "outage-3-sparse-chunks",
-            "outage-zone-rayleigh", "outage-window", "connection-3-chunks",
+            "outage-zone-rayleigh", "outage-window",
+            "outage-3-chunks-mostly-without-eavesdroppers",
+            "outage-mostly-los-window", "connection-3-chunks",
             "connection-2-dense-chunks-rayleigh"])
     def test_golden_streams(self, run, expected):
         # Pinned estimates: a change to chunking or draw order changes the
