@@ -7,12 +7,13 @@ and, for the outage forms, the all-Rayleigh treatment of LoS links plus an
 expectation swap over the interferer process; they are exact for the
 connection probability under that fading treatment and are validated
 against simulation in the small-outage regime. The semi-analytic
-`pc_exact`/`pso_exact` evaluators average one conditional kernel, the
-probability that a ground node's SIR from the transmitter overhead exceeds
-a threshold given the interferers (a hypoexponential CDF inside the LoS
-disk, a product form outside), over sampled interferer configurations:
-at the origin for the typical receiver, and integrated over the
-eavesdropper process for the outage.
+`pc_exact`/`pso_exact` evaluators average one conditional kernel over
+sampled interferer configurations: `_exceedance`, the probability that the
+SIR from the transmitter overhead exceeds a threshold at explicit ground
+points given the interferers (a hypoexponential CDF inside the LoS disk, a
+product form outside). `pc_exact` evaluates it at the origin, where the
+typical receiver sits; `pso_exact` on rings of points, integrated over the
+eavesdropper process.
 """
 
 from __future__ import annotations
@@ -123,23 +124,6 @@ def _disk_term(b: float, u1: float, u2: float) -> float:
     return (1.0 + u1) * math.exp(b - u1) - (1.0 + u2) * math.exp(b - u2)
 
 
-def _pso_brace(params: NetworkParams, beta_e: float, d: float) -> float:
-    """The bracketed area integral of the outage form for zone radius d < K:
-    LoS-disk part on [d, K] plus the NLoS tail beyond K, both carrying the
-    exp(pi*lambda_u*H^2) factor."""
-    q = q1(params, beta_e)
-    h2 = params.h ** 2
-    k2 = params.los_radius ** 2
-    b = math.pi * params.lambda_u * h2
-    a = q * math.sqrt(params.eta_nlos / params.eta_los)
-    s1 = math.sqrt(h2 + d * d)
-    s2 = math.sqrt(h2 + k2)
-    tail_log = b - q * (h2 + k2) - math.log(2.0 * q)
-    tail = math.exp(tail_log) if tail_log < 700.0 else math.inf
-    disk = _disk_term(b, a * s1, a * s2) / (a * a)
-    return tail + disk
-
-
 def pso_approx(params: NetworkParams, beta_e: float) -> float:
     """Secrecy outage probability of the typical pair, closed form.
 
@@ -149,14 +133,7 @@ def pso_approx(params: NetworkParams, beta_e: float) -> float:
     if beta_e <= 0:
         raise ValueError("pso_approx: beta_e must be positive (form is "
                          "singular at beta_e = 0)")
-    if params.lambda_e == 0.0:
-        return 0.0
-    if params.lambda_u == 0.0:
-        return 1.0  # no interference: every eavesdropper decodes
-    brace = _pso_brace(params, beta_e, 0.0)
-    if not math.isfinite(brace):
-        return 1.0
-    return -math.expm1(-2.0 * math.pi * params.lambda_e * brace)
+    return _pso_form(params, beta_e, 0.0)
 
 
 def pso_zone_approx(params: NetworkParams, beta_e: float,
@@ -164,17 +141,24 @@ def pso_zone_approx(params: NetworkParams, beta_e: float,
     """Outage probability with a secrecy guard zone of radius d.
 
     Two branches: for d >= K only the NLoS tail beyond d remains; for d < K
-    the LoS-disk part starts at d. d = 0 reproduces `pso_approx` term by
-    term, and the branches agree exactly at d = K.
+    the LoS-disk part starts at d. d = 0 is `pso_approx`, and the branches
+    agree exactly at d = K.
     """
     _require_canonical_alphas(params)
     if beta_e <= 0:
         raise ValueError("pso_zone_approx: beta_e must be positive")
+    return _pso_form(params, beta_e, zone.d)
+
+
+def _pso_form(params: NetworkParams, beta_e: float, d: float) -> float:
+    """The outage form of `pso_zone_approx` at zone radius d (0: no zone),
+    for validated inputs. For d < K the brace is the bracketed area
+    integral: the LoS-disk part on [d, K] plus the NLoS tail beyond K, both
+    carrying the exp(pi*lambda_u*H^2) factor."""
     if params.lambda_e == 0.0:
         return 0.0
     if params.lambda_u == 0.0:
-        return 1.0
-    d = zone.d
+        return 1.0  # no interference: every eavesdropper decodes
     k = params.los_radius
     h2 = params.h ** 2
     q = q1(params, beta_e)
@@ -184,7 +168,13 @@ def pso_zone_approx(params: NetworkParams, beta_e: float,
         if log_arg > 700.0:
             return 1.0
         return -math.expm1(-math.exp(log_arg))
-    brace = _pso_brace(params, beta_e, d)
+    b = math.pi * params.lambda_u * h2
+    a = q * math.sqrt(params.eta_nlos / params.eta_los)
+    k2 = k ** 2
+    tail_log = b - q * (h2 + k2) - math.log(2.0 * q)
+    tail = math.exp(tail_log) if tail_log < 700.0 else math.inf
+    brace = tail + _disk_term(b, a * math.sqrt(h2 + d * d),
+                              a * math.sqrt(h2 + k2)) / (a * a)
     if not math.isfinite(brace):
         return 1.0
     return -math.expm1(-2.0 * math.pi * params.lambda_e * brace)
@@ -292,16 +282,26 @@ def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:
 # interferer configurations)
 # ---------------------------------------------------------------------------
 
+# The typical receiver's position, as coordinates and squared distance.
+_ORIGIN = np.zeros(1)
+# Angles of the trapezoid rule on each ring of `pso_exact`'s radial
+# quadrature (the integrand is periodic in angle, so it is spectrally
+# accurate).
+_N_ANGLES = 64
+_PHIS = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
+_COS, _SIN = np.cos(_PHIS), np.sin(_PHIS)
+
+
 def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
              window: float = 200.0, seed: int = 0) -> MetricEstimate:
     """Connection probability by averaging the conditional hypoexponential
     form over sampled interferer configurations.
 
     Low-variance counterpart of the plain simulator: the fading is
-    integrated out analytically per configuration (the exceedance kernel
-    at the receiver's own position, `_exceedance_at_origin`); with no NLoS
-    interferers the event degenerates to a deterministic comparison
-    against the LoS interference.
+    integrated out analytically per configuration (`_exceedance` at the
+    receiver's own position, the origin); with no NLoS interferers the
+    event degenerates to a deterministic comparison against the LoS
+    interference.
     """
     if n_realizations < 1:
         raise ValueError("need n_realizations >= 1")
@@ -310,27 +310,65 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
         for i in range(n_realizations):
             pts = sample_ppp(params.lambda_u, 0.0, window,
                              rng_stream(seed, i))
-            vals[i] = _exceedance_at_origin(params, beta_t, pts)
+            vals[i] = _exceedance(params, beta_t, pts, _ORIGIN, _ORIGIN,
+                                  _ORIGIN, _scratch(1, len(pts)))[0]
     hw = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(n_realizations) \
         if n_realizations > 1 else 0.0
     return MetricEstimate(float(np.mean(vals)), SEMI_ANALYTIC, hw)
 
 
-def _exceedance_at_origin(params: NetworkParams, beta: float,
-                          pts: np.ndarray) -> float:
-    """The exceedance kernel at the single point x = 0, where the typical
-    receiver connects: one row of the LoS-disk branch (`_disk_rows`), built
-    from the interferers' own distances, with no angle grid and no 3-D
-    geometry."""
-    if pts.size == 0:
-        return 1.0
-    h2 = params.h ** 2
-    horiz2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
-    d2 = (horiz2 + h2)[None, :]
-    sig = params.eta_los * pathloss(np.full(1, h2), params.alpha_los)
-    return float(_disk_rows(params, beta, sig, d2,
-                            (horiz2 < params.los_radius ** 2)[None, :],
-                            np.empty_like(d2))[0])
+def _scratch(n_points: int, n: int):
+    """Buffers for `_exceedance` calls of up to `n_points` points against
+    `n` interferers: the pairs of one block (squared distances, work,
+    LoS mask)."""
+    size = min(n_points, max(1, BLOCK_LINKS // max(n, 1))) * n
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
+def _exceedance(params: NetworkParams, beta: float, pts: np.ndarray, px,
+                py, r2, scratch) -> np.ndarray:
+    """Conditional P(SIR at ground point x from the transmitter above the
+    origin exceeds beta | interferers at `pts`), at the points (px, py)
+    whose squared horizontal distances from the origin are `r2`: at x = 0
+    the typical receiver connects, elsewhere an eavesdropper at x decodes.
+
+    All points of one call lie on one side of the LoS radius K. The
+    (point, interferer) pairs are built a block of points at a time in the
+    `scratch` buffers (`_scratch`), filled in place: a block holds at most
+    `BLOCK_LINKS` pairs, and a point with more pairs is a block of its own.
+    Each element keeps its operations and each sum runs over one point's
+    contiguous row, so results do not depend on the block size.
+    """
+    n = len(pts)
+    if n == 0:
+        return np.ones(px.size)
+    p = params
+    ux, uy = pts[:, 0], pts[:, 1]
+    k2, h2 = p.los_radius ** 2, p.h ** 2
+    d0 = r2 + h2
+    disk = r2[0] < k2
+    if disk:
+        sig = p.eta_los * pathloss(d0, p.alpha_los)
+    else:
+        scale = beta * d0 ** (p.alpha_nlos / 2.0)
+    out = np.empty(px.size)
+    block = max(1, BLOCK_LINKS // n)
+    for lo in range(0, px.size, block):
+        hi = min(lo + block, px.size)
+        d2, work, los = (b[:(hi - lo) * n].reshape(hi - lo, n)
+                         for b in scratch)
+        np.subtract(ux, px[lo:hi, None], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(uy, py[lo:hi, None], out=work)
+        np.multiply(work, work, out=work)
+        np.add(d2, work, out=d2)                    # horizontal span^2
+        np.less(d2, k2, out=los)
+        np.add(d2, h2, out=d2)
+        if disk:
+            out[lo:hi] = _disk_rows(p, beta, sig[lo:hi], d2, los, work)
+        else:
+            out[lo:hi] = _product_rows(p, scale[lo:hi], d2, los, work)
+    return out
 
 
 def _disk_rows(p: NetworkParams, beta: float, sig, d2, los,
@@ -377,109 +415,35 @@ def _disk_rows(p: NetworkParams, beta: float, sig, d2, los,
     return vals
 
 
-class _ExceedanceField:
-    """Conditional P(SIR at ground position x from the transmitter above the
-    origin exceeds beta | interferers at `pts`), vectorized over batches of
-    radii and the angle grid: an eavesdropper at x decodes.
-
-    The (radius, angle, interferer) pairs are built a block of radii at a
-    time, in buffers allocated once per field and filled in place: a block
-    holds at most `BLOCK_LINKS` pairs, and a radius with more pairs is a
-    block of its own. Each element keeps the operations of evaluating the
-    whole batch at once, and each sum runs over the same contiguous row, so
-    results do not depend on the block size.
-    """
-
-    def __init__(self, params: NetworkParams, beta: float, pts: np.ndarray,
-                 n_angles: int):
-        self.p = params
-        self.beta = beta
-        self.ux = pts[:, 0] if pts.size else np.empty(0)
-        self.uy = pts[:, 1] if pts.size else np.empty(0)
-        self.k2 = params.los_radius ** 2
-        self.h2 = params.h ** 2
-        phis = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-        self.cos = np.cos(phis)
-        self.sin = np.sin(phis)
-        pairs = n_angles * self.ux.size
-        self.block = max(1, BLOCK_LINKS // max(pairs, 1))
-        self._d2 = np.empty(self.block * pairs)
-        self._work = np.empty(self.block * pairs)
-        self._los = np.empty(self.block * pairs, dtype=bool)
-
-    def _geometry(self, rs: np.ndarray):
-        """Squared 3-D distances and LoS mask of the block's pairs, shaped
-        (radius, angle, interferer), in the field's buffers; the work
-        buffer, shaped alike, is returned free."""
-        shape = (rs.size, self.cos.size, self.ux.size)
-        d2, work, los = (b[:math.prod(shape)].reshape(shape)
-                         for b in (self._d2, self._work, self._los))
-        np.subtract(self.ux, (rs[:, None] * self.cos)[:, :, None], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(self.uy, (rs[:, None] * self.sin)[:, :, None], out=work)
-        np.multiply(work, work, out=work)
-        np.add(d2, work, out=d2)                    # horizontal span^2
-        np.less(d2, self.k2, out=los)
-        np.add(d2, self.h2, out=d2)
-        return d2, los, work
-
-    def mean_over_angles(self, rs: np.ndarray) -> np.ndarray:
-        """Angle-averaged exceedance probability at each radius in `rs`.
-
-        All radii in one call must lie on one side of the LoS radius (the
-        radial quadrature keeps K as a panel breakpoint)."""
-        p = self.p
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        if self.ux.size == 0:
-            return np.ones_like(rs)
-        d0 = rs * rs + self.h2
-        disk = rs[0] ** 2 < self.k2
-        if disk:
-            sig = p.eta_los * pathloss(d0, p.alpha_los)
-        else:
-            scale = self.beta * d0 ** (p.alpha_nlos / 2.0)
-        out = np.empty_like(rs)
-        m, n = self.cos.size, self.ux.size
-        for lo in range(0, rs.size, self.block):
-            hi = min(lo + self.block, rs.size)
-            d2, los, work = self._geometry(rs[lo:hi])
-            if disk:
-                vals = _disk_rows(p, self.beta, np.repeat(sig[lo:hi], m),
-                                  d2.reshape(-1, n), los.reshape(-1, n),
-                                  work.reshape(-1, n))
-                out[lo:hi] = np.mean(vals.reshape(hi - lo, m), axis=1)
-            else:
-                out[lo:hi] = self._product(scale[lo:hi], d2, los, work)
-        return out
-
-    def _product(self, scale, d2, los, work):
-        """NLoS signal: interferer fading integrates to a product form,
-        log1p on every pair in place, then the LoS pairs (found by flat
-        index) overwritten with their deterministic term."""
-        p = self.p
-        w = pathloss(d2, p.alpha_nlos, out=work)
-        np.multiply(scale[:, None, None], w, out=w)
-        np.log1p(w, out=w)
-        np.negative(w, out=w)
-        at = np.flatnonzero(los)
-        c = -(p.eta_los / p.eta_nlos) * scale
-        w.reshape(-1)[at] = (c[at // (d2.size // scale.size)]
-                             * pathloss(d2.reshape(-1)[at], p.alpha_los))
-        return np.mean(np.exp(np.sum(w, axis=2)), axis=1)
+def _product_rows(p: NetworkParams, scale, d2, los, work) -> np.ndarray:
+    """NLoS signal: per position (a row of `d2` / `los`, signal scale
+    beta*D0^alpha_N), interferer fading integrates to a product form,
+    log1p on every pair in `work` in place, then the LoS pairs (found by
+    flat index) overwritten with their deterministic term."""
+    w = pathloss(d2, p.alpha_nlos, out=work)
+    np.multiply(scale[:, None], w, out=w)
+    np.log1p(w, out=w)
+    np.negative(w, out=w)
+    at = np.flatnonzero(los)
+    c = -(p.eta_los / p.eta_nlos) * scale
+    w.reshape(-1)[at] = (c[at // d2.shape[1]]
+                         * pathloss(d2.reshape(-1)[at], p.alpha_los))
+    return np.exp(np.sum(w, axis=1))
 
 
 def pso_exact(params: NetworkParams, beta_e: float,
               zone: GuardZone | None = None, n_realizations: int = 200,
-              window: float = 200.0, seed: int = 0, n_angles: int = 64,
+              window: float = 200.0, seed: int = 0,
               tol: float = 1e-4) -> MetricEstimate:
     """Secrecy outage probability by averaging, over sampled interferer
     configurations, the eavesdropper-process functional
     1 - exp(-lambda_e * integral of the conditional exceedance).
 
-    The spatial integral runs in polar coordinates: a fixed `n_angles`
-    trapezoid in angle (periodic, so spectrally accurate) and adaptive
-    quadrature in radius with a breakpoint at the LoS radius. The integral
-    is truncated at `window`; a closed-form bound on the truncated
+    The conditional exceedance is `_exceedance` at explicit ground points,
+    and the spatial integral runs over rings of them: adaptive quadrature
+    in radius with a breakpoint at the LoS radius, and on each ring the
+    mean over `_N_ANGLES` equally spaced angles (a trapezoid rule). The
+    integral is truncated at `window`; a closed-form bound on the truncated
     contribution is folded into the half-width. Quadrature accuracy
     failures propagate as `mathkit.AccuracyError` with the partial
     estimate attached.
@@ -497,11 +461,17 @@ def pso_exact(params: NetworkParams, beta_e: float,
     vals = np.empty(n_realizations)
     for i in range(n_realizations):
         pts = sample_ppp(params.lambda_u, 0.0, window, rng_stream(seed, i))
-        field = _ExceedanceField(params, beta_e, pts, n_angles)
+        # an integrand call evaluates the rings of one G7/K15 panel
+        scratch = _scratch(mathkit._GK_NODES.size * _N_ANGLES, len(pts))
 
         def g(rs):
             rs = np.atleast_1d(rs)
-            return 2.0 * math.pi * rs * field.mean_over_angles(rs)
+            ring = _exceedance(params, beta_e, pts,
+                               (rs[:, None] * _COS).reshape(-1),
+                               (rs[:, None] * _SIN).reshape(-1),
+                               np.repeat(rs * rs, _N_ANGLES), scratch)
+            return 2.0 * math.pi * rs * np.mean(
+                ring.reshape(rs.size, _N_ANGLES), axis=1)
 
         area = mathkit.integrate_radial(
             g, d0, window, tol, breakpoints=(k,) if d0 < k < window else ())

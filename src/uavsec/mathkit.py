@@ -139,10 +139,14 @@ def lambert_w0_array(x: np.ndarray) -> np.ndarray:
 # Hypoexponential CDF (sum of independent exponentials, distinct rates)
 # ---------------------------------------------------------------------------
 
-def resolve_rate_ties(rates: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+# Rates closer than this, relative, are a tie for `resolve_rate_ties`.
+_TIE_REL_TOL = 1e-9
+
+
+def resolve_rate_ties(rates: np.ndarray) -> np.ndarray:
     """Perturb clashing rates multiplicatively so all are pairwise distinct.
 
-    Rates closer than `rel_tol` relative are clustered; member k of an
+    Rates closer than `_TIE_REL_TOL` relative are clustered; member k of an
     m-member cluster is scaled by 1 + (2k - (m-1))*1e-8, a deterministic
     spread that keeps pairwise relative gaps >= 2e-8. The CDF is continuous
     in the rates, so the perturbation is harmless at this magnitude.
@@ -150,14 +154,15 @@ def resolve_rate_ties(rates: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     lam = np.sort(np.asarray(rates, dtype=float))
     for _ in range(3):
         gaps = np.diff(lam) / lam[:-1]
-        if np.all(gaps >= rel_tol):
+        if np.all(gaps >= _TIE_REL_TOL):
             return lam
         out = lam.copy()
         i = 0
         n = len(lam)
         while i < n:
             j = i
-            while j + 1 < n and (lam[j + 1] - lam[j]) < rel_tol * lam[j]:
+            while (j + 1 < n
+                   and (lam[j + 1] - lam[j]) < _TIE_REL_TOL * lam[j]):
                 j += 1
             m = j - i + 1
             if m > 1:

@@ -270,19 +270,23 @@ def connection_window_radius(params: NetworkParams, beta_t: float,
     return min(math.sqrt(r2), cap)
 
 
-def outage_window_radius(params: NetworkParams, beta_e: float,
-                         residual: float = 1e-6) -> float:
+# Closed-form outage that `outage_window_radius` leaves to eavesdroppers
+# beyond its window.
+_OUTAGE_RESIDUAL = 1e-6
+
+
+def outage_window_radius(params: NetworkParams, beta_e: float) -> float:
     """Eavesdropper sampling radius for outage simulation.
 
     Sized so the closed-form outage contributed by eavesdroppers beyond the
-    window is <= `residual` (solved from the large-radius tail of the
-    guard-zone outage form), with a 25% margin; never below 3 K + 30 m.
+    window is <= `_OUTAGE_RESIDUAL` (solved from the large-radius tail of
+    the guard-zone outage form), with a 25% margin; never below 3 K + 30 m.
     """
     floor = 3.0 * params.los_radius + 30.0
     if params.lambda_e <= 0.0 or beta_e <= 0.0 or params.lambda_u <= 0.0:
         return max(floor, 100.0)
     q = q1(params, beta_e)
-    k = -math.log1p(-residual)
+    k = -math.log1p(-_OUTAGE_RESIDUAL)
     r2 = (math.log(math.pi * params.lambda_e / (q * k))
           + math.pi * params.lambda_u * params.h ** 2) / q - params.h ** 2
     if r2 <= 0.0:

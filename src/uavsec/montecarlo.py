@@ -84,16 +84,21 @@ class SimConfig:
             raise ValueError("window_radius must be finite and positive")
 
 
-def _chunk_size(expected_work: float, lo: int = 16, hi: int = 8192) -> int:
+# Bounds of the per-chunk realization count.
+_CHUNK_MIN = 16
+_CHUNK_MAX = 8192
+
+
+def _chunk_size(expected_work: float) -> int:
     """Per-chunk realization count, about 1.2e7 / expected links per
-    realization.
+    realization, within [_CHUNK_MIN, _CHUNK_MAX].
 
     Frozen: the chunk is the random-stream partition, so changing this
     changes every simulator CSV. Memory is bounded by `_blocks`, not here.
     """
     if expected_work <= 0:
-        return hi
-    return int(max(lo, min(hi, 1.2e7 / expected_work)))
+        return _CHUNK_MAX
+    return int(max(_CHUNK_MIN, min(_CHUNK_MAX, 1.2e7 / expected_work)))
 
 
 def _blocks(sizes: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
@@ -140,7 +145,6 @@ def sim_connection(params: NetworkParams, beta_t: float,
     chunk = _chunk_size(area_mean)
     n = cfg.n_realizations
     successes = 0
-    sig_pathloss = params.eta_los * h2 ** (-params.alpha_los / 2.0)
     for ci, start in enumerate(range(0, n, chunk)):
         m = min(chunk, n - start)
         rng = rng_stream(cfg.seed, 0x5EED, ci)
@@ -155,7 +159,8 @@ def sim_connection(params: NetworkParams, beta_t: float,
                 weights=gains(params, cfg.model, span2 + h2, span2, fades),
                 minlength=hi - lo)
         sig_fades = rng.standard_exponential(m)
-        signal = sig_pathloss * (sig_fades if cfg.model.los_faded else 1.0)
+        signal = gains(params, cfg.model, np.full(m, h2), np.zeros(m),
+                       sig_fades)
         successes += int(np.count_nonzero(signal > beta_t * interference))
     return _binary_estimate(successes, n)
 

@@ -390,14 +390,17 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
             _pso_at(p, 2.0 * RE_CEILING, zone))
     p, zone = at(best[1])
     re, rt, rs, cs = _evaluate_cell(p, epsilon, zone)
+    pso = _pso_at(p, re, zone)
+    if not cs > 0.0:
+        # the connection probability at the optimal rates underflows to 0
+        raise InfeasibleError(
+            f"zero secrecy capacity on the whole grid: the best cell "
+            f"(h = {p.h:g} m) carries cs = {cs:g} at outage {pso:g}", pso)
     pc = analytic.pc_approx(p, 2.0 ** rt - 1.0)
     diagnostics["infeasible_cells"] = infeasible
-    # inf when the full form underflows to 0 (a diagnostic, never a CSV value)
-    diagnostics["surrogate_pc_ratio"] = (
-        analytic.pc_simplified(p, rt) / pc if pc > 0.0 else math.inf)
+    diagnostics["surrogate_pc_ratio"] = analytic.pc_simplified(p, rt) / pc
     diagnostics["constraint_active"] = re > RE_FLOOR
-    return OptimumReport(rt=rt, rs=rs, re=re, h=p.h, cs=cs,
-                         pso=_pso_at(p, re, zone),
+    return OptimumReport(rt=rt, rs=rs, re=re, h=p.h, cs=cs, pso=pso,
                          d=zone.d if zoned else None, diagnostics=diagnostics)
 
 

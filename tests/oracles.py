@@ -6,11 +6,13 @@ without cancellation: the per-interferer Laplace factor 1 - 1/(1 + c/t) is
 taken as c/(t + c), so quad sees a smooth positive function and meets its
 relative tolerance.
 
-For the array kernels: `gains` and `_ExceedanceField` as they were before
-they learned to work in blocks and to evaluate each branch only where it
-is used, kept verbatim with the `pathloss` they called. Every element is
-computed by the same operations and every sum runs over the same row, so
-the package's kernels must match them bit for bit.
+For the array kernels: `gains` and the radius x angle exceedance field of
+the semi-analytic evaluators as they were before they learned to work in
+blocks and to evaluate each branch only where it is used, kept verbatim
+with the `pathloss` they called. Every element is computed by the same
+operations and every sum runs over the same row, so the package's kernels
+(`model.gains`, `analytic._exceedance` at ring points) must match them bit
+for bit.
 """
 
 import math

@@ -267,7 +267,22 @@ def test_closed_forms_are_probabilities_at_extremes(
 def connection_value(p, beta_t, pts):
     """The conditional kernel as `pc_exact` evaluates it: the typical
     receiver at the origin."""
-    return analytic._exceedance_at_origin(p, beta_t, pts)
+    origin = np.zeros(1)
+    return analytic._exceedance(p, beta_t, pts, origin, origin, origin,
+                                analytic._scratch(1, len(pts)))[0]
+
+
+def ring_mean(p, beta, pts, rs, n_angles):
+    """The conditional kernel averaged over `n_angles` equally spaced
+    angles on the ring of each radius in `rs`, with the points built as
+    `pso_exact`'s integrand builds them."""
+    phis = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    vals = analytic._exceedance(
+        p, beta, pts, (rs[:, None] * np.cos(phis)).reshape(-1),
+        (rs[:, None] * np.sin(phis)).reshape(-1),
+        np.repeat(rs * rs, n_angles),
+        analytic._scratch(rs.size * n_angles, len(pts)))
+    return np.mean(vals.reshape(rs.size, n_angles), axis=1)
 
 
 class TestConditionalConnectionValue:
@@ -336,7 +351,7 @@ class TestExactEvaluators:
     @pytest.mark.parametrize("lambda_u", [1e-3, 1e-2])
     @pytest.mark.parametrize("h, d", [(10.0, 20.0), (20.0, 15.0)])
     def test_pso_exact_memory_bounded(self, lambda_u, h, d):
-        # A realization holds one block of pairs: the field's two float
+        # A realization holds one block of pairs: the kernel's two float
         # buffers and its mask (17 bytes a pair) and, on the LoS-disk
         # branch, the open rows' gathered temporaries (about 41 more).
         # Whole-batch geometry peaked at 5.7 MiB at lambda_u = 1e-3 and
@@ -358,9 +373,8 @@ class TestExactEvaluators:
         rng = np.random.default_rng(14)
         pts = np.column_stack([rng.uniform(-150, 150, 80),
                                rng.uniform(-150, 150, 80)])
-        field = analytic._ExceedanceField(p, 1.0, pts, n_angles=16)
         rs = np.array([1.0, 4.0, 7.5, 9.5])
-        fast = field.mean_over_angles(rs)
+        fast = ring_mean(p, 1.0, pts, rs, 16)
         k2, h2 = p.los_radius ** 2, p.h ** 2
         slow = []
         for r in rs:
@@ -431,8 +445,9 @@ def _field_config(i):
 
 
 class TestKernelOracle:
-    """The blocked exceedance kernel against the whole-batch kernel it
-    replaced (`oracles.ExceedanceField`): equal bit for bit."""
+    """The point-wise exceedance kernel, in blocks, against the whole-batch
+    radius x angle kernel it replaced (`oracles.ExceedanceField`): equal
+    bit for bit."""
 
     N_CONFIGS = 240
 
@@ -449,17 +464,16 @@ class TestKernelOracle:
             whole = 15 * n_angles * max(len(pts), 1)     # one block
             for budget in (model.BLOCK_LINKS, 1, whole):
                 monkeypatch.setattr(analytic, "BLOCK_LINKS", budget)
-                field = analytic._ExceedanceField(p, beta, pts, n_angles)
-                assert np.array_equal(field.mean_over_angles(rs), want), \
-                    (i, budget)
-                if budget == model.BLOCK_LINKS:
-                    seen.add(("block", min(field.block, 15)))
+                assert np.array_equal(
+                    ring_mean(p, beta, pts, rs, n_angles), want), (i, budget)
+            per_block = max(1, model.BLOCK_LINKS // max(len(pts), 1))
+            seen.add(("blocks", min(-(-15 * n_angles // per_block), 2)))
             seen |= {("pts", min(len(pts), 2)), ("angles", n_angles)}
             horiz2 = (pts[:, 0] - rs[:, None]) ** 2 + pts[:, 1] ** 2
             if rs[0] >= p.los_radius and (horiz2 < p.los_radius ** 2).any():
                 seen.add("los pairs in the product form")
         assert {("pts", 0), ("pts", 1), ("pts", 2), ("angles", 1),
-                ("angles", 64), ("block", 1), ("block", 15),
+                ("angles", 64), ("blocks", 1), ("blocks", 2),
                 "los pairs in the product form"} <= seen
         assert len(calls) > 100         # disk rows that reach the mixture
 

@@ -6,6 +6,7 @@ from uavsec import cli
 from uavsec.chart import render_chart
 from uavsec.cli import (
     EXIT_CONFIG,
+    EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigError,
@@ -163,6 +164,20 @@ class TestRun:
                                              "lambda_u = nan"))
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+    def test_zero_capacity_optimum_exits_infeasible(self, tmp_path):
+        # every altitude's connection probability underflows to 0 at its
+        # optimal rates (tests/test_optimizer.py, zero-capacity grid)
+        cfg_path = tmp_path / "zero.cfg"
+        cfg_path.write_text(
+            "[experiment]\nmode = optimize\n\n"
+            "[network]\nlambda_u = 0.0921\nlambda_e = 1.1223e-3\n"
+            "h = 49.6\nh_min = 49\nh_max = 50\ntheta_c = 0.579\n\n"
+            "[sweep]\nvariable = lambda_e\nvalues = 1.1223e-3\n\n"
+            "[optimize]\nepsilon = 0.01\n")
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == \
+            EXIT_INFEASIBLE
+        assert not (tmp_path / "out" / "zero.csv").exists()
 
     @pytest.mark.parametrize("old,new", [
         ("h = 10", "h = 10\neta_nlso = 0.5"),

@@ -302,15 +302,21 @@ class TestGridSearches:
         rep = optimize_zone(params(), 0.01)
         assert rep.diagnostics["surrogate_pc_ratio"] > 0.0
 
-    def test_underflowing_connection_gives_non_finite_ratio(self):
-        # at the winner (h = 49, rt = 16.6) pc_approx underflows to 0
+    def test_zero_capacity_grid_is_infeasible(self):
+        # At the best cell (h = 49, rt = 16.6) pc_approx underflows to 0, so
+        # no cell carries secrecy capacity: no rate pair is an optimum. A
+        # single zero zone radius is the same grid for `optimize_zone`.
         p = NetworkParams(lambda_u=0.0921, lambda_e=1.1223e-3, h=49.6,
                           h_min=49.0, h_max=50.0, theta_c=0.579)
-        rep = optimize_no_zone(p, 0.01)
-        assert analytic.pc_approx(p.with_altitude(rep.h),
-                                  2.0 ** rep.rt - 1.0) == 0.0
-        assert rep.cs == 0.0
-        assert not math.isfinite(rep.diagnostics["surrogate_pc_ratio"])
+        best = p.with_altitude(49.0)
+        rt = rt_star(best, solve_re(best, 0.01))
+        assert analytic.pc_approx(best, 2.0 ** rt - 1.0) == 0.0
+        for search in (lambda: optimize_no_zone(p, 0.01),
+                       lambda: optimize_zone(p, 0.01, d_grid=[0.0])):
+            with pytest.raises(InfeasibleError,
+                               match="zero secrecy capacity") as info:
+                search()
+            assert info.value.achieved_outage == pytest.approx(0.01)
 
     def test_infeasible_error_type_exists(self):
         err = InfeasibleError("nope", 0.5)

@@ -1,14 +1,29 @@
-"""Load every script under scripts/ so a renamed library name they import
-fails here rather than in a user's run."""
+"""Load every script under scripts/, and install the benchmark's tracer,
+so a renamed library name they use fails here rather than in a user's run
+or a benchmark pass."""
 
 import glob
 import os
 import runpy
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
 
 def test_scripts_load():
-    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
-                                          os.pardir, "scripts", "*.py")))
+    paths = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
     assert paths
     for path in paths:
         assert callable(runpy.run_path(path, run_name="smoke")["main"])
+
+
+def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
+    # `install` looks up each traced function by module and name, so a
+    # rename such as `integrate_radial` or `_hypoexp_cdf_mp` fails here.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "uavbench"))
+    import tracer
+
+    t = tracer.Tracer("t")
+    try:
+        t.install()
+    finally:
+        assert t.uninstall()
