@@ -2,13 +2,13 @@
 """Run every bundled experiment config and collect the CSV/SVG outputs.
 
 Usage: python scripts/reproduce_figures.py [out_dir] [--fast]
-`--fast` drops the Monte Carlo budget so the whole set finishes in about a
-minute (for smoke runs; the bundled budgets take ~10 min).
+`--fast` runs each parsed config with its Monte Carlo budget cut to 5000
+realizations, so the whole set finishes in about a minute (for smoke runs;
+the bundled budgets take ~10 min). It writes nothing but the outputs.
 """
 
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 from uavsec import cli
@@ -26,15 +26,13 @@ def main() -> int:
         if not name.endswith(".cfg"):
             continue
         path = os.path.join(CONFIGS, name)
-        if fast:
-            cfg = replace(cli.ExperimentConfig.from_file(path),
-                          n_realizations=5000)
-            tmp = os.path.join(tempfile.gettempdir(), name)
-            with open(tmp, "w") as fh:
-                fh.write(cfg.to_text())
-            path = tmp
         print(f"== {name}")
-        rc = cli.run(path, out_dir)
+        if fast:
+            cfg = cli.ExperimentConfig.from_file(path)
+            rc = cli.run_experiment(replace(cfg, n_realizations=5000),
+                                    out_dir)
+        else:
+            rc = cli.run(path, out_dir)
         status = status or rc
     return status
 

@@ -11,7 +11,6 @@ from .model import (
     FadingModel,
     GuardZone,
     NetworkParams,
-    WiretapCode,
     los_radius,
     sample_ppp,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "MetricEstimate",
     "NetworkParams",
     "SimConfig",
-    "WiretapCode",
     "los_radius",
     "sample_ppp",
     "__version__",

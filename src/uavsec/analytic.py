@@ -303,18 +303,31 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
     event degenerates to a deterministic comparison against the LoS
     interference.
     """
+    if beta_t == 0.0:       # always connects
+        return MetricEstimate(1.0, SEMI_ANALYTIC, 0.0)
+
+    def connects(pts):
+        return _exceedance(params, beta_t, pts, _ORIGIN, _ORIGIN, _ORIGIN,
+                           _scratch(1, len(pts)))[0]
+
+    mean, hw = _average(params, connects, n_realizations, window, seed)
+    return MetricEstimate(mean, SEMI_ANALYTIC, hw)
+
+
+def _average(params: NetworkParams, value, n_realizations: int,
+             window: float, seed: int) -> tuple[float, float]:
+    """Mean of `value(pts)` over interferer configurations `pts`, PPPs on
+    the disk of radius `window` drawn from streams (seed, i), and its 95%
+    half-width."""
     if n_realizations < 1:
         raise ValueError("need n_realizations >= 1")
-    vals = np.ones(n_realizations)      # beta_t = 0 always connects
-    if beta_t != 0.0:
-        for i in range(n_realizations):
-            pts = sample_ppp(params.lambda_u, 0.0, window,
-                             rng_stream(seed, i))
-            vals[i] = _exceedance(params, beta_t, pts, _ORIGIN, _ORIGIN,
-                                  _ORIGIN, _scratch(1, len(pts)))[0]
+    vals = np.empty(n_realizations)
+    for i in range(n_realizations):
+        vals[i] = value(sample_ppp(params.lambda_u, 0.0, window,
+                                   rng_stream(seed, i)))
     hw = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(n_realizations) \
         if n_realizations > 1 else 0.0
-    return MetricEstimate(float(np.mean(vals)), SEMI_ANALYTIC, hw)
+    return float(np.mean(vals)), hw
 
 
 def _scratch(n_points: int, n: int):
@@ -448,8 +461,6 @@ def pso_exact(params: NetworkParams, beta_e: float,
     failures propagate as `mathkit.AccuracyError` with the partial
     estimate attached.
     """
-    if n_realizations < 1:
-        raise ValueError("need n_realizations >= 1")
     if beta_e <= 0:
         raise ValueError("pso_exact: beta_e must be positive")
     if params.lambda_e == 0.0:
@@ -458,9 +469,8 @@ def pso_exact(params: NetworkParams, beta_e: float,
     if d0 >= window:
         raise ValueError("guard-zone radius must be below the window")
     k = params.los_radius
-    vals = np.empty(n_realizations)
-    for i in range(n_realizations):
-        pts = sample_ppp(params.lambda_u, 0.0, window, rng_stream(seed, i))
+
+    def outage(pts):
         # an integrand call evaluates the rings of one G7/K15 panel
         scratch = _scratch(mathkit._GK_NODES.size * _N_ANGLES, len(pts))
 
@@ -475,11 +485,11 @@ def pso_exact(params: NetworkParams, beta_e: float,
 
         area = mathkit.integrate_radial(
             g, d0, window, tol, breakpoints=(k,) if d0 < k < window else ())
-        vals[i] = -math.expm1(-params.lambda_e * area)
-    hw = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(n_realizations) \
-        if n_realizations > 1 else 0.0
+        return -math.expm1(-params.lambda_e * area)
+
+    mean, hw = _average(params, outage, n_realizations, window, seed)
     try:
         tail = pso_zone_approx(params, beta_e, GuardZone(window))
     except ValueError:
         tail = 0.0
-    return MetricEstimate(float(np.mean(vals)), SEMI_ANALYTIC, hw + tail)
+    return MetricEstimate(mean, SEMI_ANALYTIC, hw + tail)

@@ -6,6 +6,11 @@ CSV schema: the first column is the swept variable, one column per computed
 metric, half-width columns suffixed `_hw`. Rows are ordered by sweep value;
 identical config + seed gives byte-identical output.
 
+`run` parses a config file and hands it to `run_experiment`, which writes
+one row per sweep point; `_point_metrics` is the one place where a sweep
+point becomes numbers, and the built-in `validate_suite` reads its checks
+from the same function on five validate-mode sweeps.
+
 Exit codes: 0 success, 2 config parse/validation error, 3 infeasible
 optimization, 5 validation suite failed.
 """
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import math
 import os
 import sys
@@ -28,7 +32,6 @@ from .model import (
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
-    connection_window_radius,
 )
 from .montecarlo import SimConfig, sim_connection, sim_outage
 
@@ -244,45 +247,6 @@ class ExperimentConfig:
             log_y=_flag(out.get("log_y", "false"), "log_y"),
         )
 
-    def to_text(self) -> str:
-        """Serialize so that from_text(to_text()) == self."""
-        net = self.network
-        buf = io.StringIO()
-        w = buf.write
-        w("[experiment]\n")
-        w(f"mode = {self.mode}\n")
-        w(f"name = {self.name}\n")
-        w(f"metrics = {', '.join(self.metrics)}\n\n")
-        w("[network]\n")
-        for key in _NETWORK_KEYS:
-            w(f"{key} = {getattr(net, key)!r}\n")
-        w("\n[sweep]\n")
-        w(f"variable = {self.sweep_variable}\n")
-        w(f"values = {', '.join(repr(v) for v in self.sweep_values)}\n")
-        if self.rt is not None or self.re is not None:
-            w("\n[code]\n")
-            if self.rt is not None:
-                w(f"rt = {self.rt!r}\n")
-            if self.re is not None:
-                w(f"re = {self.re!r}\n")
-        if self.zone_d is not None:
-            w("\n[zone]\n")
-            w(f"d = {self.zone_d!r}\n")
-        w("\n[sim]\n")
-        w(f"n_realizations = {self.n_realizations}\n")
-        w(f"seed = {self.seed}\n")
-        if self.window_radius is not None:
-            w(f"window_radius = {self.window_radius!r}\n")
-        w(f"model = {self.model_name}\n")
-        w("\n[optimize]\n")
-        w(f"epsilon = {self.epsilon!r}\n")
-        w("\n[output]\n")
-        w(f"directory = {self.out_dir}\n")
-        w(f"charts = {str(self.charts).lower()}\n")
-        w(f"log_x = {str(self.log_x).lower()}\n")
-        w(f"log_y = {str(self.log_y).lower()}\n")
-        return buf.getvalue()
-
     def at(self, value: float):
         """Network/code/zone/epsilon with the swept variable set to `value`."""
         net, rt, re, zone_d, eps = (self.network, self.rt, self.re,
@@ -325,8 +289,6 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
     """Metric columns at one sweep point, per the experiment mode."""
     net, rt, re, zone, eps = cfg.at(value)
     out: dict[str, float] = {}
-    model = _MODELS[cfg.model_name]
-    density = analytic.effective_density(net.lambda_u, net.lambda_e, zone)
 
     if cfg.mode in ("analyze", "validate"):
         if "pc" in cfg.metrics and rt is not None:
@@ -336,11 +298,15 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
                 analytic.pso_zone_approx(net, _beta(re), zone)
                 if zone is not None else analytic.pso_approx(net, _beta(re)))
         if "cs" in cfg.metrics and rt is not None and re is not None:
-            out["cs"] = analytic.stc(rt - re, out.get(
-                "pc_approx", analytic.pc_approx(net, _beta(rt))), density)
+            p_c = out["pc_approx"] if "pc_approx" in out \
+                else analytic.pc_approx(net, _beta(rt))
+            density = analytic.effective_density(net.lambda_u, net.lambda_e,
+                                                 zone)
+            out["cs"] = analytic.stc(rt - re, p_c, density)
 
     if cfg.mode == "simulate":
-        sim = SimConfig(cfg.n_realizations, cfg.window_radius, cfg.seed, model)
+        sim = SimConfig(cfg.n_realizations, cfg.window_radius, cfg.seed,
+                        _MODELS[cfg.model_name])
         if "pc" in cfg.metrics and rt is not None:
             est = sim_connection(net, _beta(rt), sim)
             out["pc_mc"] = est.value
@@ -352,13 +318,11 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
 
     if cfg.mode == "validate":
         if "pc" in cfg.metrics and rt is not None:
-            bt = _beta(rt)
-            w = cfg.window_radius if cfg.window_radius is not None else \
-                connection_window_radius(net, bt, cfg.n_realizations)
             for label, model_cls in (("rayleigh", AllRayleigh),
                                      ("exact", ExactLoSNLoS)):
-                est = sim_connection(net, bt, SimConfig(
-                    cfg.n_realizations, w, cfg.seed, model_cls))
+                est = sim_connection(net, _beta(rt), SimConfig(
+                    cfg.n_realizations, cfg.window_radius, cfg.seed,
+                    model_cls))
                 out[f"pc_mc_{label}"] = est.value
                 out[f"pc_mc_{label}_hw"] = est.half_width
         if "pso" in cfg.metrics and re is not None:
@@ -387,12 +351,18 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
 
 
 def run(config_path: str, out_dir: str | None = None) -> int:
-    """Execute one experiment config; returns a process exit status."""
+    """Execute one experiment config file; returns a process exit status."""
     try:
         cfg = ExperimentConfig.from_file(config_path)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return run_experiment(cfg, out_dir)
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+    """Execute one parsed experiment: one CSV row per sweep point (and an
+    SVG chart if asked); returns a process exit status."""
     directory = (out_dir or cfg.out_dir
                  or os.environ.get("UAVSEC_OUTDIR", "out"))
     os.makedirs(directory, exist_ok=True)
@@ -459,62 +429,45 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_suite(n_realizations: int = 100_000, seed: int = 42,
-                   corrupt_eta: float = 1.0) -> ValidationReport:
-    """Closed-form vs Monte Carlo agreement at the bundled configurations.
-
-    `corrupt_eta` multiplies eta_nlos in the closed forms only; anything
-    other than 1.0 is a deliberate negative control that should flag the
-    connection-probability checks.
-    """
+def validate_suite(n_realizations: int = 100_000,
+                   seed: int = 42) -> ValidationReport:
+    """Closed-form vs Monte Carlo agreement on five validate-mode sweeps:
+    connection over lambda_u at H = 10 and 20 m (rt = 5), and outage over
+    lambda_e without a zone and with d = 10 and 20 m (re = 1)."""
     report = ValidationReport()
-    bt, be = _beta(5.0), _beta(1.0)
 
-    def analytic_params(p: NetworkParams) -> NetworkParams:
-        if corrupt_eta == 1.0:
-            return p
-        return replace(p, eta_nlos=min(p.eta_nlos * corrupt_eta, p.eta_los))
+    def sweep(network, variable, values, **fields):
+        cfg = ExperimentConfig(
+            name="validate", mode="validate", network=network,
+            sweep_variable=variable, sweep_values=values,
+            n_realizations=n_realizations, seed=seed, **fields)
+        return [_point_metrics(cfg, value) for value in values]
 
     # Connection probability, both fading models, Fig.-3-style grid.
-    misses = 0
-    worst_exact = 0.0
-    points = 0
-    for h in (10.0, 20.0):
-        for lu in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2):
-            p = NetworkParams(lambda_u=lu, lambda_e=1e-3, h=h)
-            cf = analytic.pc_approx(analytic_params(p), bt)
-            w = connection_window_radius(p, bt, n_realizations)
-            ray = sim_connection(p, bt, SimConfig(n_realizations, w, seed,
-                                                  AllRayleigh))
-            exact = sim_connection(p, bt, SimConfig(n_realizations, w, seed,
-                                                    ExactLoSNLoS))
-            misses += abs(ray.value - cf) > ray.half_width
-            worst_exact = max(worst_exact, abs(exact.value - cf))
-            points += 1
+    pc = [m for h in (10.0, 20.0) for m in sweep(
+        NetworkParams(lambda_u=1e-4, lambda_e=1e-3, h=h), "lambda_u",
+        (1e-4, 3e-4, 1e-3, 3e-3, 1e-2), metrics=("pc",), rt=5.0)]
+    misses = sum(abs(m["pc_mc_rayleigh"] - m["pc_approx"])
+                 > m["pc_mc_rayleigh_hw"] for m in pc)
+    worst_exact = max(abs(m["pc_mc_exact"] - m["pc_approx"]) for m in pc)
     report.rows.append(ValidationRow(
         "pc rayleigh-model within halfwidth", float(misses), 1.0,
-        misses <= 1, f"misses over {points} grid points"))
+        misses <= 1, f"misses over {len(pc)} grid points"))
     report.rows.append(ValidationRow(
         "pc exact-model absolute deviation", worst_exact, 0.03,
         worst_exact <= 0.03))
 
     # Outage probability in the small-outage regime, Fig.-4/6-style.
-    for zone in (None, GuardZone(10.0), GuardZone(20.0)):
-        worst = 0.0
-        used = 0
-        for le in (3e-5, 1e-4, 3e-4):
-            p = NetworkParams(lambda_u=1e-3, lambda_e=le, h=10.0)
-            cf = (analytic.pso_zone_approx(analytic_params(p), be, zone)
-                  if zone else analytic.pso_approx(analytic_params(p), be))
-            est = sim_outage(p, be, zone, SimConfig(n_realizations, None,
-                                                    seed, ExactLoSNLoS))
-            if est.value <= 0.1:
-                worst = max(worst, abs(est.value - cf))
-                used += 1
-        tag = f"d={zone.d:g}" if zone else "no zone"
+    for d in (None, 10.0, 20.0):
+        gaps = [abs(m["pso_mc_exact"] - m["pso_approx"]) for m in sweep(
+            NetworkParams(lambda_u=1e-3, lambda_e=3e-5, h=10.0), "lambda_e",
+            (3e-5, 1e-4, 3e-4), metrics=("pso",), re=1.0, zone_d=d)
+            if m["pso_mc_exact"] <= 0.1]
+        worst = max(gaps, default=0.0)
+        tag = f"d={d:g}" if d is not None else "no zone"
         report.rows.append(ValidationRow(
             f"pso small-regime deviation ({tag})", worst, 0.02,
-            worst <= 0.02 and used > 0, f"{used} points in regime"))
+            worst <= 0.02 and bool(gaps), f"{len(gaps)} points in regime"))
     return report
 
 
@@ -532,9 +485,6 @@ def main(argv=None) -> int:
     p_val.add_argument("--fast", action="store_true",
                        help="reduced realization count (quick smoke run)")
     p_val.add_argument("--seed", type=int, default=42)
-    p_val.add_argument("--corrupt-eta", type=float, default=1.0,
-                       help="negative control: scale eta_nlos in the "
-                            "closed forms only")
     sub.add_parser("version", help="print the package version")
     args = parser.parse_args(argv)
 
@@ -545,7 +495,7 @@ def main(argv=None) -> int:
         return run(args.config, args.out_dir)
     if args.command == "validate":
         n = 20_000 if args.fast else 100_000
-        report = validate_suite(n, args.seed, args.corrupt_eta)
+        report = validate_suite(n, args.seed)
         print(report.format())
         print("overall:", "PASS" if report.passed else "FAIL")
         return EXIT_OK if report.passed else EXIT_VALIDATION

@@ -198,6 +198,35 @@ def _hypoexp_cdf_mp(lam: np.ndarray, y: float) -> float:
         return min(max(float(p), 0.0), 1.0)
 
 
+# Entries of one block of rows of the weight tables in `_log_weights`.
+_WEIGHT_BLOCK = 1 << 16
+
+
+def _log_weights(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture weights delta_i = prod_{j != i} lam_j / (lam_j - lam_i)
+    of distinct rates in sign/log form (dodging intermediate overflow):
+    (sum_j log|lam_j / (lam_j - lam_i)|, sign of delta_i) per i.
+
+    The n x n tables are built a block of at most `_WEIGHT_BLOCK` entries
+    (whole rows) at a time; each row is reduced on its own, so the result
+    does not depend on the block size.
+    """
+    n = lam.size
+    log_lam = np.log(lam)
+    logsum, sign = np.empty(n), np.empty(n)
+    rows = max(1, _WEIGHT_BLOCK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        diff = lam[None, :] - lam[lo:hi, None]      # [i, j] = lam_j - lam_i
+        diff[diag] = 1.0
+        logabs = log_lam[None, :] - np.log(np.abs(diff))
+        logabs[diag] = 0.0
+        sign[lo:hi] = np.prod(np.sign(diff), axis=1)
+        logsum[lo:hi] = np.sum(logabs, axis=1)
+    return logsum, sign
+
+
 def hypoexp_cdf(rates, y: float) -> float:
     """CDF P{sum_i X_i < y} for independent X_i ~ Exp(rate_i).
 
@@ -223,13 +252,8 @@ def hypoexp_cdf(rates, y: float) -> float:
 
     lam = resolve_rate_ties(lam)
     n = lam.size
-    # delta in sign/log form to dodge intermediate overflow.
-    diff = lam[None, :] - lam[:, None]          # [i, j] = lam_j - lam_i
-    np.fill_diagonal(diff, 1.0)
-    logabs = np.log(lam)[None, :] - np.log(np.abs(diff))
-    np.fill_diagonal(logabs, 0.0)
-    sign = np.prod(np.sign(diff), axis=1)
-    logterm = np.sum(logabs, axis=1) - lam * y
+    logsum, sign = _log_weights(lam)
+    logterm = logsum - lam * y
 
     if np.max(logterm) > 680.0:
         return _hypoexp_cdf_mp(lam, y)

@@ -22,7 +22,6 @@ __all__ = [
     "ExactLoSNLoS",
     "AllRayleigh",
     "NetworkParams",
-    "WiretapCode",
     "GuardZone",
     "los_radius",
     "sample_ppp",
@@ -42,17 +41,14 @@ class FadingModel:
     AllRayleigh: every link Rayleigh with its branch's path loss.
     """
 
-    name = "base"
     los_faded = False
 
 
 class ExactLoSNLoS(FadingModel):
-    name = "exact-los-nlos"
     los_faded = False
 
 
 class AllRayleigh(FadingModel):
-    name = "all-rayleigh"
     los_faded = True
 
 
@@ -107,35 +103,6 @@ class NetworkParams:
     def with_altitude(self, h: float) -> "NetworkParams":
         from dataclasses import replace
         return replace(self, h=h)
-
-
-@dataclass(frozen=True)
-class WiretapCode:
-    """Wiretap code rate pair (bps/Hz): codeword rate rt, secrecy rate rs."""
-
-    rt: float
-    rs: float
-
-    def __post_init__(self):
-        if not self.rt >= self.rs >= 0.0:
-            raise ValueError("need rt >= rs >= 0")
-
-    @classmethod
-    def from_gap(cls, rt: float, re: float) -> "WiretapCode":
-        """Build from the codeword rate and the secrecy gap re = rt - rs."""
-        return cls(rt=rt, rs=rt - re)
-
-    @property
-    def re(self) -> float:
-        return self.rt - self.rs
-
-    @property
-    def beta_t(self) -> float:
-        return 2.0 ** self.rt - 1.0
-
-    @property
-    def beta_e(self) -> float:
-        return 2.0 ** self.re - 1.0
 
 
 @dataclass(frozen=True)

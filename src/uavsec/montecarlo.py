@@ -1,5 +1,5 @@
-"""Ground-truth Monte Carlo simulator for the connection, secrecy-outage
-and secrecy-transmission-capacity definitions, under either fading model.
+"""Ground-truth Monte Carlo simulator for the connection and secrecy-outage
+definitions, under either fading model.
 
 Realizations are processed in chunks, each driven by its own random
 stream spawned from the master seed, so estimates are bit-identical for a
@@ -42,20 +42,19 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .analytic import MONTE_CARLO, MetricEstimate, effective_density
+from .analytic import MONTE_CARLO, MetricEstimate
 from .model import (
     BLOCK_LINKS,
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
-    WiretapCode,
     connection_window_radius,
     gains,
     outage_window_radius,
     rng_stream,
 )
 
-__all__ = ["SimConfig", "sim_connection", "sim_outage", "sim_stc"]
+__all__ = ["SimConfig", "sim_connection", "sim_outage"]
 
 _Z95 = 1.959963984540054
 
@@ -263,12 +262,3 @@ def sim_outage(params: NetworkParams, beta_e: float,
         outages += int(np.count_nonzero(
             np.bincount(e_seg, weights=decoded, minlength=m) > 0))
     return _binary_estimate(outages, n)
-
-
-def sim_stc(params: NetworkParams, code: WiretapCode,
-            zone: Optional[GuardZone], cfg: SimConfig) -> MetricEstimate:
-    """Secrecy transmission capacity rs * Pc_hat * active-transmitter density."""
-    conn = sim_connection(params, code.beta_t, cfg)
-    density = effective_density(params.lambda_u, params.lambda_e, zone)
-    return MetricEstimate(code.rs * conn.value * density, MONTE_CARLO,
-                          code.rs * conn.half_width * density)

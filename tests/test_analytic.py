@@ -349,16 +349,20 @@ class TestExactEvaluators:
             pso_exact(params(), 1.0, GuardZone(300.0), window=200.0)
 
     @pytest.mark.parametrize("lambda_u", [1e-3, 1e-2])
-    @pytest.mark.parametrize("h, d", [(10.0, 20.0), (20.0, 15.0)])
+    @pytest.mark.parametrize("h, d", [(10.0, 20.0), (20.0, 15.0),
+                                      (10.0, None)])
     def test_pso_exact_memory_bounded(self, lambda_u, h, d):
         # A realization holds one block of pairs: the kernel's two float
         # buffers and its mask (17 bytes a pair) and, on the LoS-disk
-        # branch, the open rows' gathered temporaries (about 41 more).
+        # branch, the open rows' gathered temporaries (about 41 more), plus
+        # one block of the hypoexponential weight tables.
         # Whole-batch geometry peaked at 5.7 MiB at lambda_u = 1e-3 and
-        # 40 MiB at 1e-2.
+        # 40 MiB at 1e-2; whole weight tables at 40.6 MiB without a zone
+        # at 1e-2.
+        zone = GuardZone(d) if d is not None else None
         tracemalloc.start()
         try:
-            pso_exact(params(lambda_u=lambda_u, h=h), 1.0, GuardZone(d),
+            pso_exact(params(lambda_u=lambda_u, h=h), 1.0, zone,
                       n_realizations=1, window=200.0, seed=0, tol=1e-2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

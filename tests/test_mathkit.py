@@ -160,6 +160,21 @@ class TestHypoexpCdf:
         precise = mathkit._hypoexp_cdf_mp(resolve_rate_ties(rates), y)
         assert fast == pytest.approx(precise, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3, 200, 256, 257, 1500])
+    def test_blocked_weights_match_full_tables(self, n):
+        # one block of rows holds 2^16 entries: n <= 256 is a single
+        # block, 257 spills one row, 1500 spans 35 blocks
+        rng = np.random.default_rng(n)
+        lam = resolve_rate_ties(
+            (100.0 + rng.uniform(0.0, 4.0e4, size=n)) ** 2 / 0.01)
+        diff = lam[None, :] - lam[:, None]
+        np.fill_diagonal(diff, 1.0)
+        logabs = np.log(lam)[None, :] - np.log(np.abs(diff))
+        np.fill_diagonal(logabs, 0.0)
+        logsum, sign = mathkit._log_weights(lam)
+        assert np.array_equal(logsum, np.sum(logabs, axis=1))
+        assert np.array_equal(sign, np.prod(np.sign(diff), axis=1))
+
 
 class TestBisect:
     def test_linear(self):

@@ -12,7 +12,6 @@ from uavsec.model import (
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
-    WiretapCode,
     connection_window_radius,
     gains,
     los_radius,
@@ -65,15 +64,6 @@ class TestDomainTypes:
             params(h=5.0)            # below h_min
         with pytest.raises(ValueError):
             params(eta_nlos=2.0)     # exceeds eta_los
-
-    def test_wiretap_code(self):
-        code = WiretapCode(rt=5.0, rs=4.0)
-        assert code.re == pytest.approx(1.0)
-        assert code.beta_t == pytest.approx(31.0)
-        assert code.beta_e == pytest.approx(1.0)
-        assert WiretapCode.from_gap(5.0, 1.0) == code
-        with pytest.raises(ValueError):
-            WiretapCode(rt=1.0, rs=2.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["lambda_u", "lambda_e", "h", "theta_c",

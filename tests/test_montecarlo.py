@@ -11,7 +11,6 @@ from uavsec.model import (
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
-    WiretapCode,
     gains,
 )
 from uavsec.montecarlo import (
@@ -20,7 +19,6 @@ from uavsec.montecarlo import (
     _outage_windows,
     sim_connection,
     sim_outage,
-    sim_stc,
 )
 
 
@@ -229,31 +227,6 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
-
-
-class TestStcSim:
-    def test_zero_secrecy_rate(self):
-        code = WiretapCode(rt=5.0, rs=0.0)
-        est = sim_stc(params(), code, None, SimConfig(2000, seed=1))
-        assert est.value == 0.0
-
-    def test_zero_radius_zone_equals_no_zone(self):
-        code = WiretapCode(rt=5.0, rs=4.0)
-        cfg = SimConfig(20_000, seed=9)
-        a = sim_stc(params(), code, None, cfg)
-        b = sim_stc(params(), code, GuardZone(0.0), cfg)
-        assert a == b
-
-    def test_matches_composed_closed_form(self):
-        p = params()
-        code = WiretapCode(rt=5.0, rs=4.0)
-        zone = GuardZone(20.0)
-        est = sim_stc(p, code, zone, SimConfig(100_000, seed=10,
-                                               model=AllRayleigh))
-        ref = analytic.stc(
-            code.rs, analytic.pc_approx(p, code.beta_t),
-            analytic.effective_density(p.lambda_u, p.lambda_e, zone))
-        assert abs(est.value - ref) <= est.half_width
 
 
 class TestEstimateHelpers:
