@@ -9,11 +9,14 @@ connection probability under that fading treatment and are validated
 against simulation in the small-outage regime. The semi-analytic
 `pc_exact`/`pso_exact` evaluators average one conditional kernel over
 sampled interferer configurations: `_exceedance`, the probability that the
-SIR from the transmitter overhead exceeds a threshold at explicit ground
-points given the interferers (a hypoexponential CDF inside the LoS disk, a
-product form outside). `pc_exact` evaluates it at the origin, where the
-typical receiver sits; `pso_exact` on rings of points, integrated over the
-eavesdropper process.
+SIR from the transmitter overhead exceeds a threshold at the points of
+rings around the origin given the interferers (a hypoexponential CDF
+inside the LoS disk, a product form outside). Per configuration, one ring
+table (`_ring_table`) holds each interferer's projection on each ring
+angle, so a ring's geometry takes one scalar per ring. `pc_exact`
+evaluates the kernel on the ring of radius 0 at one angle, the origin,
+where the typical receiver sits; `pso_exact` on rings of 64 points,
+integrated over the eavesdropper process.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ class MetricEstimate:
             raise ValueError("value must be finite")
         if not 0.0 <= self.half_width < math.inf:
             raise ValueError("half_width must be finite and nonnegative")
-
-    def agrees_with(self, other: "MetricEstimate") -> bool:
-        """Two-estimate comparison at combined 95% intervals."""
-        gap = abs(self.value - other.value)
-        return gap <= math.hypot(self.half_width, other.half_width)
 
 
 def _require_canonical_alphas(params: NetworkParams):
@@ -282,14 +280,14 @@ def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:
 # interferer configurations)
 # ---------------------------------------------------------------------------
 
-# The typical receiver's position, as coordinates and squared distance.
-_ORIGIN = np.zeros(1)
 # Angles of the trapezoid rule on each ring of `pso_exact`'s radial
 # quadrature (the integrand is periodic in angle, so it is spectrally
 # accurate).
 _N_ANGLES = 64
 _PHIS = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
 _COS, _SIN = np.cos(_PHIS), np.sin(_PHIS)
+# The typical receiver's position: the ring of radius 0, at angle 0.
+_ORIGIN = np.zeros(1)
 
 
 def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
@@ -307,8 +305,9 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
         return MetricEstimate(1.0, SEMI_ANALYTIC, 0.0)
 
     def connects(pts):
-        return _exceedance(params, beta_t, pts, _ORIGIN, _ORIGIN, _ORIGIN,
-                           _scratch(1, len(pts)))[0]
+        table = _ring_table(pts, _COS[:1], _SIN[:1])
+        return _exceedance(params, beta_t, table, _ORIGIN,
+                           _scratch(1, len(pts)))[0, 0]
 
     mean, hw = _average(params, connects, n_realizations, window, seed)
     return MetricEstimate(mean, SEMI_ANALYTIC, hw)
@@ -330,57 +329,88 @@ def _average(params: NetworkParams, value, n_realizations: int,
     return float(np.mean(vals)), hw
 
 
+def _ring_table(pts: np.ndarray, cos, sin):
+    """The ring table of one interferer configuration at the angles
+    (`cos`, `sin`): proj[a, j] = -2 (u_j . e_a), shaped (angles, n), and
+    |u_j|^2. The squared horizontal span from the ring point at radius r
+    and angle a to interferer j is then |u_j|^2 + r proj[a, j] + r^2."""
+    ux, uy = pts[:, 0], pts[:, 1]
+    proj = np.multiply.outer(cos, ux)
+    proj += np.multiply.outer(sin, uy)
+    proj *= -2.0
+    return proj, ux * ux + uy * uy
+
+
 def _scratch(n_points: int, n: int):
-    """Buffers for `_exceedance` calls of up to `n_points` points against
-    `n` interferers: the pairs of one block (squared distances, work,
-    LoS mask)."""
+    """Buffers for `_exceedance` calls of up to `n_points` ring points
+    against `n` interferers: the pairs of one block (squared distances,
+    work, LoS mask)."""
     size = min(n_points, max(1, BLOCK_LINKS // max(n, 1))) * n
     return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
 
-def _exceedance(params: NetworkParams, beta: float, pts: np.ndarray, px,
-                py, r2, scratch) -> np.ndarray:
-    """Conditional P(SIR at ground point x from the transmitter above the
-    origin exceeds beta | interferers at `pts`), at the points (px, py)
-    whose squared horizontal distances from the origin are `r2`: at x = 0
-    the typical receiver connects, elsewhere an eavesdropper at x decodes.
+def _blocks(n_rings: int, n_angles: int, n: int):
+    """(first ring, end ring, first angle, end angle) of each block: whole
+    rings while they fit in `BLOCK_LINKS` pairs, else one ring a block of
+    angles at a time."""
+    per = BLOCK_LINKS // (n_angles * n)
+    if per:
+        return [(i, min(i + per, n_rings), 0, n_angles)
+                for i in range(0, n_rings, per)]
+    step = max(1, BLOCK_LINKS // n)
+    return [(i, i + 1, a, min(a + step, n_angles))
+            for i in range(n_rings) for a in range(0, n_angles, step)]
 
-    All points of one call lie on one side of the LoS radius K. The
-    (point, interferer) pairs are built a block of points at a time in the
-    `scratch` buffers (`_scratch`), filled in place: a block holds at most
-    `BLOCK_LINKS` pairs, and a point with more pairs is a block of its own.
-    Each element keeps its operations and each sum runs over one point's
-    contiguous row, so results do not depend on the block size.
+
+def _exceedance(params: NetworkParams, beta: float, table, rs: np.ndarray,
+                scratch) -> np.ndarray:
+    """Conditional P(SIR at ground point x from the transmitter above the
+    origin exceeds beta | interferers), at the points of the rings of radii
+    `rs` at the angles of the ring `table` (`_ring_table`), shaped
+    (rings, angles): at x = 0 the typical receiver connects, elsewhere an
+    eavesdropper at x decodes.
+
+    All rings of one call lie on one side of the LoS radius K. The
+    (point, interferer) pairs are built a block at a time (`_blocks`) in
+    the `scratch` buffers (`_scratch`), filled in place from the table:
+    each pass multiplies or adds one scalar per ring or the n-vector
+    |u|^2 over contiguous data. Each element keeps its operations and each
+    sum runs over one point's contiguous row, so results do not depend on
+    the block size. At r = 0 the span is |u|^2 exactly (r proj = +-0), as
+    computed from the coordinates; at r > 0 it differs from
+    |u - x|^2 computed from coordinate differences by rounding.
     """
-    n = len(pts)
+    proj, u2 = table
+    n_angles, n = proj.shape
+    out = np.ones((rs.size, n_angles))
     if n == 0:
-        return np.ones(px.size)
+        return out
     p = params
-    ux, uy = pts[:, 0], pts[:, 1]
     k2, h2 = p.los_radius ** 2, p.h ** 2
+    r2 = rs * rs
     d0 = r2 + h2
     disk = r2[0] < k2
     if disk:
         sig = p.eta_los * pathloss(d0, p.alpha_los)
     else:
         scale = beta * d0 ** (p.alpha_nlos / 2.0)
-    out = np.empty(px.size)
-    block = max(1, BLOCK_LINKS // n)
-    for lo in range(0, px.size, block):
-        hi = min(lo + block, px.size)
-        d2, work, los = (b[:(hi - lo) * n].reshape(hi - lo, n)
+    for i0, i1, a0, a1 in _blocks(rs.size, n_angles, n):
+        shape = (i1 - i0, a1 - a0, n)
+        d2, work, los = (b[:math.prod(shape)].reshape(shape)
                          for b in scratch)
-        np.subtract(ux, px[lo:hi, None], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(uy, py[lo:hi, None], out=work)
-        np.multiply(work, work, out=work)
-        np.add(d2, work, out=d2)                    # horizontal span^2
+        np.multiply(rs[i0:i1, None, None], proj[a0:a1], out=d2)
+        np.add(d2, u2, out=d2)
+        np.add(d2, r2[i0:i1, None, None], out=d2)   # horizontal span^2
         np.less(d2, k2, out=los)
         np.add(d2, h2, out=d2)
         if disk:
-            out[lo:hi] = _disk_rows(p, beta, sig[lo:hi], d2, los, work)
+            rows = (-1, n)
+            out[i0:i1, a0:a1] = _disk_rows(
+                p, beta, np.repeat(sig[i0:i1], a1 - a0), d2.reshape(rows),
+                los.reshape(rows), work.reshape(rows)).reshape(shape[:2])
         else:
-            out[lo:hi] = _product_rows(p, scale[lo:hi], d2, los, work)
+            out[i0:i1, a0:a1] = _product_rows(p, scale[i0:i1], d2, los,
+                                              work)
     return out
 
 
@@ -393,9 +423,17 @@ def _disk_rows(p: NetworkParams, beta: float, sig, d2, los,
     interferer, and which of those links are LoS) with signal power `sig`;
     `work`, shaped like `d2`, is overwritten. The LoS interference is summed
     over the whole row, zeros included, after writing only the LoS pairs.
-    Chernoff screens, evaluated on the open rows only (positive margin and
-    some NLoS interferer), decide almost every position in one vectorized
-    step; only genuinely mid-CDF positions pay for the signed mixture.
+    Chernoff screens decide almost every open position (positive margin
+    and some NLoS interferer); only genuinely mid-CDF positions pay for the
+    signed mixture.
+
+    The first screen has no logarithm: with z_i = lam_min / (2 lam_i)
+    <= 1/2, -log1p(-z) <= 2z bounds the Chernoff exponent of P(I >= y) at
+    t = lam_min/2 by (lam_min/2)(2 sum 1/lam_i - y) (`_log_free_bound`).
+    It needs two row reductions of the NLoS path loss over the whole
+    block. A row it puts below -23 gets 1, as the log1p screen would give
+    it; only the rows it leaves are gathered for the log1p screens, with
+    their arithmetic unchanged.
     """
     work.fill(0.0)
     at = np.flatnonzero(los)
@@ -405,6 +443,16 @@ def _disk_rows(p: NetworkParams, beta: float, sig, d2, los,
     n_nlos = los.shape[1] - np.count_nonzero(los, axis=1)
     vals = np.where(y > 0.0, 1.0, 0.0)
     rows = np.flatnonzero((y > 0.0) & (n_nlos > 0))
+    if rows.size == 0:
+        return vals
+    # D^-alpha_N = 1 / (eta_N lam_i) at NLoS pairs, 0 at LoS pairs
+    gain = pathloss(d2, p.alpha_nlos, out=work)
+    gain.reshape(-1)[at] = 0.0
+    with np.errstate(divide="ignore"):      # gains that underflow to 0
+        free = _log_free_bound(np.sum(gain, axis=1)[rows],
+                               np.max(gain, axis=1)[rows],
+                               y[rows] / (2.0 * p.eta_nlos), los.shape[1])
+    rows = rows[~(free < -23.0)]
     if rows.size == 0:
         return vals
     y, n_nlos, los = y[rows], n_nlos[rows], los[rows]
@@ -428,20 +476,32 @@ def _disk_rows(p: NetworkParams, beta: float, sig, d2, los,
     return vals
 
 
+def _log_free_bound(total, peak, half, n: int):
+    """Log-free upper bound on the Chernoff exponent of P(I >= y) at
+    t = lam_min/2, per row, from the row's NLoS path losses
+    g_i = D_i^-alpha_N = 1 / (eta_N lam_i): their sum `total`, their
+    maximum `peak` = 1 / (eta_N lam_min), and `half` = y / (2 eta_N).
+    Exactly, (lam_min/2)(2 sum 1/lam_i - y) = (total - half) / peak, which
+    exceeds the log1p exponent by at least 1 - ln 2 (its term at
+    z = 1/2). The rounding margin (n + 16) 2^-50 (total + half) / peak on
+    top covers the rounding of both n-term sums, the log1p one included."""
+    return ((total - half) + (n + 16) * 2.0 ** -50 * (total + half)) / peak
+
+
 def _product_rows(p: NetworkParams, scale, d2, los, work) -> np.ndarray:
-    """NLoS signal: per position (a row of `d2` / `los`, signal scale
-    beta*D0^alpha_N), interferer fading integrates to a product form,
-    log1p on every pair in `work` in place, then the LoS pairs (found by
-    flat index) overwritten with their deterministic term."""
+    """NLoS signal: per position (rings x angles x interferers in `d2` /
+    `los`, signal scale beta*D0^alpha_N per ring), interferer fading
+    integrates to a product form exp(-sum): log1p on every pair in `work`
+    in place, then the LoS pairs (found by flat index) overwritten with
+    their deterministic term."""
     w = pathloss(d2, p.alpha_nlos, out=work)
-    np.multiply(scale[:, None], w, out=w)
+    np.multiply(scale[:, None, None], w, out=w)
     np.log1p(w, out=w)
-    np.negative(w, out=w)
     at = np.flatnonzero(los)
-    c = -(p.eta_los / p.eta_nlos) * scale
-    w.reshape(-1)[at] = (c[at // d2.shape[1]]
+    c = (p.eta_los / p.eta_nlos) * scale
+    w.reshape(-1)[at] = (c[at // (d2.shape[1] * d2.shape[2])]
                          * pathloss(d2.reshape(-1)[at], p.alpha_los))
-    return np.exp(np.sum(w, axis=1))
+    return np.exp(-np.sum(w, axis=2))
 
 
 def pso_exact(params: NetworkParams, beta_e: float,
@@ -471,17 +531,14 @@ def pso_exact(params: NetworkParams, beta_e: float,
     k = params.los_radius
 
     def outage(pts):
+        table = _ring_table(pts, _COS, _SIN)
         # an integrand call evaluates the rings of one G7/K15 panel
         scratch = _scratch(mathkit._GK_NODES.size * _N_ANGLES, len(pts))
 
         def g(rs):
             rs = np.atleast_1d(rs)
-            ring = _exceedance(params, beta_e, pts,
-                               (rs[:, None] * _COS).reshape(-1),
-                               (rs[:, None] * _SIN).reshape(-1),
-                               np.repeat(rs * rs, _N_ANGLES), scratch)
-            return 2.0 * math.pi * rs * np.mean(
-                ring.reshape(rs.size, _N_ANGLES), axis=1)
+            ring = _exceedance(params, beta_e, table, rs, scratch)
+            return 2.0 * math.pi * rs * np.mean(ring, axis=1)
 
         area = mathkit.integrate_radial(
             g, d0, window, tol, breakpoints=(k,) if d0 < k < window else ())

@@ -198,8 +198,9 @@ def _hypoexp_cdf_mp(lam: np.ndarray, y: float) -> float:
         return min(max(float(p), 0.0), 1.0)
 
 
-# Entries of one block of rows of the weight tables in `_log_weights`.
-_WEIGHT_BLOCK = 1 << 16
+# Entries of one block of rows of the weight tables in `_log_weights`:
+# 128 KiB a table, small enough to stay in cache.
+_WEIGHT_BLOCK = 1 << 14
 
 
 def _log_weights(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

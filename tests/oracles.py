@@ -9,10 +9,15 @@ relative tolerance.
 For the array kernels: `gains` and the radius x angle exceedance field of
 the semi-analytic evaluators as they were before they learned to work in
 blocks and to evaluate each branch only where it is used, kept verbatim
-with the `pathloss` they called. Every element is computed by the same
-operations and every sum runs over the same row, so the package's kernels
-(`model.gains`, `analytic._exceedance` at ring points) must match them bit
-for bit.
+with the `pathloss` they called. `model.gains` computes every element by
+the same operations and sums over the same rows, so it must match `gains`
+bit for bit. `analytic._exceedance` matches the field bit for bit at the
+origin; on rings of radius r > 0 it takes the squared span as
+|u|^2 + r proj + r^2 from its ring table instead of from coordinate
+differences, so it matches to rounding. `disk_rows` is the LoS-disk row
+kernel with only the log1p Chernoff screens, as it was before the
+log-free screen went in front of them: `analytic._disk_rows` must give
+the same values bit for bit.
 """
 
 import math
@@ -78,6 +83,12 @@ def pso_radial(p, beta_e, d=0.0):
             + _integral(f_nlos, max(d, k), math.inf))
     return -math.expm1(-2.0 * math.pi * p.lambda_e
                        * math.exp(math.pi * p.lambda_u * h2) * area)
+
+
+def estimates_agree(a, b) -> bool:
+    """Two `MetricEstimate`s agree when their gap is within the combined
+    95% half-width, hypot(a.half_width, b.half_width)."""
+    return abs(a.value - b.value) <= math.hypot(a.half_width, b.half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +210,45 @@ class ExceedanceField:
                         rates[i, m][~los[i, m]], float(y[i, m]))
         return np.mean(vals, axis=1)
 
+
+
+def disk_rows(p, beta, sig, d2, los, work):
+    """LoS-disk rows of `analytic._exceedance` screened by the two log1p
+    Chernoff bounds alone (see `analytic._disk_rows` for the arguments)."""
+    work.fill(0.0)
+    at = np.flatnonzero(los)
+    work.reshape(-1)[at] = p.eta_los * pathloss(d2.reshape(-1)[at],
+                                                p.alpha_los)
+    y = sig / beta - np.sum(work, axis=1)
+    n_nlos = los.shape[1] - np.count_nonzero(los, axis=1)
+    vals = np.where(y > 0.0, 1.0, 0.0)
+    rows = np.flatnonzero((y > 0.0) & (n_nlos > 0))
+    if rows.size == 0:
+        return vals
+    y, n_nlos, los = y[rows], n_nlos[rows], los[rows]
+    rates = np.where(los, np.inf, d2[rows] ** (p.alpha_nlos / 2.0)
+                     / p.eta_nlos)
+    upper, lower = chernoff_exponents(rates, los, y, n_nlos)
+    # P(I >= y) <= 1e-10 leaves the 1; else P(I <= y) <= 1e-12 gives 0.
+    unsure = ~(upper < -23.0)
+    vals[rows[unsure & (lower < -28.0)]] = 0.0
+    for j in np.flatnonzero(unsure & ~(lower < -28.0)):
+        vals[rows[j]] = mathkit.hypoexp_cdf(rates[j][~los[j]], float(y[j]))
+    return vals
+
+
+def chernoff_exponents(rates, los, y, n_nlos):
+    """Per row of NLoS `rates` (inf at the LoS pairs `los`): the log1p
+    Chernoff exponents of P(I >= y) at t = lam_min/2 and of P(I <= y) at
+    t = 4n/y."""
+    lam_min = np.min(rates, axis=1)
+    inv_rates = np.where(los, 0.0, 1.0 / rates)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log P(I >= y) <= -sum log1p(-t/rate) - t*y at t = lam_min/2
+        upper = (-np.sum(np.log1p(-0.5 * lam_min[:, None] * inv_rates),
+                         axis=1)
+                 - 0.5 * lam_min * y)
+        # log P(I <= y) <= t*y - sum log1p(t/rate) at t = 4n/y
+        t0 = 4.0 * n_nlos / y
+        lower = t0 * y - np.sum(np.log1p(t0[:, None] * inv_rates), axis=1)
+    return upper, lower

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import pc_radial, pso_radial
+from oracles import estimates_agree, pc_radial, pso_radial
 
 from uavsec import analytic, optimizer
 from uavsec.analytic import (
@@ -133,8 +133,8 @@ def test_criterion_05_semianalytic_evaluators():
         out_exact = pso_exact(p, BETA_E, zone, n_realizations=200,
                               window=window, seed=3)
         out_sim = sim_outage(p, BETA_E, zone, sim_cfg)
-        ok = (conn_exact.agrees_with(conn_sim)
-              and out_exact.agrees_with(out_sim))
+        ok = (estimates_agree(conn_exact, conn_sim)
+              and estimates_agree(out_exact, out_sim))
         all_ok = all_ok and ok
         notes.append(
             f"{name}: pc {conn_exact.value:.3f}~{conn_sim.value:.3f}, "

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ExceedanceField, pc_radial, pso_radial
+from oracles import (ExceedanceField, chernoff_exponents, disk_rows,
+                     estimates_agree, pc_radial, pso_radial)
 
 from uavsec import analytic, model
 from uavsec.analytic import (
@@ -202,8 +203,8 @@ class TestDensityAndCapacity:
                 MetricEstimate(value, half_width=hw)
         a = MetricEstimate(0.50, half_width=0.02)
         b = MetricEstimate(0.53, half_width=0.025)
-        assert a.agrees_with(b)
-        assert not a.agrees_with(MetricEstimate(0.60, half_width=0.01))
+        assert estimates_agree(a, b)
+        assert not estimates_agree(a, MetricEstimate(0.60, half_width=0.01))
 
 
 # pi lambda_u H^2 = 711.5 here, past exp's float range once the LoS-disk
@@ -266,23 +267,22 @@ def test_closed_forms_are_probabilities_at_extremes(
 
 def connection_value(p, beta_t, pts):
     """The conditional kernel as `pc_exact` evaluates it: the typical
-    receiver at the origin."""
+    receiver at the origin, the ring of radius 0 at one angle."""
     origin = np.zeros(1)
-    return analytic._exceedance(p, beta_t, pts, origin, origin, origin,
-                                analytic._scratch(1, len(pts)))[0]
+    table = analytic._ring_table(pts, np.ones(1), origin)
+    return analytic._exceedance(p, beta_t, table, origin,
+                                analytic._scratch(1, len(pts)))[0, 0]
 
 
 def ring_mean(p, beta, pts, rs, n_angles):
     """The conditional kernel averaged over `n_angles` equally spaced
-    angles on the ring of each radius in `rs`, with the points built as
-    `pso_exact`'s integrand builds them."""
+    angles on the ring of each radius in `rs`, as `pso_exact`'s integrand
+    evaluates it."""
     phis = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    table = analytic._ring_table(pts, np.cos(phis), np.sin(phis))
     vals = analytic._exceedance(
-        p, beta, pts, (rs[:, None] * np.cos(phis)).reshape(-1),
-        (rs[:, None] * np.sin(phis)).reshape(-1),
-        np.repeat(rs * rs, n_angles),
-        analytic._scratch(rs.size * n_angles, len(pts)))
-    return np.mean(vals.reshape(rs.size, n_angles), axis=1)
+        p, beta, table, rs, analytic._scratch(rs.size * n_angles, len(pts)))
+    return np.mean(vals, axis=1)
 
 
 class TestConditionalConnectionValue:
@@ -352,13 +352,14 @@ class TestExactEvaluators:
     @pytest.mark.parametrize("h, d", [(10.0, 20.0), (20.0, 15.0),
                                       (10.0, None)])
     def test_pso_exact_memory_bounded(self, lambda_u, h, d):
-        # A realization holds one block of pairs: the kernel's two float
-        # buffers and its mask (17 bytes a pair) and, on the LoS-disk
-        # branch, the open rows' gathered temporaries (about 41 more), plus
-        # one block of the hypoexponential weight tables.
-        # Whole-batch geometry peaked at 5.7 MiB at lambda_u = 1e-3 and
-        # 40 MiB at 1e-2; whole weight tables at 40.6 MiB without a zone
-        # at 1e-2.
+        # A realization holds its ring table (64 angles x n interferers,
+        # 8 bytes each), one block of pairs (two float buffers and a mask,
+        # 17 bytes a pair), the few LoS-disk rows that the log-free screen
+        # leaves to the log1p ones, and one block of the hypoexponential
+        # weight tables. Measured peaks: 1.2-2.0 MiB at lambda_u = 1e-3,
+        # 1.8 MiB at the zone spots and 2.4 MiB without a zone at 1e-2.
+        # Whole-batch geometry peaked at 5.7 MiB at 1e-3 and 40 MiB at
+        # 1e-2; whole weight tables at 40.6 MiB without a zone at 1e-2.
         zone = GuardZone(d) if d is not None else None
         tracemalloc.start()
         try:
@@ -368,6 +369,22 @@ class TestExactEvaluators:
         finally:
             tracemalloc.stop()
         assert peak < 64 * model.BLOCK_LINKS
+
+    # pso_exact at the benchmark's three spots before the ring table: its
+    # span rounds differently at r > 0, and only by rounding may the
+    # estimates move.
+    @pytest.mark.parametrize("h, d, value, half_width", [
+        (10.0, None, 0.5074687760852875, 0.24165840872412536),
+        (20.0, 15.0, 0.28555859534701206, 0.18771265509308568),
+        (10.0, 20.0, 0.12165143946424854, 0.11639530349095886)])
+    def test_pso_exact_pinned_at_benchmark_spots(self, h, d, value,
+                                                 half_width):
+        zone = GuardZone(d) if d is not None else None
+        est = pso_exact(params(h=h, theta_c=math.pi / 4), 1.0, zone,
+                        n_realizations=3, window=200.0, seed=3, tol=1e-2)
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert est.half_width == pytest.approx(half_width, rel=1e-12,
+                                               abs=0.0)
 
     def test_disk_field_screens_match_direct_evaluation(self):
         # the Chernoff screens must only shortcut values that the full
@@ -401,6 +418,102 @@ class TestExactEvaluators:
         np.testing.assert_allclose(fast, slow, atol=1e-8)
 
 
+def _disk_block(i):
+    """Seeded LoS-disk block i of the screen test: network, threshold,
+    signal powers and the (row, interferer) squared distances and LoS mask
+    of 64 ring points inside K. Each row's margin is set so that one of its
+    two upper Chernoff exponents (log1p, or log-free without its margin)
+    lands within 3 of the -23 cut, or in some rows within 1e-9 of it."""
+    rng = np.random.default_rng(9100 + i)
+    p = NetworkParams(lambda_u=1e-3, lambda_e=1e-3,
+                      h=rng.uniform(10.0, 50.0),
+                      theta_c=rng.uniform(0.4, 1.2),
+                      eta_nlos=10.0 ** rng.uniform(-3.0, 0.0),
+                      alpha_nlos=(4.0, 3.0)[i % 2], h_max=50.0)
+    k = p.los_radius
+    n = int(rng.integers(1, 60))
+    r = rng.uniform(0.5, 4.0) * k * np.sqrt(rng.random(n))
+    phi = rng.random(n) * 2.0 * math.pi
+    pts = np.column_stack((r * np.cos(phi), r * np.sin(phi)))
+    rs = rng.uniform(0.0, k, 64)
+    ex, ey = rs * np.cos(phi[0] + rs), rs * np.sin(phi[0] + rs)
+    horiz2 = (pts[:, 0] - ex[:, None]) ** 2 + (pts[:, 1] - ey[:, None]) ** 2
+    los = horiz2 < k * k
+    d2 = horiz2 + p.h ** 2
+    i_los = np.sum(np.where(los, p.eta_los / d2, 0.0), axis=1)
+    rates = np.where(los, np.inf, d2 ** (p.alpha_nlos / 2.0) / p.eta_nlos)
+    lam_min = np.min(rates, axis=1)
+    inv = np.where(los, 0.0, 1.0 / rates)
+    shift = np.where(rng.random(64) < 0.25, rng.uniform(-1e-9, 1e-9, 64),
+                     rng.uniform(-3.0, 3.0, 64))
+    with np.errstate(divide="ignore", invalid="ignore"):   # all-LoS rows
+        log1p_part = -np.sum(np.log1p(-0.5 * lam_min[:, None] * inv), axis=1)
+        free_part = lam_min * np.sum(inv, axis=1)
+        part = np.where(rng.random(64) < 0.5, log1p_part, free_part)
+        y = (part + 23.0 + shift) / (0.5 * lam_min)
+    y = np.where(np.isfinite(y), y, rng.uniform(0.0, 1e-3, 64))
+    beta = 10.0 ** rng.uniform(-1.5, 1.5)
+    sig = beta * (y + i_los)
+    return p, beta, sig, d2, los
+
+
+class TestLogFreeScreen:
+    """The log-free Chernoff screen in front of the log1p ones decides
+    nothing differently: `_disk_rows` equals the log1p-only row kernel
+    (`oracles.disk_rows`) bit for bit, on blocks whose rows sit near the
+    screens' -23 cut."""
+
+    def test_disk_rows_match_log1p_screens(self):
+        seen = set()
+        for i in range(60):
+            p, beta, sig, d2, los = _disk_block(i)
+            want = disk_rows(p, beta, sig, d2, los, np.empty_like(d2))
+            got = analytic._disk_rows(p, beta, sig, d2, los,
+                                      np.empty_like(d2))
+            assert np.array_equal(got, want), i
+            y = sig / beta - np.sum(np.where(los, p.eta_los / d2, 0.0),
+                                    axis=1)
+            n_nlos = np.count_nonzero(~los, axis=1)
+            open_ = (y > 0.0) & (n_nlos > 0)
+            gain = np.where(los, 0.0, model.pathloss(d2, p.alpha_nlos))
+            with np.errstate(divide="ignore"):
+                free = analytic._log_free_bound(
+                    gain.sum(axis=1), gain.max(axis=1),
+                    y / (2.0 * p.eta_nlos), d2.shape[1])
+            rates = np.where(los, np.inf,
+                             d2 ** (p.alpha_nlos / 2.0) / p.eta_nlos)
+            upper, _ = chernoff_exponents(rates, los, y, n_nlos)
+            for tag, rows in (
+                    ("log-free", free < -23.0),
+                    ("log1p only", (upper < -23.0) & ~(free < -23.0)),
+                    ("unsettled", ~(upper < -23.0)),
+                    ("log-free at the cut", np.abs(free + 23.0) < 1e-6)):
+                if np.any(open_ & rows):
+                    seen.add(tag)
+        assert seen == {"log-free", "log1p only", "unsettled",
+                        "log-free at the cut"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(d2=st.lists(st.floats(1.0, 1e6), min_size=1, max_size=60),
+       los_share=st.floats(0.0, 0.9), eta_nlos=st.floats(1e-3, 1.0),
+       alpha_nlos=st.sampled_from((3.0, 4.0)),
+       y=st.floats(-12.0, 12.0).map(lambda x: 10.0 ** x))
+def test_log_free_bound_never_below_log1p_exponent(d2, los_share, eta_nlos,
+                                                   alpha_nlos, y):
+    d2 = np.array([d2])
+    los = np.arange(d2.size)[None, :] < int(los_share * d2.size)
+    gain = model.pathloss(d2, alpha_nlos)
+    gain[los] = 0.0
+    free = analytic._log_free_bound(gain.sum(axis=1), gain.max(axis=1),
+                                    np.array([y / (2.0 * eta_nlos)]),
+                                    d2.size)
+    rates = np.where(los, np.inf, d2 ** (alpha_nlos / 2.0) / eta_nlos)
+    upper, _ = chernoff_exponents(rates, los, np.array([y]),
+                                  np.count_nonzero(~los, axis=1))
+    assert free[0] >= upper[0]
+
+
 def _field_config(i):
     """Seeded configuration i of the kernel oracle test: network, threshold,
     interferers, angle count and 15 radii on one side of K."""
@@ -423,7 +536,7 @@ def _field_config(i):
         n, reach = 1, rng.uniform(0.5, 3.0) * k
     elif kind == 6:                 # crowded LoS disk
         n, reach = int(rng.integers(20, 60)), rng.uniform(1.2, 2.5) * k
-    elif kind == 7:                 # one radius per block at 64 angles
+    elif kind == 7:                 # a ring split by angle into blocks
         n, reach = int(rng.integers(1100, 1300)), 200.0
     else:
         n = int(rng.integers(2, 40 if disk else 150))
@@ -449,9 +562,13 @@ def _field_config(i):
 
 
 class TestKernelOracle:
-    """The point-wise exceedance kernel, in blocks, against the whole-batch
-    radius x angle kernel it replaced (`oracles.ExceedanceField`): equal
-    bit for bit."""
+    """The ring exceedance kernel, in blocks, against the whole-batch
+    radius x angle kernel it replaced (`oracles.ExceedanceField`). At
+    r > 0 the ring table takes the squared span as |u|^2 + r proj + r^2,
+    which rounds differently from the oracle's coordinate differences:
+    77 of the 240 configurations differ, by at most 2.9e-11 absolute and
+    9.1e-11 relative, so they must agree to rtol 1e-9. At the origin, and
+    across block budgets, the kernel is equal bit for bit."""
 
     N_CONFIGS = 240
 
@@ -465,20 +582,26 @@ class TestKernelOracle:
         for i in range(self.N_CONFIGS):
             p, beta, pts, n_angles, rs = _field_config(i)
             want = ExceedanceField(p, beta, pts, n_angles).mean_over_angles(rs)
+            got = []
             whole = 15 * n_angles * max(len(pts), 1)     # one block
             for budget in (model.BLOCK_LINKS, 1, whole):
                 monkeypatch.setattr(analytic, "BLOCK_LINKS", budget)
-                assert np.array_equal(
-                    ring_mean(p, beta, pts, rs, n_angles), want), (i, budget)
+                got.append(ring_mean(p, beta, pts, rs, n_angles))
+                assert np.array_equal(got[-1], got[0]), (i, budget)
+            np.testing.assert_allclose(got[0], want, rtol=1e-9, atol=0.0,
+                                       err_msg=str(i))
             per_block = max(1, model.BLOCK_LINKS // max(len(pts), 1))
             seen.add(("blocks", min(-(-15 * n_angles // per_block), 2)))
             seen |= {("pts", min(len(pts), 2)), ("angles", n_angles)}
             horiz2 = (pts[:, 0] - rs[:, None]) ** 2 + pts[:, 1] ** 2
             if rs[0] >= p.los_radius and (horiz2 < p.los_radius ** 2).any():
                 seen.add("los pairs in the product form")
+            if len(pts) * n_angles > model.BLOCK_LINKS:
+                seen.add("ring split by angle")
         assert {("pts", 0), ("pts", 1), ("pts", 2), ("angles", 1),
                 ("angles", 64), ("blocks", 1), ("blocks", 2),
-                "los pairs in the product form"} <= seen
+                "los pairs in the product form",
+                "ring split by angle"} <= seen
         assert len(calls) > 100         # disk rows that reach the mixture
 
     # Thresholds of 1e5 and more leave margins of the order of the NLoS

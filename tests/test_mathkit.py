@@ -160,10 +160,10 @@ class TestHypoexpCdf:
         precise = mathkit._hypoexp_cdf_mp(resolve_rate_ties(rates), y)
         assert fast == pytest.approx(precise, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3, 200, 256, 257, 1500])
+    @pytest.mark.parametrize("n", [2, 3, 128, 129, 200, 256, 257, 1500])
     def test_blocked_weights_match_full_tables(self, n):
-        # one block of rows holds 2^16 entries: n <= 256 is a single
-        # block, 257 spills one row, 1500 spans 35 blocks
+        # one block of rows holds 2^14 entries: n <= 128 is a single
+        # block, 129 spills one row, 1500 spans 150 blocks of 10 rows
         rng = np.random.default_rng(n)
         lam = resolve_rate_ties(
             (100.0 + rng.uniform(0.0, 4.0e4, size=n)) ** 2 / 0.01)
