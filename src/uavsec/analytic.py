@@ -218,20 +218,22 @@ def _disk_moments_cells(b, u1, u2):
     exp(b) * integral of s^2*exp(-s) over [u1, u2] by the same split
     (the antiderivative of s^2*exp(-s) is -(2 + 2s + s^2)*exp(-s)).
     Cells past float range (b - u1 > 700) give inf for both, as in
-    `_disk_term`, and are evaluated at b = u1 so that nothing overflows."""
+    `_disk_term`, and are evaluated at b = u1 so that nothing overflows.
+    The quadrature runs on the narrow cells only, and sums each cell's
+    nodes by itself (not by a BLAS product, whose rounding depends on how
+    many cells share the call), so a cell's values do not depend on the
+    other cells."""
     saturated = b - u1 > 700.0
     b = np.where(saturated, u1, b)
-    mid = 0.5 * (u1 + u2)
-    half = 0.5 * (u2 - u1)
-    s = mid[:, None] + half[:, None] * _GL7_X
-    tilt = s * np.exp(b[:, None] - s)
     e1, e2 = np.exp(b - u1), np.exp(b - u2)
-    quad = (u2 - u1 < 0.1) | (u2 < 1e-3)
-    first = np.where(quad, half * (tilt @ _GL7_W),
-                     (1.0 + u1) * e1 - (1.0 + u2) * e2)
-    second = np.where(quad, half * ((s * tilt) @ _GL7_W),
-                      (2.0 + u1 * (2.0 + u1)) * e1
-                      - (2.0 + u2 * (2.0 + u2)) * e2)
+    first = (1.0 + u1) * e1 - (1.0 + u2) * e2
+    second = (2.0 + u1 * (2.0 + u1)) * e1 - (2.0 + u2 * (2.0 + u2)) * e2
+    quad = np.flatnonzero((u2 - u1 < 0.1) | (u2 < 1e-3))
+    half = 0.5 * (u2[quad] - u1[quad])
+    s = 0.5 * (u1[quad] + u2[quad])[:, None] + half[:, None] * _GL7_X
+    tilt = s * np.exp(b[quad, None] - s)
+    first[quad] = half * (tilt * _GL7_W).sum(axis=1)
+    second[quad] = half * (s * tilt * _GL7_W).sum(axis=1)
     empty = u2 <= u1
     first[saturated] = second[saturated] = np.inf
     return np.where(empty, 0.0, first), np.where(empty, 0.0, second)

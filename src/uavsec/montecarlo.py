@@ -12,10 +12,13 @@ fading models, so runs that differ only in the model share their NLoS
 draws.
 
 The block bounds memory: inside a chunk, links are built, faded and summed
-a block of whole receivers at a time (`_blocks`, at most `_BLOCK_BYTES` of
-link temporaries). The block's fades are the next draws of the chunk's
+a block of whole receivers at a time (`_blocks`, at most `BLOCK_LINKS`
+links, each holding about 90 bytes of live temporaries under
+tracemalloc). The block's fades are the next draws of the chunk's
 stream, and each receiver's interference is summed in the same order
-whatever the block size, so estimates do not depend on it.
+whatever the block size, so estimates do not depend on it. A chunk is one
+call (`_connection_chunk`, `_outage_chunk`), freeing its arrays before the
+next chunk draws (two chunks' arrays at once made peak RSS vary by 8 MB).
 
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width
@@ -58,14 +61,6 @@ __all__ = ["SimConfig", "sim_connection", "sim_outage"]
 
 _Z95 = 1.959963984540054
 
-# Memory bound of one block of links. A link (eavesdropper-interferer pair
-# or interferer-receiver link) holds at most _LINK_BYTES of live
-# temporaries (tracemalloc shows about 90 per pair), so a block is
-# BLOCK_LINKS links.
-_LINK_BYTES = 128
-_BLOCK_BYTES = BLOCK_LINKS * _LINK_BYTES
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls: realization count, window, seed, fading model."""
@@ -102,18 +97,17 @@ def _chunk_size(expected_work: float) -> int:
 
 def _blocks(sizes: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
     """Split consecutive receivers, receiver i owning sizes[i] links, into
-    blocks of whole receivers with at most _BLOCK_BYTES of links (a
-    receiver with more links is a block of its own).
+    blocks of whole receivers with at most BLOCK_LINKS links (a receiver
+    with more links is a block of its own).
 
     Yields (lo, hi, first, last): receivers [lo, hi) own links
     [first, last) of the concatenated link arrays.
     """
     ends = np.cumsum(sizes)
-    cap = max(1, _BLOCK_BYTES // _LINK_BYTES)
     lo = first = 0
     while lo < len(ends):
-        hi = max(int(np.searchsorted(ends, first + cap, side="right")),
-                 lo + 1)
+        hi = max(int(np.searchsorted(ends, first + BLOCK_LINKS,
+                                     side="right")), lo + 1)
         last = int(ends[hi - 1])
         yield lo, hi, first, last
         lo, first = hi, last
@@ -139,29 +133,34 @@ def sim_connection(params: NetworkParams, beta_t: float,
         else connection_window_radius(params, beta_t, cfg.n_realizations)
     if window <= params.los_radius:
         raise ValueError("window_radius must exceed the LoS radius")
-    h2 = params.h ** 2
     area_mean = params.lambda_u * math.pi * window ** 2
     chunk = _chunk_size(area_mean)
     n = cfg.n_realizations
-    successes = 0
-    for ci, start in enumerate(range(0, n, chunk)):
-        m = min(chunk, n - start)
-        rng = rng_stream(cfg.seed, 0x5EED, ci)
-        counts = rng.poisson(area_mean, m)
-        horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
-        interference = np.empty(m)
-        for lo, hi, first, last in _blocks(counts):
-            span2 = horiz2[first:last]
-            fades = rng.standard_exponential(last - first)
-            interference[lo:hi] = np.bincount(
-                np.repeat(np.arange(hi - lo), counts[lo:hi]),
-                weights=gains(params, cfg.model, span2 + h2, span2, fades),
-                minlength=hi - lo)
-        sig_fades = rng.standard_exponential(m)
-        signal = gains(params, cfg.model, np.full(m, h2), np.zeros(m),
-                       sig_fades)
-        successes += int(np.count_nonzero(signal > beta_t * interference))
+    successes = sum(_connection_chunk(params, beta_t, cfg, ci,
+                                      min(chunk, n - start), window, area_mean)
+                    for ci, start in enumerate(range(0, n, chunk)))
     return _binary_estimate(successes, n)
+
+
+def _connection_chunk(params: NetworkParams, beta_t: float, cfg: SimConfig,
+                      ci: int, m: int, window: float, area_mean: float) -> int:
+    """Successes among the m realizations of chunk ci."""
+    h2 = params.h ** 2
+    rng = rng_stream(cfg.seed, 0x5EED, ci)
+    counts = rng.poisson(area_mean, m)
+    horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
+    interference = np.empty(m)
+    for lo, hi, first, last in _blocks(counts):
+        span2 = horiz2[first:last]
+        fades = rng.standard_exponential(last - first)
+        interference[lo:hi] = np.bincount(
+            np.repeat(np.arange(hi - lo), counts[lo:hi]),
+            weights=gains(params, cfg.model, span2 + h2, span2, fades),
+            minlength=hi - lo)
+    sig_fades = rng.standard_exponential(m)
+    signal = gains(params, cfg.model, np.full(m, h2), np.zeros(m),
+                   sig_fades)
+    return int(np.count_nonzero(signal > beta_t * interference))
 
 
 def _outage_windows(params: NetworkParams, beta_e: float, cfg: SimConfig,
@@ -200,65 +199,73 @@ def sim_outage(params: NetworkParams, beta_e: float,
 
     Eavesdroppers are sampled on [d, R_e] (annulus outside the guard zone),
     interferers on [0, R_u]; see the module docstring for the window policy.
-    Every position is drawn, but only the interferers of realizations with
-    an eavesdropper are converted to x/y (cos/sin) and paired, one block of
-    eavesdroppers at a time (`_blocks`).
+    Each chunk is one `_outage_chunk` call: only the interferers of
+    realizations with an eavesdropper are kept, converted to x/y (cos/sin)
+    and paired, one block of eavesdroppers at a time (`_blocks`).
     """
     d0 = zone.d if zone is not None else 0.0
     e_win, u_win = _outage_windows(params, beta_e, cfg, zone)
-    h2 = params.h ** 2
     u_mean = params.lambda_u * math.pi * u_win ** 2
     e_mean = params.lambda_e * math.pi * (e_win ** 2 - d0 ** 2)
     chunk = _chunk_size(u_mean + e_mean + e_mean * max(u_mean, 1.0))
     n = cfg.n_realizations
-    outages = 0
-    for ci, start in enumerate(range(0, n, chunk)):
-        m = min(chunk, n - start)
-        rng = rng_stream(cfg.seed, 0x5EED, ci)
-        u_counts = rng.poisson(u_mean, m)
-        e_counts = rng.poisson(e_mean, m) if e_mean > 0 else np.zeros(m, int)
-        tu = int(u_counts.sum())
-        te = int(e_counts.sum())
-        # Canonical draw order: positions (u then e), then fading.
-        ur = np.sqrt(rng.random(tu)) * u_win
-        uphi = rng.random(tu) * (2.0 * math.pi)
-        er2 = d0 ** 2 + rng.random(te) * (e_win ** 2 - d0 ** 2)
-        ephi = rng.random(te) * (2.0 * math.pi)
-        sig_fades = rng.standard_exponential(te)
-        if te == 0:
-            continue
-        # cos/sin cost about 30 multiplies an element, and at small
-        # lambda_e most realizations have no eavesdropper to pair with.
-        paired = np.where(e_counts > 0, u_counts, 0)
-        keep = np.repeat(e_counts > 0, u_counts)
-        ux = ur[keep] * np.cos(uphi[keep])
-        uy = ur[keep] * np.sin(uphi[keep])
-        er = np.sqrt(er2)
-        ex = er * np.cos(ephi)
-        ey = er * np.sin(ephi)
-        e_seg = np.repeat(np.arange(m), e_counts)
-
-        # Pair every eavesdropper with the interferers of its realization,
-        # one block of eavesdroppers at a time; `u_first` is the index in
-        # `ux` of the first interferer an eavesdropper sees.
-        lens = u_counts[e_seg]
-        u_first = (np.cumsum(paired) - paired)[e_seg]
-        interference = np.empty(te)
-        for lo, hi, first, last in _blocks(lens):
-            blens = lens[lo:hi]
-            pair_fades = rng.standard_exponential(last - first)
-            pair_e = np.repeat(np.arange(hi - lo), blens)
-            pair_u = np.arange(last - first) + np.repeat(
-                u_first[lo:hi] - (np.cumsum(blens) - blens), blens)
-            dx = ux[pair_u] - np.repeat(ex[lo:hi], blens)
-            dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
-            horiz2 = dx * dx + dy * dy
-            interference[lo:hi] = np.bincount(
-                pair_e, weights=gains(params, cfg.model, horiz2 + h2, horiz2,
-                                      pair_fades), minlength=hi - lo)
-
-        signal = gains(params, cfg.model, er2 + h2, er2, sig_fades)
-        decoded = signal > beta_e * interference
-        outages += int(np.count_nonzero(
-            np.bincount(e_seg, weights=decoded, minlength=m) > 0))
+    outages = sum(_outage_chunk(params, beta_e, cfg, ci, min(chunk, n - start),
+                                d0, e_win, u_win, u_mean, e_mean)
+                  for ci, start in enumerate(range(0, n, chunk)))
     return _binary_estimate(outages, n)
+
+
+def _outage_chunk(params: NetworkParams, beta_e: float, cfg: SimConfig,
+                  ci: int, m: int, d0: float, e_win: float, u_win: float,
+                  u_mean: float, e_mean: float) -> int:
+    """Outages among the m realizations of chunk ci. Interferer positions
+    are kept, right after each draw, only where there is an eavesdropper."""
+    h2 = params.h ** 2
+    rng = rng_stream(cfg.seed, 0x5EED, ci)
+    u_counts = rng.poisson(u_mean, m)
+    e_counts = rng.poisson(e_mean, m) if e_mean > 0 else np.zeros(m, int)
+    tu = int(u_counts.sum())
+    te = int(e_counts.sum())
+    if te == 0:
+        return 0        # the stream is the chunk's own: skip its other draws
+    # Canonical draw order: positions (u then e), then fading. cos/sin cost
+    # about 30 multiplies an element, and at small lambda_e most
+    # realizations have no eavesdropper to pair with.
+    keep = np.repeat(e_counts > 0, u_counts)
+    ur = np.sqrt(rng.random(tu)[keep]) * u_win
+    uphi = rng.random(tu)[keep] * (2.0 * math.pi)
+    er2 = d0 ** 2 + rng.random(te) * (e_win ** 2 - d0 ** 2)
+    ephi = rng.random(te) * (2.0 * math.pi)
+    sig_fades = rng.standard_exponential(te)
+    ux = np.cos(uphi) * ur
+    uy = np.sin(uphi) * ur
+    del keep, ur, uphi
+    er = np.sqrt(er2)
+    ex = er * np.cos(ephi)
+    ey = er * np.sin(ephi)
+    e_seg = np.repeat(np.arange(m), e_counts)
+
+    # Pair every eavesdropper with the interferers of its realization,
+    # one block of eavesdroppers at a time; `u_first` is the index in
+    # `ux` of the first interferer an eavesdropper sees.
+    paired = np.where(e_counts > 0, u_counts, 0)
+    lens = u_counts[e_seg]
+    u_first = (np.cumsum(paired) - paired)[e_seg]
+    interference = np.empty(te)
+    for lo, hi, first, last in _blocks(lens):
+        blens = lens[lo:hi]
+        pair_fades = rng.standard_exponential(last - first)
+        pair_e = np.repeat(np.arange(hi - lo), blens)
+        pair_u = np.arange(last - first) + np.repeat(
+            u_first[lo:hi] - (np.cumsum(blens) - blens), blens)
+        dx = ux[pair_u] - np.repeat(ex[lo:hi], blens)
+        dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
+        horiz2 = dx * dx + dy * dy
+        interference[lo:hi] = np.bincount(
+            pair_e, weights=gains(params, cfg.model, horiz2 + h2, horiz2,
+                                  pair_fades), minlength=hi - lo)
+
+    signal = gains(params, cfg.model, er2 + h2, er2, sig_fades)
+    decoded = signal > beta_e * interference
+    return int(np.count_nonzero(
+        np.bincount(e_seg, weights=decoded, minlength=m) > 0))

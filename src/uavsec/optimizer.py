@@ -10,13 +10,16 @@ probability at the candidate rates, not the surrogate; the surrogate/full
 ratio is surfaced in the diagnostics.
 
 The grid is screened in array blocks, every cell running the capacity
-formulas as numpy arrays; the winning cell is re-solved by the scalar path
-(a 1e-12 bisection), which alone produces the reported numbers. The screen
-finds each cell's rate gap by root formulas instead: a zone covering the
-LoS disk leaves only the NLoS tail, whose outage equation inverts through
-Lambert W (`re_closed_zone`); smaller zones run a safeguarded Newton on the
-convex log-outage in q = lambda_u pi^2 sqrt(beta_e) / 2, started from that
-tail-only root, which lies at or below the true one.
+formulas as numpy arrays, and the winning cell's rates, connection
+probability and capacity are reported as the screen computed them; only
+the reported outage is evaluated afterwards, by the scalar closed form.
+The screen is the only rate-gap solver (`solve_re` is a one-cell screen):
+a zone covering the LoS disk leaves only the NLoS tail, whose outage
+equation inverts through Lambert W (`re_closed_zone`); smaller zones run a
+safeguarded Newton on the convex log-outage in
+q = lambda_u pi^2 sqrt(beta_e) / 2, started from that tail-only root,
+which lies at or below the true one. Every cell's numbers are computed
+elementwise, so they do not depend on which block the cell falls in.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ __all__ = [
 # above it; the constraint is inactive in that regime anyway.
 RE_FLOOR = 1e-6
 RE_CEILING = 40.0
-# Bracket width (bps/Hz) at which `solve_re`'s bisection stops.
-_RE_TOL = 1e-12
 # Spacing (m) of the default altitude and zone-radius grids.
 _GRID_STEP = 1.0
 
@@ -97,23 +98,20 @@ def _pso_at(params: NetworkParams, re: float,
 def solve_re(params: NetworkParams, epsilon: float,
              zone: Optional[GuardZone] = None) -> float:
     """Smallest admissible rate gap: the root of P_so(re) = epsilon, or the
-    floor when the constraint is already slack there."""
+    floor when the constraint is already slack there. One cell of
+    `_solve_re_cells`, so it equals the screen's gap at the same cell."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if params.lambda_e == 0.0:
-        return RE_FLOOR
-    f = lambda re: _pso_at(params, re, zone) - epsilon
-    if f(RE_FLOOR) <= 0.0:
-        return RE_FLOOR
-    hi = RE_CEILING
-    if f(hi) > 0.0:
-        hi = 2.0 * RE_CEILING          # one automatic bracket expansion
-        if f(hi) > 0.0:
-            achieved = _pso_at(params, hi, zone)
-            raise InfeasibleError(
-                f"outage target {epsilon:g} unreachable: minimum outage "
-                f"{achieved:g} at re = {hi:g} bps/Hz", achieved)
-    return mathkit.bisect_root(f, RE_FLOOR, hi, _RE_TOL)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        re, achieved = _solve_re_cells(
+            params, epsilon, np.array([params.h]),
+            np.array([zone.d if zone is not None else 0.0]))
+    if np.isnan(re[0]):
+        raise InfeasibleError(
+            f"outage target {epsilon:g} unreachable: minimum outage "
+            f"{achieved[0]:g} at re = {2.0 * RE_CEILING:g} bps/Hz",
+            float(achieved[0]))
+    return float(re[0])
 
 
 def _re_of_q(params: NetworkParams, q):
@@ -217,17 +215,6 @@ _NEWTON_TOL = 1e-13
 _NEWTON_CAP = 100
 
 
-def _evaluate_cell(params: NetworkParams, epsilon: float,
-                   zone: Optional[GuardZone]):
-    re = solve_re(params, epsilon, zone)
-    rt = rt_star(params, re)
-    rs = rt - re
-    pc = analytic.pc_approx(params, 2.0 ** rt - 1.0)
-    density = analytic.effective_density(params.lambda_u, params.lambda_e,
-                                         zone)
-    return re, rt, rs, analytic.stc(rs, pc, density)
-
-
 def _newton_q(params: NetworkParams, g, q, lo, hi):
     """Roots of the decreasing convex functions g(q, j) -> (values, slopes)
     of cells j inside the brackets [lo, hi] (0 < lo), from starts q at or
@@ -289,16 +276,18 @@ def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
 
 def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
                     d: np.ndarray):
-    """`solve_re` for each cell (altitude h[i], zone radius d[i]) on arrays.
-    Returns the rate gaps, NaN where the target is unreachable, and those
-    cells' outage at the expanded bracket end 2 * RE_CEILING (+inf
-    elsewhere).
+    """The rate gap of each cell (altitude h[i], zone radius d[i]; d = 0 is
+    no zone): the root of P_so = epsilon, or RE_FLOOR where the constraint
+    is slack there. Returns the rate gaps, NaN where the target is
+    unreachable, and those cells' outage at the expanded bracket end
+    2 * RE_CEILING (+inf elsewhere).
 
     Cells with d >= K take the Lambert-W root of `re_closed_zone`, floored
     at RE_FLOOR and infeasible above 2 * RE_CEILING. The others (and any
-    whose closed form overflows) keep `solve_re`'s slack test, bracket and
-    single expansion, and the bracketed cells run `_newton_q` on the
-    log-outage from the tail-only root."""
+    whose closed form overflows) get a slack test at RE_FLOOR, the bracket
+    [RE_FLOOR, RE_CEILING] with one expansion to 2 * RE_CEILING, and the
+    bracketed cells run `_newton_q` on the log-outage from the tail-only
+    root. Each cell's result is the same whatever cells share the call."""
     if params.lambda_e == 0.0:
         return np.full(h.shape, RE_FLOOR), np.full(h.shape, np.inf)
     k = h / math.tan(params.theta_c)
@@ -334,26 +323,29 @@ def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
 
 def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
             d: np.ndarray):
-    """`_evaluate_cell`'s capacity for each cell on arrays (rt* from
-    Lambert W, the full `pc_approx`), -inf where the target is unreachable,
-    and the outages `_solve_re_cells` returns."""
+    """Each cell's rate gap re (`_solve_re_cells`), codeword rate rt*
+    (`rt_star` by Lambert W), full connection probability `pc_approx` at
+    rt* and capacity (rt* - re) * pc * lambda_u', and the outages
+    `_solve_re_cells` returns. Where the target is unreachable the
+    capacity is -inf and re, rt* and pc are placeholders."""
     re, achieved = _solve_re_cells(params, epsilon, h, d)
     infeasible = np.isnan(re)
     if infeasible.all():
-        return np.full(h.shape, -np.inf), achieved
+        return re, re, re, np.full(h.shape, -np.inf), achieved
     re = np.where(infeasible, RE_FLOOR, re)
     rt = re + (2.0 / _LN2) * mathkit.lambert_w0_array(
         _w_argument(params, re, h))
     pc = analytic._pc_cells(params, 2.0 ** rt - 1.0, h)
     density = params.lambda_u * np.exp(-math.pi * params.lambda_e * d ** 2)
-    return np.where(infeasible, -np.inf, (rt - re) * pc * density), achieved
+    cs = np.where(infeasible, -np.inf, (rt - re) * pc * density)
+    return re, rt, pc, cs, achieved
 
 
 def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
             zoned: bool, diagnostics: dict) -> OptimumReport:
     """Screen the sorted altitude x zone-radius grid in array blocks, in
     altitude-major order so that the first maximum wins (lowest altitude,
-    then smallest zone), and re-solve the winner by the scalar path."""
+    then smallest zone), and report the winner's screened numbers."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     h_grid = np.sort(h_grid)
@@ -365,38 +357,35 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
         raise ValueError("zone radii must be finite and nonnegative")
     n_d = d_grid.size
     n = h_grid.size * n_d
-    best, least = (-np.inf, 0), (np.inf, 0)
+    # best: capacity, rate gap, codeword rate, pc and index of the winner
+    best, least = (-np.inf, 0.0, 0.0, 0.0, 0), np.inf
     infeasible = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, n, _BLOCK_CELLS):
             cell = np.arange(start, min(start + _BLOCK_CELLS, n))
-            cs, achieved = _screen(params, epsilon, h_grid[cell // n_d],
-                                   d_grid[cell % n_d])
-            i, j = int(np.argmax(cs)), int(np.argmin(achieved))
+            re, rt, pc, cs, achieved = _screen(
+                params, epsilon, h_grid[cell // n_d], d_grid[cell % n_d])
+            i = int(np.argmax(cs))
             if cs[i] > best[0]:
-                best = (cs[i], start + i)
-            if achieved[j] < least[0]:
-                least = (achieved[j], start + j)
+                best = (float(cs[i]), float(re[i]), float(rt[i]),
+                        float(pc[i]), start + i)
+            least = min(least, float(achieved.min()))
             infeasible += int(np.count_nonzero(np.isneginf(cs)))
 
-    def at(i):
-        p = params.with_altitude(float(h_grid[i // n_d]))
-        return p, GuardZone(float(d_grid[i % n_d])) if zoned else None
-
-    if best[0] == -np.inf:
-        p, zone = at(least[1])
+    cs, re, rt, pc, i = best
+    if cs == -np.inf:
         raise InfeasibleError(
             f"outage target {epsilon:g} unreachable on the whole grid",
-            _pso_at(p, 2.0 * RE_CEILING, zone))
-    p, zone = at(best[1])
-    re, rt, rs, cs = _evaluate_cell(p, epsilon, zone)
+            least)
+    p = params.with_altitude(float(h_grid[i // n_d]))
+    zone = GuardZone(float(d_grid[i % n_d])) if zoned else None
+    rs = rt - re
     pso = _pso_at(p, re, zone)
     if not cs > 0.0:
         # the connection probability at the optimal rates underflows to 0
         raise InfeasibleError(
             f"zero secrecy capacity on the whole grid: the best cell "
             f"(h = {p.h:g} m) carries cs = {cs:g} at outage {pso:g}", pso)
-    pc = analytic.pc_approx(p, 2.0 ** rt - 1.0)
     diagnostics["infeasible_cells"] = infeasible
     diagnostics["surrogate_pc_ratio"] = analytic.pc_simplified(p, rt) / pc
     diagnostics["constraint_active"] = re > RE_FLOOR

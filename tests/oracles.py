@@ -18,6 +18,10 @@ differences, so it matches to rounding. `disk_rows` is the LoS-disk row
 kernel with only the log1p Chernoff screens, as it was before the
 log-free screen went in front of them: `analytic._disk_rows` must give
 the same values bit for bit.
+
+For the optimizer: `solve_re_bisect`, the scalar rate-gap solver the
+optimizer used before its array screen became its only solver, kept
+verbatim (slack test, one bracket expansion, bisection to 1e-12).
 """
 
 import math
@@ -27,6 +31,7 @@ from scipy.integrate import quad
 
 from uavsec import mathkit
 from uavsec.model import NetworkParams
+from uavsec.optimizer import RE_CEILING, RE_FLOOR, InfeasibleError, _pso_at
 
 EPSREL = 1e-10
 
@@ -252,3 +257,24 @@ def chernoff_exponents(rates, los, y, n_nlos):
         t0 = 4.0 * n_nlos / y
         lower = t0 * y - np.sum(np.log1p(t0[:, None] * inv_rates), axis=1)
     return upper, lower
+
+
+def solve_re_bisect(params, epsilon, zone=None):
+    """Smallest admissible rate gap: the root of P_so(re) = epsilon, or the
+    floor when the constraint is already slack there."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if params.lambda_e == 0.0:
+        return RE_FLOOR
+    f = lambda re: _pso_at(params, re, zone) - epsilon
+    if f(RE_FLOOR) <= 0.0:
+        return RE_FLOOR
+    hi = RE_CEILING
+    if f(hi) > 0.0:
+        hi = 2.0 * RE_CEILING          # one automatic bracket expansion
+        if f(hi) > 0.0:
+            achieved = _pso_at(params, hi, zone)
+            raise InfeasibleError(
+                f"outage target {epsilon:g} unreachable: minimum outage "
+                f"{achieved:g} at re = {hi:g} bps/Hz", achieved)
+    return mathkit.bisect_root(f, RE_FLOOR, hi, 1e-12)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import estimates_agree, pc_radial, pso_radial
+from oracles import estimates_agree, pc_radial, pso_radial, solve_re_bisect
 
 from uavsec import analytic, optimizer
 from uavsec.analytic import (
@@ -191,7 +191,7 @@ def test_criterion_07_optimizer_correctness():
         zone = GuardZone(p.los_radius * rng.uniform(1.0, 4.0))
         eps = 10 ** rng.uniform(-3, -0.7)
         worst_re = max(worst_re, abs(optimizer.re_closed_zone(p, eps, zone)
-                                     - optimizer.solve_re(p, eps, zone)))
+                                     - solve_re_bisect(p, eps, zone)))
 
     worst_eq = 0.0
     for zone in (None, GuardZone(12.0), GuardZone(25.0)):

@@ -154,8 +154,7 @@ class TestBlocks:
         runs = {}
         for links in (None, 1, 3, 1 << 40):   # None: the module's budget
             if links is not None:
-                monkeypatch.setattr(montecarlo, "_BLOCK_BYTES",
-                                    links * montecarlo._LINK_BYTES)
+                monkeypatch.setattr(montecarlo, "BLOCK_LINKS", links)
             runs[links] = [
                 sim_outage(p, 1.0, zone, replace(cfg, model=model))
                 for p, zone, cfg in _OUTAGE_CASES] + [
@@ -227,6 +226,26 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("run, bound_mib", [
+        # Three full chunks with eavesdroppers in about 2/3 of the
+        # realizations: one chunk's kept interferers, about 13 MiB; 31 MiB
+        # when a chunk's arrays outlived it and every interferer was kept.
+        (lambda: sim_outage(params(lambda_e=1e-4), 1.0, None,
+                            SimConfig(3 * 8192, seed=1)), 20),
+        # Two chunks of about 0.93M links: one chunk's spans and a block,
+        # about 10 MiB; 14.5 MiB when the chunks' spans overlapped.
+        (lambda: sim_connection(params(lambda_u=1e-2), 31.0,
+                                SimConfig(2 * 8192, seed=1)), 12),
+    ], ids=["outage-sparse", "connection-dense"])
+    def test_chunk_memory_freed_between_chunks(self, run, bound_mib):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
 
 
 class TestEstimateHelpers:
