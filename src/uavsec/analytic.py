@@ -7,16 +7,16 @@ and, for the outage forms, the all-Rayleigh treatment of LoS links plus an
 expectation swap over the interferer process; they are exact for the
 connection probability under that fading treatment and are validated
 against simulation in the small-outage regime. The semi-analytic
-`pc_exact`/`pso_exact` evaluators average one conditional kernel over
-sampled interferer configurations: `_exceedance`, the probability that the
-SIR from the transmitter overhead exceeds a threshold at the points of
-rings around the origin given the interferers (a hypoexponential CDF
-inside the LoS disk, a product form outside). Per configuration, one ring
-table (`_ring_table`) holds each interferer's projection on each ring
-angle, so a ring's geometry takes one scalar per ring. `pc_exact`
-evaluates the kernel on the ring of radius 0 at one angle, the origin,
-where the typical receiver sits; `pso_exact` on rings of 64 points,
-integrated over the eavesdropper process.
+`pc_exact`/`pso_exact` evaluators average, over sampled interferer
+configurations, the probability that the SIR from the transmitter overhead
+exceeds a threshold at a ground point given the interferers: a
+hypoexponential CDF inside the LoS disk (`_disk_rows`), a product form
+outside (`_product_rows`). `pc_exact` evaluates it at the origin, where
+the typical receiver sits, as one `_disk_rows` row. `pso_exact` evaluates
+it on rings of 64 points (`_exceedance`), integrated over the eavesdropper
+process; per configuration, one ring table (`_ring_table`) holds each
+interferer's projection on each ring angle, so a ring's geometry takes one
+scalar per ring.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mathkit
-from .model import (BLOCK_LINKS, GuardZone, NetworkParams, pathloss, q1,
-                    rng_stream, sample_ppp)
+from .model import (BLOCK_LINKS, GuardZone, NetworkParams, check_threshold,
+                    pathloss, q1, rng_stream, sample_ppp)
 
 __all__ = [
     "MetricEstimate",
@@ -78,8 +78,7 @@ def pc_approx(params: NetworkParams, beta_t: float) -> float:
     that model): exp of an arctan term (NLoS interferers) plus a log term
     (LoS interferers)."""
     _require_canonical_alphas(params)
-    if beta_t < 0:
-        raise ValueError("beta_t must be nonnegative")
+    check_threshold(beta_t, "pc_approx: beta_t")
     if beta_t == 0.0 or params.lambda_u == 0.0:
         return 1.0
     h2 = params.h ** 2
@@ -128,9 +127,7 @@ def pso_approx(params: NetworkParams, beta_e: float) -> float:
     Valid in the small-outage regime (~0 to 0.1); singular at beta_e = 0.
     """
     _require_canonical_alphas(params)
-    if beta_e <= 0:
-        raise ValueError("pso_approx: beta_e must be positive (form is "
-                         "singular at beta_e = 0)")
+    check_threshold(beta_e, "pso_approx: beta_e", positive=True)
     return _pso_form(params, beta_e, 0.0)
 
 
@@ -143,8 +140,7 @@ def pso_zone_approx(params: NetworkParams, beta_e: float,
     agree exactly at d = K.
     """
     _require_canonical_alphas(params)
-    if beta_e <= 0:
-        raise ValueError("pso_zone_approx: beta_e must be positive")
+    check_threshold(beta_e, "pso_zone_approx: beta_e", positive=True)
     return _pso_form(params, beta_e, zone.d)
 
 
@@ -288,8 +284,6 @@ def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:
 _N_ANGLES = 64
 _PHIS = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
 _COS, _SIN = np.cos(_PHIS), np.sin(_PHIS)
-# The typical receiver's position: the ring of radius 0, at angle 0.
-_ORIGIN = np.zeros(1)
 
 
 def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
@@ -298,18 +292,22 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
     form over sampled interferer configurations.
 
     Low-variance counterpart of the plain simulator: the fading is
-    integrated out analytically per configuration (`_exceedance` at the
-    receiver's own position, the origin); with no NLoS interferers the
-    event degenerates to a deterministic comparison against the LoS
-    interference.
+    integrated out analytically per configuration (one `_disk_rows` row
+    at the receiver's own position, the origin, whose span to interferer
+    u is |u|); with no NLoS interferers the event degenerates to a
+    deterministic comparison against the LoS interference.
     """
+    check_threshold(beta_t, "pc_exact: beta_t")
     if beta_t == 0.0:       # always connects
         return MetricEstimate(1.0, SEMI_ANALYTIC, 0.0)
+    p = params
+    sig = p.eta_los * pathloss(np.array([p.h ** 2]), p.alpha_los)
 
     def connects(pts):
-        table = _ring_table(pts, _COS[:1], _SIN[:1])
-        return _exceedance(params, beta_t, table, _ORIGIN,
-                           _scratch(1, len(pts)))[0, 0]
+        u2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+        return _disk_rows(p, beta_t, sig, (u2 + p.h ** 2)[None],
+                          (u2 < p.los_radius ** 2)[None],
+                          np.empty((1, u2.size)))[0]
 
     mean, hw = _average(params, connects, n_realizations, window, seed)
     return MetricEstimate(mean, SEMI_ANALYTIC, hw)
@@ -369,8 +367,7 @@ def _exceedance(params: NetworkParams, beta: float, table, rs: np.ndarray,
     """Conditional P(SIR at ground point x from the transmitter above the
     origin exceeds beta | interferers), at the points of the rings of radii
     `rs` at the angles of the ring `table` (`_ring_table`), shaped
-    (rings, angles): at x = 0 the typical receiver connects, elsewhere an
-    eavesdropper at x decodes.
+    (rings, angles): an eavesdropper at x decodes.
 
     All rings of one call lie on one side of the LoS radius K. The
     (point, interferer) pairs are built a block at a time (`_blocks`) in
@@ -378,9 +375,8 @@ def _exceedance(params: NetworkParams, beta: float, table, rs: np.ndarray,
     each pass multiplies or adds one scalar per ring or the n-vector
     |u|^2 over contiguous data. Each element keeps its operations and each
     sum runs over one point's contiguous row, so results do not depend on
-    the block size. At r = 0 the span is |u|^2 exactly (r proj = +-0), as
-    computed from the coordinates; at r > 0 it differs from
-    |u - x|^2 computed from coordinate differences by rounding.
+    the block size. The span differs from |u - x|^2 computed from
+    coordinate differences by rounding.
     """
     proj, u2 = table
     n_angles, n = proj.shape
@@ -523,8 +519,7 @@ def pso_exact(params: NetworkParams, beta_e: float,
     failures propagate as `mathkit.AccuracyError` with the partial
     estimate attached.
     """
-    if beta_e <= 0:
-        raise ValueError("pso_exact: beta_e must be positive")
+    check_threshold(beta_e, "pso_exact: beta_e", positive=True)
     if params.lambda_e == 0.0:
         return MetricEstimate(0.0, SEMI_ANALYTIC, 0.0)
     d0 = zone.d if zone is not None else 0.0

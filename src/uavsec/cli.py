@@ -282,6 +282,8 @@ def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
 
 
 def _beta(rate: float) -> float:
+    if not 0.0 <= rate < 1024.0:
+        raise ConfigError(f"rate {rate:g} bps/Hz outside [0, 1024)")
     return 2.0 ** rate - 1.0
 
 

@@ -1,5 +1,6 @@
-"""Self-contained numerical kernels: Lambert W, hypoexponential CDF,
-bisection, adaptive quadrature on finite radial intervals.
+"""Self-contained numerical kernels: Lambert W (one array routine; the
+scalar form is its one-element call), hypoexponential CDF, bisection,
+adaptive quadrature on finite radial intervals.
 
 Everything here is a pure function of its inputs and safe to call from
 any number of threads.
@@ -52,73 +53,38 @@ class AccuracyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function: w with w*exp(w) = x, w >= -1.
-
-    Halley iteration seeded by a piecewise initial guess (branch-point
-    series near -1/e, rational fit near 0, asymptotic log form for large x).
-    Valid for x >= -1/e; raises ValueError below the branch point.
-    """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("lambert_w0: x is NaN")
-    if x < -_INV_E:
-        raise ValueError(f"lambert_w0: x={x!r} below branch point -1/e")
-    if x == 0.0:
-        return 0.0
-
-    # Initial guess.
-    p2 = 2.0 * (math.e * x + 1.0)
-    if p2 <= 0.0:
-        return -1.0
-    if p2 < 0.5:
-        # Series around the branch point w = -1 + p - p^2/3 + 11 p^3/72.
-        p = math.sqrt(p2)
-        w = -1.0 + p - p2 / 3.0 + 11.0 * p * p2 / 72.0
-    elif x < math.e:
-        # Pade-like seed, accurate enough for Halley on [-1/e, e].
-        w = x / (1.0 + x * (1.0 + x * 0.5) / (1.0 + x * 1.1))
-        if w <= -1.0:
-            w = -0.99
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-
-    # Halley's method.
-    for _ in range(60):
-        ew = math.exp(w)
-        r = w * ew - x
-        if r == 0.0:
-            break
-        w1 = w + 1.0
-        denom = ew * w1 - (w + 2.0) * r / (2.0 * w1)
-        dw = r / denom
-        w -= dw
-        if abs(dw) <= 1e-16 * (1.0 + abs(w)):
-            break
-    # One Newton polish guards the residual contract at the scale of x.
-    ew = math.exp(w)
-    r = w * ew - x
-    if r != 0.0 and w > -1.0:
-        w -= r / (ew * (w + 1.0))
-    return w
+    """`lambert_w0_array` at one x."""
+    return float(lambert_w0_array(np.array([x], dtype=float))[0])
 
 
 def lambert_w0_array(x: np.ndarray) -> np.ndarray:
-    """`lambert_w0` elementwise for positive x: the same seeds, Halley
-    stopping rule per element and Newton polish, run on arrays."""
+    """Principal branch of the Lambert W function elementwise: w with
+    w*exp(w) = x, w >= -1, for x >= -1/e (ValueError on NaN and below).
+
+    Halley iteration (Corless et al., 1996) from a rational seed below e,
+    the asymptotic log form above, and the branch-point series near -1/e
+    (w = -1 where 2(e x + 1) rounds to <= 0), then one Newton polish for
+    the residual at the scale of x. Only calls with a negative x pay for
+    the branch-point seed and guards."""
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
-        raise ValueError("lambert_w0_array: x must be positive")
+    negative = not np.all(x >= 0.0)
+    if negative and not np.all(x >= -_INV_E):
+        raise ValueError("lambert_w0: x is NaN or below the branch point -1/e")
     l1 = np.log(np.maximum(x, math.e))
     l2 = np.log(l1)
     w = np.where(x < math.e,
                  x / (1.0 + x * (1.0 + x * 0.5) / (1.0 + x * 1.1)),
                  l1 - l2 + l2 / l1)
+    if negative:
+        # Series around the branch point: w = -1 + p - p^2/3 + 11 p^3/72.
+        p2 = 2.0 * (math.e * x + 1.0)
+        p = np.sqrt(np.maximum(p2, 0.0))
+        w = np.where(p2 < 0.5, -1.0 + p - p2 / 3.0 + 11.0 * p * p2 / 72.0, w)
     # Iterate only the elements still moving: a few never meet the stopping
     # rule (their last step is one rounding) and run all 60 steps.
     flat_w, flat_x = w.reshape(-1), x.reshape(-1)
-    live = np.arange(flat_w.size)
+    live = (np.flatnonzero(p2.reshape(-1) > 0.0) if negative
+            else np.arange(flat_w.size))
     for _ in range(60):
         wl, xl = flat_w[live], flat_x[live]
         ew = np.exp(wl)
@@ -132,7 +98,11 @@ def lambert_w0_array(x: np.ndarray) -> np.ndarray:
             break
     ew = np.exp(w)
     r = w * ew - x
-    return w - r / (ew * (w + 1.0))
+    if not negative:
+        return w - r / (ew * (w + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p2 <= 0.0, -1.0,
+                        np.where(w > -1.0, w - r / (ew * (w + 1.0)), w))
 
 
 # ---------------------------------------------------------------------------

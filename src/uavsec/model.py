@@ -187,6 +187,14 @@ def gains(params: NetworkParams, model: type, d2: np.ndarray,
     return g
 
 
+def check_threshold(beta: float, name: str, positive: bool = False):
+    """Raise ValueError unless the SIR threshold `beta` is finite and
+    nonnegative (positive, if `positive`)."""
+    if not (0.0 < beta if positive else 0.0 <= beta) or beta == math.inf:
+        raise ValueError(f"{name} = {beta!r} must be finite and "
+                         f"{'positive' if positive else 'nonnegative'}")
+
+
 def q1(params: NetworkParams, beta_e):
     """The outage forms' variable q1 = lambda_u pi^2 sqrt(beta_e) / 2 (1/m)
     at thresholds beta_e: a float for a scalar, an array for an array."""

@@ -51,6 +51,7 @@ from .model import (
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
+    check_threshold,
     connection_window_radius,
     gains,
     outage_window_radius,
@@ -129,6 +130,7 @@ def _binary_estimate(successes: int, n: int) -> MetricEstimate:
 def sim_connection(params: NetworkParams, beta_t: float,
                    cfg: SimConfig) -> MetricEstimate:
     """Fraction of realizations whose legitimate-receiver SIR exceeds beta_t."""
+    check_threshold(beta_t, "sim_connection: beta_t")
     window = cfg.window_radius if cfg.window_radius is not None \
         else connection_window_radius(params, beta_t, cfg.n_realizations)
     if window <= params.los_radius:
@@ -203,6 +205,7 @@ def sim_outage(params: NetworkParams, beta_e: float,
     realizations with an eavesdropper are kept, converted to x/y (cos/sin)
     and paired, one block of eavesdroppers at a time (`_blocks`).
     """
+    check_threshold(beta_e, "sim_outage: beta_e")
     d0 = zone.d if zone is not None else 0.0
     e_win, u_win = _outage_windows(params, beta_e, cfg, zone)
     u_mean = params.lambda_u * math.pi * u_win ** 2

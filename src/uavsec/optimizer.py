@@ -15,11 +15,13 @@ probability and capacity are reported as the screen computed them; only
 the reported outage is evaluated afterwards, by the scalar closed form.
 The screen is the only rate-gap solver (`solve_re` is a one-cell screen):
 a zone covering the LoS disk leaves only the NLoS tail, whose outage
-equation inverts through Lambert W (`re_closed_zone`); smaller zones run a
-safeguarded Newton on the convex log-outage in
+equation inverts through Lambert W (`re_closed_zone`, one cell of it);
+smaller zones run a safeguarded Newton on the convex log-outage in
 q = lambda_u pi^2 sqrt(beta_e) / 2, started from that tail-only root,
-which lies at or below the true one. Every cell's numbers are computed
-elementwise, so they do not depend on which block the cell falls in.
+which lies at or below the true one. The codeword rate has one formula,
+`_rt_cells`; `rt_star`, `rs_star` and `large_zone_limit` are one-cell
+calls of it. Every cell's numbers are computed elementwise, so they do
+not depend on which block the cell falls in.
 """
 
 from __future__ import annotations
@@ -83,13 +85,9 @@ class OptimumReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _beta_e(re: float) -> float:
-    return 2.0 ** re - 1.0
-
-
 def _pso_at(params: NetworkParams, re: float,
             zone: Optional[GuardZone]) -> float:
-    be = _beta_e(re)
+    be = 2.0 ** re - 1.0
     if zone is None:
         return analytic.pso_approx(params, be)
     return analytic.pso_zone_approx(params, be, zone)
@@ -120,71 +118,70 @@ def _re_of_q(params: NetworkParams, q):
     return np.log1p(z * z) / _LN2
 
 
-def _tail_root(params: NetworkParams, epsilon: float, h, s, w0):
+def _tail_root(params: NetworkParams, epsilon: float, h, s):
     """The q at which the NLoS tail beyond horizontal radius sqrt(s - h^2)
-    alone meets the outage target: q*s = W0(pi lambda_e s e^(pi lambda_u
-    h^2) / L) with L = -log(1 - epsilon). Scalars with `mathkit.lambert_w0`,
-    arrays with `mathkit.lambert_w0_array`."""
+    alone meets the outage target, per cell: q*s = W0(pi lambda_e s
+    e^(pi lambda_u h^2) / L) with L = -log(1 - epsilon). NaN where the
+    argument overflows."""
     arg = (math.pi * params.lambda_e * s
            * np.exp(math.pi * params.lambda_u * h ** 2)
            / (-math.log1p(-epsilon)))
-    return w0(arg) / s
+    return mathkit.lambert_w0_array(arg) / s
 
 
 def re_closed_zone(params: NetworkParams, epsilon: float,
                    zone: GuardZone) -> float:
     """Closed-form rate gap for a guard zone covering the LoS disk (d >= K):
     only the NLoS tail beyond d contributes, which inverts through the
-    Lambert W function."""
+    Lambert W function. One cell of `_tail_root`, the root the screen
+    takes for such cells."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if zone.d < params.los_radius * (1.0 - 1e-12):
         raise ValueError("re_closed_zone requires d >= the LoS radius")
     if params.lambda_e == 0.0:
         return RE_FLOOR
-    with np.errstate(over="ignore"):
-        re = _re_of_q(params, _tail_root(params, epsilon, params.h,
-                                         params.h ** 2 + zone.d ** 2,
-                                         mathkit.lambert_w0))
+    h = np.array([params.h])
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = float(_re_of_q(params, _tail_root(params, epsilon, h,
+                                               h ** 2 + zone.d ** 2))[0])
     if not math.isfinite(re):
         raise InfeasibleError("closed-form rate gap undefined", float("nan"))
-    return max(float(re), RE_FLOOR)
+    return max(re, RE_FLOOR)
 
 
-def _w_argument(params: NetworkParams, re_star, h):
-    """W0 argument of the codeword-rate optimum at altitude h (scalars or
-    arrays)."""
+def _rt_cells(params: NetworkParams, re, h):
+    """Codeword rate maximizing the surrogate objective
+    (rt - re) * Pbar_c(rt) per cell of rate gap re and altitude h:
+    rt* = re + (2/ln 2) W0(z) with
+    z = sqrt(eta_los/eta_nlos) * 2^(1 - re/2) / (pi^2 lambda_u h)."""
     if params.lambda_u <= 0.0:
         raise ValueError("codeword-rate optimum needs lambda_u > 0")
-    return (math.sqrt(params.eta_los / params.eta_nlos)
-            * 2.0 ** (1.0 - re_star / 2.0)
-            / (math.pi ** 2 * params.lambda_u * h))
+    z = (math.sqrt(params.eta_los / params.eta_nlos) * 2.0 ** (1.0 - re / 2.0)
+         / (math.pi ** 2 * params.lambda_u * h))
+    return re + (2.0 / _LN2) * mathkit.lambert_w0_array(z)
 
 
 def rt_star(params: NetworkParams, re_star: float) -> float:
-    """Codeword rate maximizing the surrogate objective
-    (rt - re*) * Pbar_c(rt): rt* = re* + (2/ln 2) W0(z) with
-    z = sqrt(eta_los/eta_nlos) * 2^(1 - re*/2) / (pi^2 lambda_u H)."""
+    """`_rt_cells` at one cell (altitude params.h), so it equals the
+    codeword rate the searches report for that cell."""
     if re_star < 0:
         raise ValueError("re_star must be nonnegative")
-    return re_star + (2.0 / _LN2) * mathkit.lambert_w0(
-        _w_argument(params, re_star, params.h))
+    return float(_rt_cells(params, np.array([re_star], dtype=float),
+                           np.array([params.h]))[0])
 
 
 def rs_star(params: NetworkParams, re_star: float) -> float:
-    """Secrecy rate at the optimum: rt* - re*."""
-    if re_star < 0:
-        raise ValueError("re_star must be nonnegative")
-    return (2.0 / _LN2) * mathkit.lambert_w0(
-        _w_argument(params, re_star, params.h))
+    """Secrecy rate at the optimum: rt* - re*, the subtraction by which the
+    searches report rs."""
+    return rt_star(params, re_star) - re_star
 
 
 def large_zone_limit(params: NetworkParams) -> tuple[float, float]:
     """Limiting rates for an unboundedly large guard zone (rate gap -> 0):
-    rt = rs = (2/ln 2) W0(2 sqrt(eta_los/eta_nlos) / (pi^2 lambda_u H));
-    independent of the eavesdropper density and the zone radius."""
-    r = (2.0 / _LN2) * mathkit.lambert_w0(
-        _w_argument(params, 0.0, params.h))
+    rt = rs = `rs_star` at re* = 0, independent of the eavesdropper density
+    and the zone radius."""
+    r = rs_star(params, 0.0)
     return r, r
 
 
@@ -292,7 +289,7 @@ def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
         return np.full(h.shape, RE_FLOOR), np.full(h.shape, np.inf)
     k = h / math.tan(params.theta_c)
     s = h ** 2 + np.maximum(d, k) ** 2
-    q0 = _tail_root(params, epsilon, h, s, mathkit.lambert_w0_array)
+    q0 = _tail_root(params, epsilon, h, s)
     re = np.maximum(_re_of_q(params, q0), RE_FLOOR)
     i = np.flatnonzero((d < k) | np.isnan(re))
     f = lambda re: analytic._pso_zone_cells(params, 2.0 ** re - 1.0, h[i],
@@ -324,7 +321,7 @@ def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
 def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
             d: np.ndarray):
     """Each cell's rate gap re (`_solve_re_cells`), codeword rate rt*
-    (`rt_star` by Lambert W), full connection probability `pc_approx` at
+    (`_rt_cells`), full connection probability `pc_approx` at
     rt* and capacity (rt* - re) * pc * lambda_u', and the outages
     `_solve_re_cells` returns. Where the target is unreachable the
     capacity is -inf and re, rt* and pc are placeholders."""
@@ -333,8 +330,7 @@ def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
     if infeasible.all():
         return re, re, re, np.full(h.shape, -np.inf), achieved
     re = np.where(infeasible, RE_FLOOR, re)
-    rt = re + (2.0 / _LN2) * mathkit.lambert_w0_array(
-        _w_argument(params, re, h))
+    rt = _rt_cells(params, re, h)
     pc = analytic._pc_cells(params, 2.0 ** rt - 1.0, h)
     density = params.lambda_u * np.exp(-math.pi * params.lambda_e * d ** 2)
     cs = np.where(infeasible, -np.inf, (rt - re) * pc * density)
@@ -342,14 +338,19 @@ def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
 
 
 def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
-            zoned: bool, diagnostics: dict) -> OptimumReport:
+            zoned: bool) -> OptimumReport:
     """Screen the sorted altitude x zone-radius grid in array blocks, in
     altitude-major order so that the first maximum wins (lowest altitude,
     then smallest zone), and report the winner's screened numbers."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    h_grid = np.sort(h_grid)
-    d_grid = np.sort(d_grid)
+    h_grid = np.sort(np.asarray(h_grid, dtype=float))
+    d_grid = np.sort(np.asarray(d_grid, dtype=float))
+    if h_grid.size == 0 or d_grid.size == 0:
+        raise ValueError("empty search grid")
+    diagnostics = {"h_grid_size": h_grid.size}
+    if zoned:
+        diagnostics["d_grid_size"] = d_grid.size
     if not params.h_min <= h_grid[0] <= h_grid[-1] <= params.h_max:
         raise ValueError(f"altitude grid outside [{params.h_min}, "
                          f"{params.h_max}]")
@@ -399,11 +400,7 @@ def optimize_no_zone(params: NetworkParams, epsilon: float,
     solved per altitude (ties resolved toward the lowest altitude)."""
     if h_grid is None:
         h_grid = default_h_grid(params)
-    h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid.size == 0:
-        raise ValueError("empty altitude grid")
-    return _search(params, epsilon, h_grid, np.zeros(1), False,
-                   {"h_grid_size": int(h_grid.size)})
+    return _search(params, epsilon, h_grid, np.zeros(1), False)
 
 
 def optimize_zone(params: NetworkParams, epsilon: float, h_grid=None,
@@ -414,10 +411,4 @@ def optimize_zone(params: NetworkParams, epsilon: float, h_grid=None,
         h_grid = default_h_grid(params)
     if d_grid is None:
         d_grid = default_d_grid(params)
-    h_grid = np.asarray(h_grid, dtype=float)
-    d_grid = np.asarray(d_grid, dtype=float)
-    if h_grid.size == 0 or d_grid.size == 0:
-        raise ValueError("empty search grid")
-    return _search(params, epsilon, h_grid, d_grid, True,
-                   {"h_grid_size": int(h_grid.size),
-                    "d_grid_size": int(d_grid.size)})
+    return _search(params, epsilon, h_grid, d_grid, True)

@@ -11,10 +11,11 @@ the semi-analytic evaluators as they were before they learned to work in
 blocks and to evaluate each branch only where it is used, kept verbatim
 with the `pathloss` they called. `model.gains` computes every element by
 the same operations and sums over the same rows, so it must match `gains`
-bit for bit. `analytic._exceedance` matches the field bit for bit at the
-origin; on rings of radius r > 0 it takes the squared span as
-|u|^2 + r proj + r^2 from its ring table instead of from coordinate
-differences, so it matches to rounding. `disk_rows` is the LoS-disk row
+bit for bit. `analytic._exceedance`, and `pc_exact`'s single LoS-disk
+row, match the field bit for bit at the origin; on rings of radius
+r > 0 `_exceedance` takes the squared span as |u|^2 + r proj + r^2 from
+its ring table instead of from coordinate differences, so it matches to
+rounding. `disk_rows` is the LoS-disk row
 kernel with only the log1p Chernoff screens, as it was before the
 log-free screen went in front of them: `analytic._disk_rows` must give
 the same values bit for bit.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (ExceedanceField, chernoff_exponents, disk_rows,
                      estimates_agree, pc_radial, pso_radial)
 
-from uavsec import analytic, model
+from uavsec import analytic, model, montecarlo
 from uavsec.analytic import (
     MetricEstimate,
     effective_density,
@@ -265,9 +265,36 @@ def test_closed_forms_are_probabilities_at_extremes(
         assert type(v) is float and 0.0 <= v <= 1.0, v
 
 
+# Every public evaluator of a threshold, called at threshold b.
+EVALUATORS = {
+    "pc_approx": lambda b: pc_approx(params(), b),
+    "pso_approx": lambda b: pso_approx(params(), b),
+    "pso_zone_approx": lambda b: pso_zone_approx(params(), b,
+                                                 GuardZone(5.0)),
+    "pc_exact": lambda b: pc_exact(params(), b, n_realizations=2),
+    "pso_exact": lambda b: pso_exact(params(), b, n_realizations=2),
+    "sim_connection": lambda b: montecarlo.sim_connection(
+        params(), b, montecarlo.SimConfig(16)),
+    "sim_outage": lambda b: montecarlo.sim_outage(
+        params(), b, None, montecarlo.SimConfig(16)),
+}
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_evaluators_reject_out_of_domain_thresholds(monkeypatch, name, beta):
+    # rejected before any draw: a drawn stream fails the test
+    def no_draw(*args):
+        raise AssertionError("drew a random stream")
+    for module in (analytic, montecarlo):
+        monkeypatch.setattr(module, "rng_stream", no_draw)
+    with pytest.raises(ValueError, match="beta"):
+        EVALUATORS[name](beta)
+
+
 def connection_value(p, beta_t, pts):
-    """The conditional kernel as `pc_exact` evaluates it: the typical
-    receiver at the origin, the ring of radius 0 at one angle."""
+    """The conditional kernel at the typical receiver, the origin: the ring
+    of radius 0 at one angle."""
     origin = np.zeros(1)
     table = analytic._ring_table(pts, np.ones(1), origin)
     return analytic._exceedance(p, beta_t, table, origin,

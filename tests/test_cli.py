@@ -203,6 +203,18 @@ class TestRun:
                 EXIT_CONFIG
             assert not (tmp_path / "out").exists()
 
+    # 2^2000 overflows a float; a negative rate gap is a negative threshold
+    @pytest.mark.parametrize("old,new", [("rt = 5", "rt = 2000"),
+                                         ("re = 1", "re = -3")])
+    @pytest.mark.parametrize("mode", ["analyze", "simulate"])
+    def test_out_of_range_rate_exits_without_csv(self, tmp_path, old, new,
+                                                 mode):
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text(TINY_CFG.replace(old, new).replace(
+            "mode = analyze", f"mode = {mode}"))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "tiny.csv").exists()
+
     def test_saturated_outage_writes_csv(self, tmp_path):
         # pi lambda_u H^2 = 711.5 is past exp's float range in the outage
         # form's LoS-disk term: the outage saturates at 1

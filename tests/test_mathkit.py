@@ -74,13 +74,29 @@ class TestLambertW:
             ref = float(scipy_special.lambertw(x).real)
             assert lambert_w0(float(x)) == pytest.approx(ref, rel=1e-13)
 
-    def test_array_form_matches_scalar(self):
-        x = 10 ** np.linspace(-12, 12, 500)
+    def test_array_form_matches_scipy(self):
+        # scipy gives NaN at x = -1/e itself, where W0 = -1
+        scipy_special = pytest.importorskip("scipy.special")
+        x = np.concatenate([np.linspace(-1.0 / math.e, 0.0, 2000,
+                                        endpoint=False),
+                            -1.0 / math.e + 10 ** np.linspace(-15, -4, 100),
+                            10 ** np.linspace(-12, 12, 2000)])
         w = mathkit.lambert_w0_array(x)
-        ref = np.array([lambert_w0(float(v)) for v in x])
-        assert np.all(np.abs(w - ref) <= 4e-16 * np.maximum(1.0, ref))
+        ref = np.where(x == -1.0 / math.e, -1.0,
+                       scipy_special.lambertw(x).real)
+        near = x < -1.0 / math.e + 1e-4
+        assert near.sum() >= 100 and w[0] == -1.0
+        assert np.all(np.abs(w[near] - ref[near]) <= 1e-7)
+        assert np.all(np.abs(w[~near] - ref[~near])
+                      <= 1e-13 * np.abs(ref[~near]))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0 / math.e - 1e-9,
+                                     -math.inf])
+    def test_array_form_rejects_outside_domain(self, bad):
         with pytest.raises(ValueError):
-            mathkit.lambert_w0_array(np.array([1.0, 0.0]))
+            mathkit.lambert_w0_array(np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError):
+            lambert_w0(bad)
 
 
 class TestHypoexpCdf:

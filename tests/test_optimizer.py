@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import solve_re_bisect
+from scipy.special import lambertw
 
 from uavsec import analytic, optimizer
 from uavsec.model import GuardZone, NetworkParams
@@ -45,10 +46,18 @@ def surrogate_objective(p, rt, re):
     return (rt - re) * analytic.pc_simplified(p, rt)
 
 
+def rt_star_scipy(p, re):
+    """The codeword rate rt* = re + (2/ln 2) W0(z), z = sqrt(eta_L/eta_N)
+    2^(1 - re/2) / (pi^2 lambda_u H), with scipy's Lambert W."""
+    z = (math.sqrt(p.eta_los / p.eta_nlos) * 2.0 ** (1.0 - re / 2.0)
+         / (math.pi ** 2 * p.lambda_u * p.h))
+    return re + (2.0 / math.log(2.0)) * float(lambertw(z).real)
+
+
 def oracle_search(p, eps, h_grid, d_grid=None):
     """The per-cell loop that the block search replaced: every cell solved
-    by the scalar path (the bisection oracle, scalar rt*, `pc_approx` and
-    `stc`) in sorted altitude-major order, first maximum kept; d_grid None
+    by the scalar path (the bisection oracle, rt* by scipy's Lambert W,
+    `pc_approx` and `stc`) in sorted altitude-major order, first maximum kept; d_grid None
     is the no-zone search."""
     best, failures = None, []
     for h in np.sort(h_grid):
@@ -60,7 +69,7 @@ def oracle_search(p, eps, h_grid, d_grid=None):
             except InfeasibleError as exc:
                 failures.append(exc.achieved_outage)
                 continue
-            rt = rt_star(ph, re)
+            rt = rt_star_scipy(ph, re)
             rs = rt - re
             cs = analytic.stc(
                 rs, analytic.pc_approx(ph, 2.0 ** rt - 1.0),
@@ -142,9 +151,13 @@ def assert_reports_equal(got, ref):
 
 
 def assert_gap_is_solve_re(rep, p, eps):
-    """The reported rate gap is `solve_re`'s at the winning cell."""
+    """The reported rates are `solve_re`'s, `rt_star`'s and `rs_star`'s at
+    the winning cell."""
     zone = GuardZone(rep.d) if rep.d is not None else None
-    assert rep.re == solve_re(p.with_altitude(rep.h), eps, zone)
+    best = p.with_altitude(rep.h)
+    assert rep.re == solve_re(best, eps, zone)
+    assert rep.rt == rt_star(best, rep.re)
+    assert rep.rs == rs_star(best, rep.re)
 
 
 class TestSolveRe:
@@ -201,6 +214,7 @@ class TestClosedFormZoneGap:
             closed = re_closed_zone(p, eps, zone)
             root = solve_re_bisect(p, eps, zone)
             assert abs(closed - root) <= 1e-6
+            assert closed == solve_re(p, eps, zone)
 
     def test_relaxed_target_drives_gap_to_zero(self):
         # the W argument shrinks like 1/ln(1/(1-eps)), so the gap drains
@@ -251,8 +265,7 @@ class TestRateFormulas:
     def test_rate_identity(self):
         p = params()
         for re in (0.0, 0.5, 2.0, 7.0):
-            assert rt_star(p, re) - re == pytest.approx(rs_star(p, re),
-                                                        rel=1e-13)
+            assert rt_star(p, re) - re == rs_star(p, re)
 
     def test_secrecy_rate_positive(self):
         rng = np.random.default_rng(1)
