@@ -15,10 +15,9 @@ bit for bit. `analytic._exceedance`, and `pc_exact`'s single LoS-disk
 row, match the field bit for bit at the origin; on rings of radius
 r > 0 `_exceedance` takes the squared span as |u|^2 + r proj + r^2 from
 its ring table instead of from coordinate differences, so it matches to
-rounding. `disk_rows` is the LoS-disk row
-kernel with only the log1p Chernoff screens, as it was before the
-log-free screen went in front of them: `analytic._disk_rows` must give
-the same values bit for bit.
+rounding. `disk_rows` is the LoS-disk row kernel with only the log1p
+Chernoff screens, as it was before the log-free screen went in front of
+them: `analytic._disk_rows` must give the same values bit for bit.
 
 For the optimizer: `solve_re_bisect`, the scalar rate-gap solver the
 optimizer used before its array screen became its only solver, kept

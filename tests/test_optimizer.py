@@ -57,8 +57,8 @@ def rt_star_scipy(p, re):
 def oracle_search(p, eps, h_grid, d_grid=None):
     """The per-cell loop that the block search replaced: every cell solved
     by the scalar path (the bisection oracle, rt* by scipy's Lambert W,
-    `pc_approx` and `stc`) in sorted altitude-major order, first maximum kept; d_grid None
-    is the no-zone search."""
+    `pc_approx` and `stc`) in sorted altitude-major order, first maximum
+    kept; d_grid None is the no-zone search."""
     best, failures = None, []
     for h in np.sort(h_grid):
         ph = p.with_altitude(float(h))
