@@ -28,8 +28,7 @@ def main() -> int:
         b = sim_outage(p, beta_e, zone,
                        SimConfig(n, window_radius=2 * u_win, seed=7,
                                  model=ExactLoSNLoS))
-        cf = (analytic.pso_zone_approx(p, beta_e, zone) if zone
-              else analytic.pso_approx(p, beta_e))
+        cf = analytic.pso_zone_approx(p, beta_e, zone)
         label = f"lambda_e={le:g}" + (f", d={d:g}" if d else "")
         print(f"{label:28s} {e_win:7.1f} {u_win:7.1f} {a.value:9.5f} "
               f"{b.value:9.5f} "

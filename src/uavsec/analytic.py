@@ -132,16 +132,16 @@ def pso_approx(params: NetworkParams, beta_e: float) -> float:
 
 
 def pso_zone_approx(params: NetworkParams, beta_e: float,
-                    zone: GuardZone) -> float:
-    """Outage probability with a secrecy guard zone of radius d.
+                    zone: GuardZone | None) -> float:
+    """Outage probability with a secrecy guard zone of radius d; no zone
+    (None) is d = 0, which is `pso_approx`.
 
     Two branches: for d >= K only the NLoS tail beyond d remains; for d < K
-    the LoS-disk part starts at d. d = 0 is `pso_approx`, and the branches
-    agree exactly at d = K.
+    the LoS-disk part starts at d. The branches agree exactly at d = K.
     """
     _require_canonical_alphas(params)
     check_threshold(beta_e, "pso_zone_approx: beta_e", positive=True)
-    return _pso_form(params, beta_e, zone.d)
+    return _pso_form(params, beta_e, zone.d if zone is not None else 0.0)
 
 
 def _pso_form(params: NetworkParams, beta_e: float, d: float) -> float:
@@ -183,8 +183,9 @@ def pc_simplified(params: NetworkParams, rt: float) -> float:
     regime.
     """
     _require_canonical_alphas(params)
-    if rt < 0:
-        raise ValueError("rt must be nonnegative")
+    if not 0.0 <= rt < math.inf:
+        raise ValueError(f"pc_simplified: rt = {rt!r} must be finite and "
+                         f"nonnegative")
     ratio = math.sqrt(params.eta_nlos / params.eta_los)
     return math.exp(-(math.pi / 2.0) * params.lambda_u * params.h
                     * (ratio * math.pi * 2.0 ** (rt / 2.0) - 2.0 * params.h))
@@ -200,8 +201,9 @@ def effective_density(lambda_u: float, lambda_e: float,
 
 def stc(rs: float, p_c: float, density: float) -> float:
     """Secrecy transmission capacity rs * Pc * density (bps/Hz/m^2)."""
-    if rs < 0 or p_c < 0 or density < 0:
-        raise ValueError("stc arguments must be nonnegative")
+    if not all(0.0 <= x < math.inf for x in (rs, p_c, density)):
+        raise ValueError(f"stc: rs, p_c, density = {rs!r}, {p_c!r}, "
+                         f"{density!r} must be finite and nonnegative")
     return rs * p_c * density
 
 
@@ -514,8 +516,11 @@ def pso_exact(params: NetworkParams, beta_e: float,
     and the spatial integral runs over rings of them: adaptive quadrature
     in radius with a breakpoint at the LoS radius, and on each ring the
     mean over `_N_ANGLES` equally spaced angles (a trapezoid rule). The
-    integral is truncated at `window`; a closed-form bound on the truncated
-    contribution is folded into the half-width. Quadrature accuracy
+    integral is truncated at `window`; with the canonical path-loss
+    exponents (LoS 2, NLoS 4) the closed-form outage beyond the window
+    (`pso_zone_approx` at d = window) bounds the truncated contribution
+    and is folded into the half-width, and with other exponents there is
+    no such bound and none is added. Quadrature accuracy
     failures propagate as `mathkit.AccuracyError` with the partial
     estimate attached.
     """
@@ -542,8 +547,6 @@ def pso_exact(params: NetworkParams, beta_e: float,
         return -math.expm1(-params.lambda_e * area)
 
     mean, hw = _average(params, outage, n_realizations, window, seed)
-    try:
-        tail = pso_zone_approx(params, beta_e, GuardZone(window))
-    except ValueError:
-        tail = 0.0
-    return MetricEstimate(mean, SEMI_ANALYTIC, hw + tail)
+    if params.alpha_los == 2.0 and params.alpha_nlos == 4.0:
+        hw += pso_zone_approx(params, beta_e, GuardZone(window))
+    return MetricEstimate(mean, SEMI_ANALYTIC, hw)

@@ -194,10 +194,14 @@ class ExperimentConfig:
         if cp.has_section("code"):
             code = cp["code"]
             rt = _number(code["rt"]) if "rt" in code else None
-            if "re" in code:
-                re = _number(code["re"])
-            elif "rs" in code and rt is not None:
+            if "rs" in code:
+                # re = rt - rs, set once: needs rt, no re key, no rate sweep
+                if rt is None or "re" in code or variable in ("rt", "re"):
+                    raise ConfigError("[code] rs needs rt, and neither an "
+                                      "re key nor an rt or re sweep")
                 re = rt - _number(code["rs"])
+            elif "re" in code:
+                re = _number(code["re"])
         zone_d = None
         if cp.has_section("zone") and "d" in cp["zone"]:
             zone_d = _number(cp["zone"]["d"])
@@ -248,24 +252,20 @@ class ExperimentConfig:
         )
 
     def at(self, value: float):
-        """Network/code/zone/epsilon with the swept variable set to `value`."""
-        net, rt, re, zone_d, eps = (self.network, self.rt, self.re,
-                                    self.zone_d, self.epsilon)
-        if self.sweep_variable in ("lambda_u", "lambda_e", "theta_c"):
-            net = replace(net, **{self.sweep_variable: value})
-        elif self.sweep_variable == "h":
+        """Network/code/zone/epsilon with the swept variable set to `value`.
+        An altitude sweep widens [h_min, h_max] to include each value."""
+        var, net = self.sweep_variable, self.network
+        point = {"rt": self.rt, "re": self.re, "d": self.zone_d,
+                 "epsilon": self.epsilon}
+        if var == "h":
             net = replace(net, h=value, h_min=min(net.h_min, value),
                           h_max=max(net.h_max, value))
-        elif self.sweep_variable == "d":
-            zone_d = value
-        elif self.sweep_variable == "rt":
-            rt = value
-        elif self.sweep_variable == "re":
-            re = value
-        elif self.sweep_variable == "epsilon":
-            eps = value
-        zone = GuardZone(zone_d) if zone_d is not None else None
-        return net, rt, re, zone, eps
+        elif var in point:
+            point[var] = value
+        else:
+            net = replace(net, **{var: value})
+        zone = GuardZone(point["d"]) if point["d"] is not None else None
+        return net, point["rt"], point["re"], zone, point["epsilon"]
 
 
 def _fmt(x) -> str:
@@ -288,7 +288,11 @@ def _beta(rate: float) -> float:
 
 
 def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
-    """Metric columns at one sweep point, per the experiment mode."""
+    """Metric columns at one sweep point, per the experiment mode: closed
+    forms (analyze, validate), Monte Carlo estimates under the config's
+    fading model (simulate; columns `pc_mc`, `pso_mc`) or under both
+    models (validate; `pc_mc_rayleigh`, `pc_mc_exact`, `pso_mc_exact`),
+    each with its `_hw` half-width, or both optimizer reports (optimize)."""
     net, rt, re, zone, eps = cfg.at(value)
     out: dict[str, float] = {}
 
@@ -296,9 +300,7 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
         if "pc" in cfg.metrics and rt is not None:
             out["pc_approx"] = analytic.pc_approx(net, _beta(rt))
         if "pso" in cfg.metrics and re is not None:
-            out["pso_approx"] = (
-                analytic.pso_zone_approx(net, _beta(re), zone)
-                if zone is not None else analytic.pso_approx(net, _beta(re)))
+            out["pso_approx"] = analytic.pso_zone_approx(net, _beta(re), zone)
         if "cs" in cfg.metrics and rt is not None and re is not None:
             p_c = out["pc_approx"] if "pc_approx" in out \
                 else analytic.pc_approx(net, _beta(rt))
@@ -306,49 +308,26 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
                                                  zone)
             out["cs"] = analytic.stc(rt - re, p_c, density)
 
-    if cfg.mode == "simulate":
+    # (column suffix, fading model, the metrics simulated under it)
+    runs = {"simulate": (("", _MODELS[cfg.model_name], ("pc", "pso")),),
+            "validate": (("_rayleigh", AllRayleigh, ("pc",)),
+                         ("_exact", ExactLoSNLoS, ("pc", "pso")))}
+    for suffix, model_cls, names in runs.get(cfg.mode, ()):
         sim = SimConfig(cfg.n_realizations, cfg.window_radius, cfg.seed,
-                        _MODELS[cfg.model_name])
-        if "pc" in cfg.metrics and rt is not None:
-            est = sim_connection(net, _beta(rt), sim)
-            out["pc_mc"] = est.value
-            out["pc_mc_hw"] = est.half_width
-        if "pso" in cfg.metrics and re is not None:
-            est = sim_outage(net, _beta(re), zone, sim)
-            out["pso_mc"] = est.value
-            out["pso_mc_hw"] = est.half_width
-
-    if cfg.mode == "validate":
-        if "pc" in cfg.metrics and rt is not None:
-            for label, model_cls in (("rayleigh", AllRayleigh),
-                                     ("exact", ExactLoSNLoS)):
-                est = sim_connection(net, _beta(rt), SimConfig(
-                    cfg.n_realizations, cfg.window_radius, cfg.seed,
-                    model_cls))
-                out[f"pc_mc_{label}"] = est.value
-                out[f"pc_mc_{label}_hw"] = est.half_width
-        if "pso" in cfg.metrics and re is not None:
-            est = sim_outage(net, _beta(re), zone, SimConfig(
-                cfg.n_realizations, cfg.window_radius, cfg.seed,
-                ExactLoSNLoS))
-            out["pso_mc_exact"] = est.value
-            out["pso_mc_exact_hw"] = est.half_width
+                        model_cls)
+        for metric, rate in (("pc", rt), ("pso", re)):
+            if metric in names and metric in cfg.metrics and rate is not None:
+                est = (sim_connection(net, _beta(rate), sim) if metric == "pc"
+                       else sim_outage(net, _beta(rate), zone, sim))
+                out[f"{metric}_mc{suffix}"] = est.value
+                out[f"{metric}_mc{suffix}_hw"] = est.half_width
 
     if cfg.mode == "optimize":
-        no_zone = optimizer.optimize_no_zone(net, eps)
-        out["cs_no_zone"] = no_zone.cs
-        out["rt_no_zone"] = no_zone.rt
-        out["rs_no_zone"] = no_zone.rs
-        out["re_no_zone"] = no_zone.re
-        out["h_no_zone"] = no_zone.h
-        zoned = optimizer.optimize_zone(net, eps)
-        out["cs_zone"] = zoned.cs
-        out["rt_zone"] = zoned.rt
-        out["rs_zone"] = zoned.rs
-        out["re_zone"] = zoned.re
-        out["h_zone"] = zoned.h
-        out["d_zone"] = zoned.d
-        out["pso_zone"] = zoned.pso
+        for tag, report, extra in (
+                ("no_zone", optimizer.optimize_no_zone(net, eps), ()),
+                ("zone", optimizer.optimize_zone(net, eps), ("d", "pso"))):
+            for name in ("cs", "rt", "rs", "re", "h") + extra:
+                out[f"{name}_{tag}"] = getattr(report, name)
     return out
 
 

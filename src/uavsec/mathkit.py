@@ -59,17 +59,18 @@ def lambert_w0(x: float) -> float:
 
 def lambert_w0_array(x: np.ndarray) -> np.ndarray:
     """Principal branch of the Lambert W function elementwise: w with
-    w*exp(w) = x, w >= -1, for x >= -1/e (ValueError on NaN and below).
+    w*exp(w) = x, w >= -1, for x in [-1/e, inf) (ValueError on NaN, +inf
+    and below -1/e).
 
     Halley iteration (Corless et al., 1996) from a rational seed below e,
     the asymptotic log form above, and the branch-point series near -1/e
     (w = -1 where 2(e x + 1) rounds to <= 0), then one Newton polish for
     the residual at the scale of x. Only calls with a negative x pay for
-    the branch-point seed and guards."""
+    the branch-point seed and its guards."""
     x = np.asarray(x, dtype=float)
+    if not np.all((x >= -_INV_E) & (x < math.inf)):
+        raise ValueError("lambert_w0: x is NaN, infinite or below -1/e")
     negative = not np.all(x >= 0.0)
-    if negative and not np.all(x >= -_INV_E):
-        raise ValueError("lambert_w0: x is NaN or below the branch point -1/e")
     l1 = np.log(np.maximum(x, math.e))
     l2 = np.log(l1)
     w = np.where(x < math.e,

@@ -166,11 +166,12 @@ def pathloss(d2: np.ndarray, alpha: float, out=None) -> np.ndarray:
     return np.power(d2, -alpha / 2.0, out=out)
 
 
-def gains(params: NetworkParams, model: type, d2: np.ndarray,
-          horiz2: np.ndarray, fades: np.ndarray) -> np.ndarray:
-    """Received power factor eta*S*D^-alpha per link, from squared 3-D
-    distance `d2`, squared horizontal span `horiz2` and unit-mean
-    exponential draws `fades` (1-D arrays of one length).
+def gains(params: NetworkParams, model: type, horiz2: np.ndarray,
+          fades: np.ndarray) -> np.ndarray:
+    """Received power factor eta*S*D^-alpha per link to a receiver on the
+    ground from a transmitter at altitude H, from the squared horizontal
+    span `horiz2` (D^2 = horiz2 + H^2) and unit-mean exponential draws
+    `fades` (1-D arrays of one length).
 
     LoS branch (horizontal span < K): eta_los, alpha_los, S = 1 under
     ExactLoSNLoS or the draw under AllRayleigh. NLoS branch (span >= K,
@@ -179,6 +180,7 @@ def gains(params: NetworkParams, model: type, d2: np.ndarray,
     overwritten at the LoS links only (found by flat index), with the same
     operations per element as evaluating both branches everywhere.
     """
+    d2 = horiz2 + params.h ** 2
     g = pathloss(d2, params.alpha_nlos)
     np.multiply(params.eta_nlos * fades, g, out=g)
     los = np.flatnonzero(horiz2 < params.los_radius ** 2)

@@ -19,6 +19,7 @@ stream, and each receiver's interference is summed in the same order
 whatever the block size, so estimates do not depend on it. A chunk is one
 call (`_connection_chunk`, `_outage_chunk`), freeing its arrays before the
 next chunk draws (two chunks' arrays at once made peak RSS vary by 8 MB).
+A link is its squared horizontal span; `model.gains` adds H^2 to it.
 
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width
@@ -147,7 +148,6 @@ def sim_connection(params: NetworkParams, beta_t: float,
 def _connection_chunk(params: NetworkParams, beta_t: float, cfg: SimConfig,
                       ci: int, m: int, window: float, area_mean: float) -> int:
     """Successes among the m realizations of chunk ci."""
-    h2 = params.h ** 2
     rng = rng_stream(cfg.seed, 0x5EED, ci)
     counts = rng.poisson(area_mean, m)
     horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
@@ -157,11 +157,10 @@ def _connection_chunk(params: NetworkParams, beta_t: float, cfg: SimConfig,
         fades = rng.standard_exponential(last - first)
         interference[lo:hi] = np.bincount(
             np.repeat(np.arange(hi - lo), counts[lo:hi]),
-            weights=gains(params, cfg.model, span2 + h2, span2, fades),
+            weights=gains(params, cfg.model, span2, fades),
             minlength=hi - lo)
     sig_fades = rng.standard_exponential(m)
-    signal = gains(params, cfg.model, np.full(m, h2), np.zeros(m),
-                   sig_fades)
+    signal = gains(params, cfg.model, np.zeros(m), sig_fades)
     return int(np.count_nonzero(signal > beta_t * interference))
 
 
@@ -223,7 +222,6 @@ def _outage_chunk(params: NetworkParams, beta_e: float, cfg: SimConfig,
                   u_mean: float, e_mean: float) -> int:
     """Outages among the m realizations of chunk ci. Interferer positions
     are kept, right after each draw, only where there is an eavesdropper."""
-    h2 = params.h ** 2
     rng = rng_stream(cfg.seed, 0x5EED, ci)
     u_counts = rng.poisson(u_mean, m)
     e_counts = rng.poisson(e_mean, m) if e_mean > 0 else np.zeros(m, int)
@@ -265,10 +263,10 @@ def _outage_chunk(params: NetworkParams, beta_e: float, cfg: SimConfig,
         dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
         horiz2 = dx * dx + dy * dy
         interference[lo:hi] = np.bincount(
-            pair_e, weights=gains(params, cfg.model, horiz2 + h2, horiz2,
-                                  pair_fades), minlength=hi - lo)
+            pair_e, weights=gains(params, cfg.model, horiz2, pair_fades),
+            minlength=hi - lo)
 
-    signal = gains(params, cfg.model, er2 + h2, er2, sig_fades)
+    signal = gains(params, cfg.model, er2, sig_fades)
     decoded = signal > beta_e * interference
     return int(np.count_nonzero(
         np.bincount(e_seg, weights=decoded, minlength=m) > 0))

@@ -85,12 +85,10 @@ class OptimumReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pso_at(params: NetworkParams, re: float,
-            zone: Optional[GuardZone]) -> float:
-    be = 2.0 ** re - 1.0
-    if zone is None:
-        return analytic.pso_approx(params, be)
-    return analytic.pso_zone_approx(params, be, zone)
+def _check_epsilon(epsilon: float):
+    """Raise ValueError unless the outage target lies in (0, 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon = {epsilon!r} must lie in (0, 1)")
 
 
 def solve_re(params: NetworkParams, epsilon: float,
@@ -98,8 +96,7 @@ def solve_re(params: NetworkParams, epsilon: float,
     """Smallest admissible rate gap: the root of P_so(re) = epsilon, or the
     floor when the constraint is already slack there. One cell of
     `_solve_re_cells`, so it equals the screen's gap at the same cell."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         re, achieved = _solve_re_cells(
             params, epsilon, np.array([params.h]),
@@ -121,12 +118,16 @@ def _re_of_q(params: NetworkParams, q):
 def _tail_root(params: NetworkParams, epsilon: float, h, s):
     """The q at which the NLoS tail beyond horizontal radius sqrt(s - h^2)
     alone meets the outage target, per cell: q*s = W0(pi lambda_e s
-    e^(pi lambda_u h^2) / L) with L = -log(1 - epsilon). NaN where the
-    argument overflows."""
+    e^(pi lambda_u h^2) / L) with L = -log(1 - epsilon). W is evaluated
+    only where the argument is finite; cells where it overflows get NaN,
+    which sends them to the Newton path."""
     arg = (math.pi * params.lambda_e * s
            * np.exp(math.pi * params.lambda_u * h ** 2)
            / (-math.log1p(-epsilon)))
-    return mathkit.lambert_w0_array(arg) / s
+    w = np.full(arg.shape, np.nan)
+    finite = arg < math.inf
+    w[finite] = mathkit.lambert_w0_array(arg[finite])
+    return w / s
 
 
 def re_closed_zone(params: NetworkParams, epsilon: float,
@@ -135,14 +136,13 @@ def re_closed_zone(params: NetworkParams, epsilon: float,
     only the NLoS tail beyond d contributes, which inverts through the
     Lambert W function. One cell of `_tail_root`, the root the screen
     takes for such cells."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     if zone.d < params.los_radius * (1.0 - 1e-12):
         raise ValueError("re_closed_zone requires d >= the LoS radius")
     if params.lambda_e == 0.0:
         return RE_FLOOR
     h = np.array([params.h])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         re = float(_re_of_q(params, _tail_root(params, epsilon, h,
                                                h ** 2 + zone.d ** 2))[0])
     if not math.isfinite(re):
@@ -339,13 +339,15 @@ def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
 
 def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
             zoned: bool) -> OptimumReport:
-    """Screen the sorted altitude x zone-radius grid in array blocks, in
-    altitude-major order so that the first maximum wins (lowest altitude,
-    then smallest zone), and report the winner's screened numbers."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    h_grid = np.sort(np.asarray(h_grid, dtype=float))
-    d_grid = np.sort(np.asarray(d_grid, dtype=float))
+    """Screen the sorted altitude x zone-radius grid (None: the default
+    grid) in array blocks, in altitude-major order so that the first
+    maximum wins (lowest altitude, then smallest zone), and report the
+    winner's screened numbers."""
+    _check_epsilon(epsilon)
+    h_grid = np.sort(np.asarray(
+        default_h_grid(params) if h_grid is None else h_grid, dtype=float))
+    d_grid = np.sort(np.asarray(
+        default_d_grid(params) if d_grid is None else d_grid, dtype=float))
     if h_grid.size == 0 or d_grid.size == 0:
         raise ValueError("empty search grid")
     diagnostics = {"h_grid_size": h_grid.size}
@@ -381,7 +383,7 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
     p = params.with_altitude(float(h_grid[i // n_d]))
     zone = GuardZone(float(d_grid[i % n_d])) if zoned else None
     rs = rt - re
-    pso = _pso_at(p, re, zone)
+    pso = analytic.pso_zone_approx(p, 2.0 ** re - 1.0, zone)
     if not cs > 0.0:
         # the connection probability at the optimal rates underflows to 0
         raise InfeasibleError(
@@ -398,8 +400,6 @@ def optimize_no_zone(params: NetworkParams, epsilon: float,
                      h_grid=None) -> OptimumReport:
     """Maximize rs * Pc * lambda_u over the altitude grid, with the rates
     solved per altitude (ties resolved toward the lowest altitude)."""
-    if h_grid is None:
-        h_grid = default_h_grid(params)
     return _search(params, epsilon, h_grid, np.zeros(1), False)
 
 
@@ -407,8 +407,4 @@ def optimize_zone(params: NetworkParams, epsilon: float, h_grid=None,
                   d_grid=None) -> OptimumReport:
     """Maximize rs * Pc * lambda_u' over the (altitude, zone-radius) grid
     (ties resolved toward the lowest altitude, then the smallest zone)."""
-    if h_grid is None:
-        h_grid = default_h_grid(params)
-    if d_grid is None:
-        d_grid = default_d_grid(params)
     return _search(params, epsilon, h_grid, d_grid, True)

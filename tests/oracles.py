@@ -29,9 +29,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from uavsec import mathkit
+from uavsec import analytic, mathkit
 from uavsec.model import NetworkParams
-from uavsec.optimizer import RE_CEILING, RE_FLOOR, InfeasibleError, _pso_at
+from uavsec.optimizer import RE_CEILING, RE_FLOOR, InfeasibleError
 
 EPSREL = 1e-10
 
@@ -259,6 +259,11 @@ def chernoff_exponents(rates, los, y, n_nlos):
     return upper, lower
 
 
+def pso_at(params, re, zone):
+    """The closed-form outage at rate gap re (zone None: no zone)."""
+    return analytic.pso_zone_approx(params, 2.0 ** re - 1.0, zone)
+
+
 def solve_re_bisect(params, epsilon, zone=None):
     """Smallest admissible rate gap: the root of P_so(re) = epsilon, or the
     floor when the constraint is already slack there."""
@@ -266,14 +271,14 @@ def solve_re_bisect(params, epsilon, zone=None):
         raise ValueError("epsilon must lie in (0, 1)")
     if params.lambda_e == 0.0:
         return RE_FLOOR
-    f = lambda re: _pso_at(params, re, zone) - epsilon
+    f = lambda re: pso_at(params, re, zone) - epsilon
     if f(RE_FLOOR) <= 0.0:
         return RE_FLOOR
     hi = RE_CEILING
     if f(hi) > 0.0:
         hi = 2.0 * RE_CEILING          # one automatic bracket expansion
         if f(hi) > 0.0:
-            achieved = _pso_at(params, hi, zone)
+            achieved = pso_at(params, hi, zone)
             raise InfeasibleError(
                 f"outage target {epsilon:g} unreachable: minimum outage "
                 f"{achieved:g} at re = {hi:g} bps/Hz", achieved)

@@ -179,6 +179,9 @@ class TestDensityAndCapacity:
         assert stc(1.0, 1.0, 1e-3) == pytest.approx(1e-3)
         with pytest.raises(ValueError):
             stc(-1.0, 0.5, 1e-3)
+        for bad in ((1.0, math.nan, 1e-3), (1.0, 0.5, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                stc(*bad)
 
     def test_stc_monotone(self):
         rng = np.random.default_rng(3)
@@ -265,31 +268,38 @@ def test_closed_forms_are_probabilities_at_extremes(
         assert type(v) is float and 0.0 <= v <= 1.0, v
 
 
-# Every public evaluator of a threshold, called at threshold b.
+# Every public evaluator of a threshold or a rate: the argument's name,
+# and the call at argument value b.
 EVALUATORS = {
-    "pc_approx": lambda b: pc_approx(params(), b),
-    "pso_approx": lambda b: pso_approx(params(), b),
-    "pso_zone_approx": lambda b: pso_zone_approx(params(), b,
-                                                 GuardZone(5.0)),
-    "pc_exact": lambda b: pc_exact(params(), b, n_realizations=2),
-    "pso_exact": lambda b: pso_exact(params(), b, n_realizations=2),
-    "sim_connection": lambda b: montecarlo.sim_connection(
-        params(), b, montecarlo.SimConfig(16)),
-    "sim_outage": lambda b: montecarlo.sim_outage(
-        params(), b, None, montecarlo.SimConfig(16)),
+    "pc_approx": ("beta_t", lambda b: pc_approx(params(), b)),
+    "pso_approx": ("beta_e", lambda b: pso_approx(params(), b)),
+    "pso_zone_approx": ("beta_e", lambda b: pso_zone_approx(
+        params(), b, GuardZone(5.0))),
+    "pc_exact": ("beta_t", lambda b: pc_exact(params(), b,
+                                              n_realizations=2)),
+    "pso_exact": ("beta_e", lambda b: pso_exact(params(), b,
+                                                n_realizations=2)),
+    "sim_connection": ("beta_t", lambda b: montecarlo.sim_connection(
+        params(), b, montecarlo.SimConfig(16))),
+    "sim_outage": ("beta_e", lambda b: montecarlo.sim_outage(
+        params(), b, None, montecarlo.SimConfig(16))),
+    "pc_simplified": ("rt", lambda b: pc_simplified(params(), b)),
+    "stc": ("rs", lambda b: stc(b, 0.5, 1e-3)),
 }
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 def test_evaluators_reject_out_of_domain_thresholds(monkeypatch, name, beta):
-    # rejected before any draw: a drawn stream fails the test
+    # rejected by the function's own check of that argument, before any
+    # draw: a drawn stream fails the test
     def no_draw(*args):
         raise AssertionError("drew a random stream")
     for module in (analytic, montecarlo):
         monkeypatch.setattr(module, "rng_stream", no_draw)
-    with pytest.raises(ValueError, match="beta"):
-        EVALUATORS[name](beta)
+    arg, call = EVALUATORS[name]
+    with pytest.raises(ValueError, match=f"^{name}: {arg}"):
+        call(beta)
 
 
 def connection_value(p, beta_t, pts):
@@ -368,6 +378,19 @@ class TestExactEvaluators:
         b = pso_exact(p, 1.0, GuardZone(25.0), n_realizations=8,
                       window=150.0, seed=2)
         assert b.value < a.value
+
+    def test_pso_exact_tail_bound_needs_canonical_exponents(self):
+        # one realization has no sampling half-width, so the half-width is
+        # the truncation bound alone: the closed-form outage beyond the
+        # window with exponents (2, 4), and none with other exponents
+        beyond = pso_zone_approx(params(), 1.0, GuardZone(60.0))
+        assert beyond > 0.0
+        for p, tail in ((params(), beyond),
+                        (params(alpha_los=2.5, alpha_nlos=3.5), 0.0)):
+            est = pso_exact(p, 1.0, None, n_realizations=1, window=60.0,
+                            seed=4, tol=1e-3)
+            assert 0.0 < est.value < 1.0
+            assert est.half_width == tail
 
     def test_pso_exact_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,29 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_text(text)
         assert cfg.sweep_values == (10.0, 11.0, 12.0)
 
+    def test_secrecy_rate_sets_rate_gap(self):
+        cfg = ExperimentConfig.from_text(
+            TINY_CFG.replace("re = 1", "rs = 4"))
+        assert (cfg.rt, cfg.re) == (5.0, 1.0)
+
+    @pytest.mark.parametrize("variable, value", [
+        ("h", 60.0), ("h", 5.0), ("h", 20.0), ("d", 12.0), ("rt", 6.0),
+        ("re", 2.5), ("epsilon", 0.05)])
+    def test_point_sets_the_swept_variable(self, variable, value):
+        base = ExperimentConfig.from_text(TINY_CFG)
+        net, rt, re, zone, eps = replace(
+            base, sweep_variable=variable).at(value)
+        got = {"h": net.h, "d": zone.d if zone is not None else None,
+               "rt": rt, "re": re, "epsilon": eps}
+        want = {"h": 10.0, "d": None, "rt": 5.0, "re": 1.0, "epsilon": 0.01}
+        want[variable] = value
+        assert got == want
+        # an altitude sweep widens [h_min, h_max] = [10, 50] to cover it
+        assert (net.h_min, net.h_max) == (
+            (min(10.0, value), max(50.0, value)) if variable == "h"
+            else (10.0, 50.0))
+        assert replace(net, h=10.0, h_min=10.0, h_max=50.0) == base.network
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text(TINY_CFG.replace(
@@ -212,6 +235,20 @@ class TestRun:
         cfg_path = tmp_path / "rate.cfg"
         cfg_path.write_text(TINY_CFG.replace(old, new).replace(
             "mode = analyze", f"mode = {mode}"))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "tiny.csv").exists()
+
+    @pytest.mark.parametrize("code, variable", [
+        ("rs = 4", "rt"),                     # no rt: re would stay unset
+        ("rt = 5\nre = 1\nrs = 4", "lambda_e"),  # re given as well
+        ("rt = 5\nrs = 4", "re"),             # the re sweep would replace it
+        ("rt = 5\nrs = 4", "rt"),             # rs would hold at rt = 5 only
+    ])
+    def test_unused_secrecy_rate_exits_without_csv(self, tmp_path, code,
+                                                   variable):
+        cfg_path = tmp_path / "rs.cfg"
+        cfg_path.write_text(TINY_CFG.replace("rt = 5\nre = 1", code).replace(
+            "variable = lambda_e", f"variable = {variable}"))
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out" / "tiny.csv").exists()
 

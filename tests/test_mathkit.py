@@ -91,7 +91,7 @@ class TestLambertW:
                       <= 1e-13 * np.abs(ref[~near]))
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0 / math.e - 1e-9,
-                                     -math.inf])
+                                     -math.inf, math.inf])
     def test_array_form_rejects_outside_domain(self, bad):
         with pytest.raises(ValueError):
             mathkit.lambert_w0_array(np.array([1.0, bad, 2.0]))

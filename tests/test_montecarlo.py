@@ -266,8 +266,8 @@ class TestEstimateHelpers:
         rng = np.random.default_rng(0)
         horiz2 = rng.uniform(0.0, 200.0 ** 2, 500)
         fades = rng.standard_exponential(500)
-        g_exact = gains(p, ExactLoSNLoS, horiz2 + 100.0, horiz2, fades)
-        g_ray = gains(p, AllRayleigh, horiz2 + 100.0, horiz2, fades)
+        g_exact = gains(p, ExactLoSNLoS, horiz2, fades)
+        g_ray = gains(p, AllRayleigh, horiz2, fades)
         nlos = horiz2 >= p.los_radius ** 2
         assert np.array_equal(g_exact[nlos], g_ray[nlos])
         los = ~nlos

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import solve_re_bisect
+from oracles import pso_at, solve_re_bisect
 from scipy.special import lambertw
 
 from uavsec import analytic, optimizer
@@ -81,7 +82,7 @@ def oracle_search(p, eps, h_grid, d_grid=None):
     ph, zone, re, rt, rs, cs = best
     return OptimumReport(
         rt=rt, rs=rs, re=re, h=ph.h, cs=cs,
-        pso=optimizer._pso_at(ph, re, zone),
+        pso=pso_at(ph, re, zone),
         d=zone.d if zone is not None else None,
         diagnostics={
             "infeasible_cells": len(failures),
@@ -204,9 +205,38 @@ class TestSolveRe:
                 optimize_no_zone(params(), eps)
             with pytest.raises(ValueError):
                 optimize_zone(params(), eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                re_closed_zone(params(), eps, GuardZone(20.0))
+
+    def test_unreachable_target_is_infeasible(self):
+        # At lambda_u = 1e-13 the interference is too weak: even at the
+        # expanded bracket end 2 * RE_CEILING the outage stays above 0.1.
+        p = params(lambda_u=1e-13)
+        for zone in (None, GuardZone(5.0)):
+            with pytest.raises(InfeasibleError, match="unreachable") as info:
+                solve_re(p, 0.01, zone)
+            assert info.value.achieved_outage > 0.1
+            assert info.value.achieved_outage == pytest.approx(
+                pso_at(p, 2.0 * RE_CEILING, zone), rel=1e-12)
 
 
 class TestClosedFormZoneGap:
+    def test_tail_root_skips_overflowing_cells(self):
+        # exp(pi lambda_u h^2) overflows at h = 160 m (callers ignore
+        # that overflow): that cell gets NaN without evaluating W, so with
+        # no invalid-value warning, and the others are the values they
+        # take alone
+        p = params(lambda_u=1e-2, h_max=200.0)
+        h = np.array([10.0, 160.0, 20.0])
+        s = h ** 2 + 400.0
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            q = optimizer._tail_root(p, 0.01, h, s)
+            alone = [optimizer._tail_root(p, 0.01, h[i:i + 1],
+                                          s[i:i + 1])[0] for i in (0, 2)]
+        assert np.isnan(q[1])
+        assert [q[0], q[2]] == alone and np.all(np.isfinite(alone))
+
     def test_matches_bisection(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
