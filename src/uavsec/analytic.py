@@ -194,6 +194,8 @@ def pc_simplified(params: NetworkParams, rt: float) -> float:
 def effective_density(lambda_u: float, lambda_e: float,
                       zone: GuardZone | None) -> float:
     """Transmitter density thinned by the guard-zone silence protocol."""
+    check_threshold(lambda_u, "effective_density: lambda_u")
+    check_threshold(lambda_e, "effective_density: lambda_e")
     if zone is None or zone.d == 0.0:
         return lambda_u
     return lambda_u * math.exp(-math.pi * lambda_e * zone.d ** 2)
@@ -207,9 +209,9 @@ def stc(rs: float, p_c: float, density: float) -> float:
     return rs * p_c * density
 
 
-# The closed forms term for term over arrays of cells (altitude, threshold,
-# zone radius), both branches evaluated and selected per cell. Callers pass
-# valid inputs; exponents past float range saturate as in the scalar forms.
+# The closed forms over arrays of cells: the log-outage of `pso_zone_approx`
+# (both branches) and `pc_approx`. Callers pass valid inputs; exponents past
+# float range saturate as in the scalar forms.
 
 def _disk_moments_cells(b, u1, u2):
     """`_disk_term` elementwise, and with it the second moment
@@ -237,30 +239,35 @@ def _disk_moments_cells(b, u1, u2):
     return np.where(empty, 0.0, first), np.where(empty, 0.0, second)
 
 
-def _pso_zone_cells(params: NetworkParams, beta_e, h, d) -> np.ndarray:
-    """`pso_zone_approx` per cell at altitudes h, thresholds beta_e > 0 and
-    zone radii d (d = 0 is `pso_approx`)."""
-    _require_canonical_alphas(params)
-    if params.lambda_u == 0.0:
-        return np.ones(np.shape(beta_e))
-    k = h / math.tan(params.theta_c)
-    h2 = h ** 2
-    k2 = k ** 2
-    q = q1(params, beta_e)
-    b = math.pi * params.lambda_u * h2
-    log_arg = (np.log(math.pi * params.lambda_e / q) + b
-               - q * (h2 + d * d))
-    beyond_k = -np.expm1(-np.exp(np.minimum(log_arg, 700.0)))
-    a = q * math.sqrt(params.eta_nlos / params.eta_los)
-    tail_log = b - q * (h2 + k2) - np.log(2.0 * q)
-    tail = np.where(tail_log < 700.0, np.exp(np.minimum(tail_log, 700.0)),
-                    np.inf)
-    brace = tail + _disk_moments_cells(b, a * np.sqrt(h2 + d * d),
-                                       a * np.sqrt(h2 + k2))[0] / (a * a)
-    inside_k = np.where(np.isfinite(brace),
-                        -np.expm1(-2.0 * math.pi * params.lambda_e * brace),
-                        1.0)
-    return np.where(d >= k, beyond_k, inside_k)
+def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
+    """The outage constraint of `pso_zone_approx` per cell (altitude h, zone
+    radius d, LoS radius k, s = h^2 + max(d, k)^2) in q = `q1`:
+    G(q) = log(T + D) - log(rho) with rho = L / (2 pi lambda_e) and
+    L = -log(1 - epsilon), so P_so = -expm1(-L e^G) <= epsilon where G <= 0.
+    T = e^(b - q s) / (2q) is the NLoS tail beyond sqrt(s - h^2) and D the
+    integral over the LoS annulus [s1, s2] = [sqrt(h^2 + d^2),
+    sqrt(h^2 + k^2)] (empty for d >= k) of x e^(b - c q x) dx, with
+    b = pi lambda_u h^2 and c = sqrt(eta_N/eta_L). Both terms are
+    log-convex and decreasing in q, so G is convex and decreasing (inf past
+    float range, where P_so saturates at 1). Returns g(q, j) -> (G, dG/dq)
+    at the cells j."""
+    b = math.pi * params.lambda_u * h ** 2
+    c = math.sqrt(params.eta_nlos / params.eta_los)
+    s1 = np.sqrt(h ** 2 + d * d)
+    s2 = np.sqrt(h ** 2 + k * k)
+    log_rho = math.log(-math.log1p(-epsilon)
+                       / (2.0 * math.pi * params.lambda_e))
+
+    def g(q, j):
+        a = c * q
+        tail = np.exp(b[j] - q * s[j] - np.log(2.0 * q))
+        u1, u2 = a * s1[j], a * s2[j]
+        disk, disk2 = _disk_moments_cells(b[j], u1, u2)
+        disk, disk2 = disk / (a * a), disk2 / a ** 3
+        brace = tail + disk
+        return (np.log(brace) - log_rho,
+                -(tail * (s[j] + 1.0 / q) + c * disk2) / brace)
+    return g
 
 
 def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:

@@ -189,11 +189,11 @@ def gains(params: NetworkParams, model: type, horiz2: np.ndarray,
     return g
 
 
-def check_threshold(beta: float, name: str, positive: bool = False):
-    """Raise ValueError unless the SIR threshold `beta` is finite and
-    nonnegative (positive, if `positive`)."""
-    if not (0.0 < beta if positive else 0.0 <= beta) or beta == math.inf:
-        raise ValueError(f"{name} = {beta!r} must be finite and "
+def check_threshold(value: float, name: str, positive: bool = False):
+    """Raise ValueError unless `value` (an SIR threshold, a density or a
+    rate gap) is finite and nonnegative (positive, if `positive`)."""
+    if not (0.0 < value if positive else 0.0 <= value) or value == math.inf:
+        raise ValueError(f"{name} = {value!r} must be finite and "
                          f"{'positive' if positive else 'nonnegative'}")
 
 

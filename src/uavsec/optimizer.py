@@ -15,13 +15,15 @@ probability and capacity are reported as the screen computed them; only
 the reported outage is evaluated afterwards, by the scalar closed form.
 The screen is the only rate-gap solver (`solve_re` is a one-cell screen):
 a zone covering the LoS disk leaves only the NLoS tail, whose outage
-equation inverts through Lambert W (`re_closed_zone`, one cell of it);
-smaller zones run a safeguarded Newton on the convex log-outage in
-q = lambda_u pi^2 sqrt(beta_e) / 2, started from that tail-only root,
-which lies at or below the true one. The codeword rate has one formula,
-`_rt_cells`; `rt_star`, `rs_star` and `large_zone_limit` are one-cell
-calls of it. Every cell's numbers are computed elementwise, so they do
-not depend on which block the cell falls in.
+equation inverts through Lambert W (`re_closed_zone`, one cell of it).
+Other cells read only the convex log-outage G(q), q = lambda_u pi^2
+sqrt(beta_e) / 2: its sign at the bracket ends RE_FLOOR and 2 * RE_CEILING
+marks slack and unreachable cells, and the rest run a safeguarded Newton
+on G from that tail-only root, which lies at or below the true one. The
+codeword rate has one formula, `_rt_cells`; `rt_star`, `rs_star` and
+`large_zone_limit` are one-cell calls of it. Every cell's numbers are
+computed elementwise, so they do not depend on which block the cell falls
+in.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, mathkit
-from .model import GuardZone, NetworkParams, q1
+from .model import GuardZone, NetworkParams, check_threshold, q1
 
 __all__ = [
     "InfeasibleError",
@@ -54,6 +56,8 @@ __all__ = [
 # The outage form is singular at beta_e = 0, so the rate gap is floored just
 # above it; the constraint is inactive in that regime anyway.
 RE_FLOOR = 1e-6
+# The screen's rate-gap bracket ends at 2 * RE_CEILING (the bisection
+# oracle in tests/oracles.py reaches it by expanding from RE_CEILING).
 RE_CEILING = 40.0
 # Spacing (m) of the default altitude and zone-radius grids.
 _GRID_STEP = 1.0
@@ -120,7 +124,7 @@ def _tail_root(params: NetworkParams, epsilon: float, h, s):
     alone meets the outage target, per cell: q*s = W0(pi lambda_e s
     e^(pi lambda_u h^2) / L) with L = -log(1 - epsilon). W is evaluated
     only where the argument is finite; cells where it overflows get NaN,
-    which sends them to the Newton path."""
+    which sends them to the log-outage G."""
     arg = (math.pi * params.lambda_e * s
            * np.exp(math.pi * params.lambda_u * h ** 2)
            / (-math.log1p(-epsilon)))
@@ -165,8 +169,7 @@ def _rt_cells(params: NetworkParams, re, h):
 def rt_star(params: NetworkParams, re_star: float) -> float:
     """`_rt_cells` at one cell (altitude params.h), so it equals the
     codeword rate the searches report for that cell."""
-    if re_star < 0:
-        raise ValueError("re_star must be nonnegative")
+    check_threshold(re_star, "rt_star: re_star")
     return float(_rt_cells(params, np.array([re_star], dtype=float),
                            np.array([params.h]))[0])
 
@@ -174,6 +177,7 @@ def rt_star(params: NetworkParams, re_star: float) -> float:
 def rs_star(params: NetworkParams, re_star: float) -> float:
     """Secrecy rate at the optimum: rt* - re*, the subtraction by which the
     searches report rs."""
+    check_threshold(re_star, "rs_star: re_star")
     return rt_star(params, re_star) - re_star
 
 
@@ -243,79 +247,48 @@ def _newton_q(params: NetworkParams, g, q, lo, hi):
     return re, steps
 
 
-def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
-    """G(q) = log(T + D) - log(rho) per cell and its slope, where P_so =
-    epsilon is T + D = rho = L / (2 pi lambda_e): T = e^(b - q s) / (2q) is
-    the NLoS tail beyond sqrt(s - h^2) and D = integral over the LoS annulus
-    [s1, s2] = [sqrt(h^2 + d^2), sqrt(h^2 + k^2)] of x e^(b - c q x) dx,
-    with b = pi lambda_u h^2 and c = sqrt(eta_N/eta_L)
-    (`analytic._pso_zone_cells` term for term). Both terms are log-convex
-    and decreasing in q, so G is convex and decreasing. Returns G(q, j) for
-    the cells j."""
-    b = math.pi * params.lambda_u * h ** 2
-    c = math.sqrt(params.eta_nlos / params.eta_los)
-    s1 = np.sqrt(h ** 2 + d * d)
-    s2 = np.sqrt(h ** 2 + k * k)
-    log_rho = math.log(-math.log1p(-epsilon)
-                       / (2.0 * math.pi * params.lambda_e))
-
-    def g(q, j):
-        a = c * q
-        tail = np.exp(b[j] - q * s[j] - np.log(2.0 * q))
-        u1, u2 = a * s1[j], a * s2[j]
-        disk, disk2 = analytic._disk_moments_cells(b[j], u1, u2)
-        disk, disk2 = disk / (a * a), disk2 / a ** 3
-        brace = tail + disk
-        return (np.log(brace) - log_rho,
-                -(tail * (s[j] + 1.0 / q) + c * disk2) / brace)
-    return g
-
-
 def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
                     d: np.ndarray):
     """The rate gap of each cell (altitude h[i], zone radius d[i]; d = 0 is
     no zone): the root of P_so = epsilon, or RE_FLOOR where the constraint
     is slack there. Returns the rate gaps, NaN where the target is
-    unreachable, and those cells' outage at the expanded bracket end
-    2 * RE_CEILING (+inf elsewhere).
+    unreachable, and those cells' outage at the bracket end 2 * RE_CEILING
+    (+inf elsewhere).
 
     Cells with d >= K take the Lambert-W root of `re_closed_zone`, floored
-    at RE_FLOOR and infeasible above 2 * RE_CEILING. The others (and any
-    whose closed form overflows) get a slack test at RE_FLOOR, the bracket
-    [RE_FLOOR, RE_CEILING] with one expansion to 2 * RE_CEILING, and the
-    bracketed cells run `_newton_q` on the log-outage from the tail-only
-    root. Each cell's result is the same whatever cells share the call."""
+    at RE_FLOOR. The rest, and those whose root overflows or passes the
+    bracket [q(RE_FLOOR), q(2 * RE_CEILING)], read the log-outage G
+    (`analytic._log_outage_cells`) at its ends: slack where G <= 0 at the
+    floor, unreachable where G > 0 at the ceiling, else `_newton_q` on G
+    from the tail-only root. Each cell's result is the same whatever cells
+    share the call."""
     if params.lambda_e == 0.0:
         return np.full(h.shape, RE_FLOOR), np.full(h.shape, np.inf)
+    analytic._require_canonical_alphas(params)
+    if params.lambda_u == 0.0:  # G(0) is 0/0; every eavesdropper decodes
+        return np.full(h.shape, np.nan), np.ones(h.shape)
     k = h / math.tan(params.theta_c)
     s = h ** 2 + np.maximum(d, k) ** 2
     q0 = _tail_root(params, epsilon, h, s)
     re = np.maximum(_re_of_q(params, q0), RE_FLOOR)
-    i = np.flatnonzero((d < k) | np.isnan(re))
-    f = lambda re: analytic._pso_zone_cells(params, 2.0 ** re - 1.0, h[i],
-                                            d[i]) - epsilon
-    lo = np.full(i.shape, RE_FLOOR)
-    hi = np.full(i.shape, RE_CEILING)
-    slack = f(lo) <= 0.0
-    hi[f(hi) > 0.0] = 2.0 * RE_CEILING     # one automatic bracket expansion
-    fhi = f(hi)
-    re[i] = np.where(~slack & (fhi > 0.0), np.inf,
-                     np.where(~slack & (fhi == 0.0), hi, RE_FLOOR))
-    bracketed = ~slack & (fhi < 0.0)
-    if bracketed.any():
-        i, lo, hi = i[bracketed], lo[bracketed], hi[bracketed]
-        lo, hi = q1(params, 2.0 ** lo - 1.0), q1(params, 2.0 ** hi - 1.0)
-        re[i], _ = _newton_q(
-            params, _log_outage_cells(params, epsilon, h[i], d[i], k[i],
-                                      s[i]),
-            np.where(q0[i] > lo, np.minimum(q0[i], hi), lo), lo, hi)
-    infeasible = re > 2.0 * RE_CEILING
+    i = np.flatnonzero((d < k) | ~(re <= 2.0 * RE_CEILING))
+    lo, hi = q1(params, 2.0 ** np.array([RE_FLOOR, 2.0 * RE_CEILING]) - 1.0)
+    g = analytic._log_outage_cells(params, epsilon, h[i], d[i], k[i], s[i])
+    slack = g(lo, np.arange(i.size))[0] <= 0.0
+    g_hi = g(hi, np.arange(i.size))[0]
+    bracketed = ~slack & (g_hi <= 0.0)
+    re[i] = np.where(slack, RE_FLOOR, np.nan)
     achieved = np.full(h.shape, np.inf)
-    if infeasible.any():
-        achieved[infeasible] = analytic._pso_zone_cells(
-            params, 2.0 ** (2.0 * RE_CEILING) - 1.0, h[infeasible],
-            d[infeasible])
-    return np.where(infeasible, np.nan, re), achieved
+    unreachable = ~slack & ~bracketed
+    achieved[i[unreachable]] = -np.expm1(math.log1p(-epsilon)
+                                         * np.exp(g_hi[unreachable]))
+    i = i[bracketed]
+    re[i], _ = _newton_q(
+        params, analytic._log_outage_cells(params, epsilon, h[i], d[i], k[i],
+                                           s[i]),
+        np.where(q0[i] > lo, np.minimum(q0[i], hi), lo),
+        np.full(i.size, lo), np.full(i.size, hi))
+    return re, achieved
 
 
 def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,

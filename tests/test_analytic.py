@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (ExceedanceField, chernoff_exponents, disk_rows,
-                     estimates_agree, pc_radial, pso_radial)
+                     estimates_agree, pc_radial, pso_radial, solve_re_bisect)
 
-from uavsec import analytic, model, montecarlo
+from uavsec import analytic, model, montecarlo, optimizer
 from uavsec.analytic import (
     MetricEstimate,
     effective_density,
@@ -168,6 +169,13 @@ class TestDensityAndCapacity:
         assert effective_density(1e-3, 0.0, GuardZone(20.0)) == 1e-3
         assert effective_density(1e-3, 1e-3, None) == 1e-3
 
+    @pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
+    def test_effective_density_rejects_bad_transmitter_density(self,
+                                                                density):
+        # with no zone the density was returned as given, NaN included
+        with pytest.raises(ValueError, match="^effective_density: lambda_u"):
+            effective_density(density, 1e-3, None)
+
     def test_effective_density_value(self):
         got = effective_density(1e-3, 1e-3, GuardZone(20.0))
         ref = float(mpmath.mpf("1e-3") * mpmath.exp(-mpmath.pi * mpmath.mpf("0.4")))
@@ -229,16 +237,25 @@ class TestOverflowSaturation:
         assert pso_zone_approx(p, 0.1445, zone) == 1.0
 
     def test_array_disk_term(self):
-        # the optimizer's per-cell form saturates by itself too, with no
-        # overflow or inf - inf under the suite's RuntimeWarning filter
+        # the optimizer's log-outage saturates by itself too: `solve_re`
+        # gives the bisection oracle's gap or raises with its outage, with
+        # no overflow or inf - inf escaping its errstate
         p = NetworkParams(**OVERFLOW)
-        got = analytic._pso_zone_cells(p, np.full(3, 0.1445),
-                                       np.full(3, p.h),
-                                       np.array([0.0, 10.0, 5 * p.h]))
-        assert got.tolist() == [
-            pso_approx(p, 0.1445), pso_zone_approx(p, 0.1445, GuardZone(10.0)),
-            pso_zone_approx(p, 0.1445, GuardZone(5 * p.h))]
-        assert got[:2].tolist() == [1.0, 1.0]
+        for d in (0.0, 10.0, 5 * p.h):
+            zone = GuardZone(d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got = optimizer.solve_re(p, 0.01, zone)
+                except optimizer.InfeasibleError as exc:
+                    got = exc
+            try:
+                ref = solve_re_bisect(p, 0.01, zone)
+            except optimizer.InfeasibleError as exc:
+                assert got.achieved_outage == pytest.approx(
+                    exc.achieved_outage, rel=1e-12)
+                continue
+            assert abs(got - ref) <= 2e-12
 
 
 density = st.floats(-8.0, -1.0).map(lambda x: 10.0 ** x)
@@ -285,6 +302,10 @@ EVALUATORS = {
         params(), b, None, montecarlo.SimConfig(16))),
     "pc_simplified": ("rt", lambda b: pc_simplified(params(), b)),
     "stc": ("rs", lambda b: stc(b, 0.5, 1e-3)),
+    "effective_density": ("lambda_e", lambda b: effective_density(
+        1e-3, b, GuardZone(5.0))),
+    "rt_star": ("re_star", lambda b: optimizer.rt_star(params(), b)),
+    "rs_star": ("re_star", lambda b: optimizer.rs_star(params(), b)),
 }
 
 
