@@ -42,17 +42,11 @@ __all__ = [
     "pso_exact",
 ]
 
-CLOSED_FORM = "closed-form"
-SEMI_ANALYTIC = "semi-analytic"
-MONTE_CARLO = "monte-carlo"
-
-
 @dataclass(frozen=True)
 class MetricEstimate:
-    """A probability or capacity value with provenance and a 95% half-width."""
+    """A probability or capacity value and its 95% half-width."""
 
     value: float
-    method: str = CLOSED_FORM
     half_width: float = 0.0
 
     def __post_init__(self):
@@ -76,19 +70,13 @@ def _require_canonical_alphas(params: NetworkParams):
 def pc_approx(params: NetworkParams, beta_t: float) -> float:
     """Connection probability under the all-Rayleigh treatment (exact for
     that model): exp of an arctan term (NLoS interferers) plus a log term
-    (LoS interferers)."""
+    (LoS interferers), evaluated as one cell of `_pc_cells`."""
     _require_canonical_alphas(params)
     check_threshold(beta_t, "pc_approx: beta_t")
     if beta_t == 0.0 or params.lambda_u == 0.0:
         return 1.0
-    h2 = params.h ** 2
-    k2 = params.los_radius ** 2
-    sqrt_c = params.h * math.sqrt(beta_t * params.eta_nlos / params.eta_los)
-    term_nlos = (math.pi * params.lambda_u * sqrt_c / 2.0
-                 * (math.pi - 2.0 * math.atan((h2 + k2) / sqrt_c)))
-    term_los = (math.pi * params.lambda_u * h2 * beta_t
-                * math.log1p(k2 / (h2 * beta_t + h2)))
-    return math.exp(-term_nlos - term_los)
+    return float(_pc_cells(params, np.array([beta_t]),
+                           np.array([params.h]))[0])
 
 
 # Gauss-Legendre(7) on [-1, 1]: exact for the narrow disk-term intervals.
@@ -210,8 +198,9 @@ def stc(rs: float, p_c: float, density: float) -> float:
 
 
 # The closed forms over arrays of cells: the log-outage of `pso_zone_approx`
-# (both branches) and `pc_approx`. Callers pass valid inputs; exponents past
-# float range saturate as in the scalar forms.
+# (both branches) and the connection probability (`pc_approx` is one cell).
+# Callers pass valid inputs; exponents past float range saturate as in the
+# scalar forms.
 
 def _disk_moments_cells(b, u1, u2):
     """`_disk_term` elementwise, and with it the second moment
@@ -271,12 +260,16 @@ def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
 
 
 def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:
-    """`pc_approx` per cell at altitudes h and thresholds beta_t > 0."""
+    """`pc_approx` per cell at altitudes h and thresholds beta_t > 0 (where
+    beta_t eta_N / eta_L underflows to 0, arctan(inf) = pi/2 makes the NLoS
+    term its beta_t -> 0 limit, 0)."""
     h2 = h ** 2
     k2 = (h / math.tan(params.theta_c)) ** 2
     sqrt_c = h * np.sqrt(beta_t * params.eta_nlos / params.eta_los)
+    with np.errstate(divide="ignore"):
+        angle = np.arctan((h2 + k2) / sqrt_c)
     term_nlos = (math.pi * params.lambda_u * sqrt_c / 2.0
-                 * (math.pi - 2.0 * np.arctan((h2 + k2) / sqrt_c)))
+                 * (math.pi - 2.0 * angle))
     term_los = (math.pi * params.lambda_u * h2 * beta_t
                 * np.log1p(k2 / (h2 * beta_t + h2)))
     return np.exp(-term_nlos - term_los)
@@ -308,7 +301,7 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
     """
     check_threshold(beta_t, "pc_exact: beta_t")
     if beta_t == 0.0:       # always connects
-        return MetricEstimate(1.0, SEMI_ANALYTIC, 0.0)
+        return MetricEstimate(1.0)
     p = params
     sig = p.eta_los * pathloss(np.array([p.h ** 2]), p.alpha_los)
 
@@ -319,7 +312,7 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
                           np.empty((1, u2.size)))[0]
 
     mean, hw = _average(params, connects, n_realizations, window, seed)
-    return MetricEstimate(mean, SEMI_ANALYTIC, hw)
+    return MetricEstimate(mean, hw)
 
 
 def _average(params: NetworkParams, value, n_realizations: int,
@@ -533,7 +526,7 @@ def pso_exact(params: NetworkParams, beta_e: float,
     """
     check_threshold(beta_e, "pso_exact: beta_e", positive=True)
     if params.lambda_e == 0.0:
-        return MetricEstimate(0.0, SEMI_ANALYTIC, 0.0)
+        return MetricEstimate(0.0)
     d0 = zone.d if zone is not None else 0.0
     if d0 >= window:
         raise ValueError("guard-zone radius must be below the window")
@@ -556,4 +549,4 @@ def pso_exact(params: NetworkParams, beta_e: float,
     mean, hw = _average(params, outage, n_realizations, window, seed)
     if params.alpha_los == 2.0 and params.alpha_nlos == 4.0:
         hw += pso_zone_approx(params, beta_e, GuardZone(window))
-    return MetricEstimate(mean, SEMI_ANALYTIC, hw)
+    return MetricEstimate(mean, hw)

@@ -115,47 +115,32 @@ _TIE_REL_TOL = 1e-9
 
 
 def resolve_rate_ties(rates: np.ndarray) -> np.ndarray:
-    """Perturb clashing rates multiplicatively so all are pairwise distinct.
-
-    Rates closer than `_TIE_REL_TOL` relative are clustered; member k of an
-    m-member cluster is scaled by 1 + (2k - (m-1))*1e-8, a deterministic
-    spread that keeps pairwise relative gaps >= 2e-8. The CDF is continuous
-    in the rates, so the perturbation is harmless at this magnitude.
-    """
+    """Sort the rates and perturb clashing ones multiplicatively so all are
+    pairwise distinct. A run of neighbours closer than `_TIE_REL_TOL`
+    relative is a cluster; member k of an m-member cluster is scaled by
+    1 + (2k - (m-1))*1e-8 (pairwise relative gaps >= 2e-8), and the rates
+    are re-sorted and tested again, three rounds at most. The CDF is
+    continuous in the rates, so the perturbation is harmless."""
     lam = np.sort(np.asarray(rates, dtype=float))
     for _ in range(3):
-        gaps = np.diff(lam) / lam[:-1]
-        if np.all(gaps >= _TIE_REL_TOL):
-            return lam
-        out = lam.copy()
-        i = 0
-        n = len(lam)
-        while i < n:
-            j = i
-            while (j + 1 < n
-                   and (lam[j + 1] - lam[j]) < _TIE_REL_TOL * lam[j]):
-                j += 1
-            m = j - i + 1
-            if m > 1:
-                for k in range(m):
-                    out[i + k] = lam[i + k] * (1.0 + (2 * k - (m - 1)) * 1e-8)
-            i = j + 1
-        lam = np.sort(out)
+        tied = np.diff(lam) < _TIE_REL_TOL * lam[:-1]
+        if not tied.any():
+            break
+        starts = np.flatnonzero(np.concatenate(([True], ~tied)))
+        m = np.diff(starts, append=lam.size)
+        k = np.arange(lam.size) - np.repeat(starts, m)
+        lam = np.sort(lam * (1.0 + (2 * k - (np.repeat(m, m) - 1)) * 1e-8))
     return lam
 
 
 def _hypoexp_cdf_mp(lam: np.ndarray, y: float) -> float:
-    """Arbitrary-precision fallback for the signed-mixture sum."""
+    """Arbitrary-precision fallback for the signed-mixture sum, at a working
+    precision sized to the largest log-magnitude of the weights."""
     import mpmath as mp
 
-    n = len(lam)
-    # Working precision sized to the largest log-magnitude of the terms.
     with np.errstate(divide="ignore"):
-        logmag = 0.0
-        for i in range(n):
-            d = np.abs(np.delete(lam, i) - lam[i])
-            logmag = max(logmag, float(np.sum(np.log(np.delete(lam, i)) - np.log(d))))
-    dps = 30 + int(max(0.0, logmag) / math.log(10.0))
+        logmag = max(0.0, float(np.max(_log_weights(lam)[0])))
+    dps = 30 + int(logmag / math.log(10.0))
     with mp.workdps(min(dps, 4000)):
         rates = [mp.mpf(v) for v in lam]
         surv = mp.mpf(0)
@@ -215,15 +200,14 @@ def hypoexp_cdf(rates, y: float) -> float:
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("hypoexp_cdf: rates must be positive and finite")
     y = float(y)
-    if y < 0.0:
-        raise ValueError("hypoexp_cdf: y must be nonnegative")
+    if not y >= 0.0:
+        raise ValueError(f"hypoexp_cdf: y = {y!r} must be nonnegative")
     if y == 0.0:
         return 0.0
     if lam.size == 1:
         return -math.expm1(-lam[0] * y)
 
     lam = resolve_rate_ties(lam)
-    n = lam.size
     logsum, sign = _log_weights(lam)
     logterm = logsum - lam * y
 
@@ -233,7 +217,7 @@ def hypoexp_cdf(rates, y: float) -> float:
     surv = math.fsum(terms)
     magnitude = math.fsum(np.abs(terms))
     # Each term carries ~n*eps relative error from the log/exp pipeline.
-    if 4.0 * n * 1e-16 * magnitude > 1e-9:
+    if 4.0 * lam.size * 1e-16 * magnitude > 1e-9:
         return _hypoexp_cdf_mp(lam, y)
     return min(max(1.0 - surv, 0.0), 1.0)
 
@@ -322,8 +306,10 @@ def integrate_radial(f, a: float, b: float, tol: float = 1e-10,
     """
     import heapq
 
-    if a < 0.0:
-        raise ValueError("integrate_radial: a must be nonnegative")
+    if not a >= 0.0:
+        raise ValueError(f"integrate_radial: a = {a!r} must be nonnegative")
+    if not tol > 0.0:
+        raise ValueError(f"integrate_radial: tol = {tol!r} must be positive")
     if not math.isfinite(b):
         raise ValueError("integrate_radial: b must be finite")
     if b <= a:

@@ -46,7 +46,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .analytic import MONTE_CARLO, MetricEstimate
+from .analytic import MetricEstimate
 from .model import (
     BLOCK_LINKS,
     ExactLoSNLoS,
@@ -125,7 +125,7 @@ def _binary_estimate(successes: int, n: int) -> MetricEstimate:
         hw = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
     else:
         hw = _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return MetricEstimate(p, MONTE_CARLO, hw)
+    return MetricEstimate(p, hw)
 
 
 def sim_connection(params: NetworkParams, beta_t: float,

@@ -22,6 +22,11 @@ them: `analytic._disk_rows` must give the same values bit for bit.
 For the optimizer: `solve_re_bisect`, the scalar rate-gap solver the
 optimizer used before its array screen became its only solver, kept
 verbatim (slack test, one bracket expansion, bisection to 1e-12).
+
+For the hypoexponential CDF: `resolve_rate_ties_walk`, the tie rule as it
+was before it became one vectorized pass, kept verbatim (a relative-gap
+early exit and a Python walk over each run of tied neighbours).
+`mathkit.resolve_rate_ties` must match it bit for bit.
 """
 
 import math
@@ -283,3 +288,36 @@ def solve_re_bisect(params, epsilon, zone=None):
                 f"outage target {epsilon:g} unreachable: minimum outage "
                 f"{achieved:g} at re = {hi:g} bps/Hz", achieved)
     return mathkit.bisect_root(f, RE_FLOOR, hi, 1e-12)
+
+
+_TIE_REL_TOL = mathkit._TIE_REL_TOL
+
+
+def resolve_rate_ties_walk(rates: np.ndarray) -> np.ndarray:
+    """Perturb clashing rates multiplicatively so all are pairwise distinct.
+
+    Rates closer than `_TIE_REL_TOL` relative are clustered; member k of an
+    m-member cluster is scaled by 1 + (2k - (m-1))*1e-8, a deterministic
+    spread that keeps pairwise relative gaps >= 2e-8. The CDF is continuous
+    in the rates, so the perturbation is harmless at this magnitude.
+    """
+    lam = np.sort(np.asarray(rates, dtype=float))
+    for _ in range(3):
+        gaps = np.diff(lam) / lam[:-1]
+        if np.all(gaps >= _TIE_REL_TOL):
+            return lam
+        out = lam.copy()
+        i = 0
+        n = len(lam)
+        while i < n:
+            j = i
+            while (j + 1 < n
+                   and (lam[j + 1] - lam[j]) < _TIE_REL_TOL * lam[j]):
+                j += 1
+            m = j - i + 1
+            if m > 1:
+                for k in range(m):
+                    out[i + k] = lam[i + k] * (1.0 + (2 * k - (m - 1)) * 1e-8)
+            i = j + 1
+        lam = np.sort(out)
+    return lam

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import resolve_rate_ties_walk
 
 from uavsec import mathkit
 from uavsec.mathkit import (
@@ -176,6 +177,33 @@ class TestHypoexpCdf:
         precise = mathkit._hypoexp_cdf_mp(resolve_rate_ties(rates), y)
         assert fast == pytest.approx(precise, abs=1e-9)
 
+    @pytest.mark.parametrize("rates", [[2.0], [1.0, 3.0]])
+    def test_nan_argument_rejected(self, rates):
+        with pytest.raises(ValueError):
+            hypoexp_cdf(rates, math.nan)
+
+    def test_mp_fallback_pinned_on_narrow_spread_sets(self, monkeypatch):
+        # Far-field NLoS rates from a narrow band of distances, y at 0.6x
+        # the mean: the signed sum cancels, so each set takes the mpmath
+        # path. Pinned: a change to its working precision, to the tie rule
+        # or to the fallback test must fail here.
+        fallbacks = []
+        precise = mathkit._hypoexp_cdf_mp
+        monkeypatch.setattr(mathkit, "_hypoexp_cdf_mp",
+                            lambda lam, y: fallbacks.append(lam.size)
+                            or precise(lam, y))
+        rng = np.random.default_rng(11)
+        got = []
+        for n in (84, 114, 165):
+            rates = (100.0 + rng.uniform(10.0, 200.0, n)) ** 2 / 0.01
+            y = 0.6 * float(np.sum(1.0 / rates))
+            got.append(repr((precise(np.sort(rates), y),
+                             hypoexp_cdf(rates, y))))
+        assert fallbacks == [84, 114, 165]
+        assert got == ["(7.324028349674123e-05, 7.324028349674123e-05)",
+                       "(4.464800348022044e-06, 4.464800348022044e-06)",
+                       "(4.716011554842238e-08, 4.716011554842238e-08)"]
+
     @pytest.mark.parametrize("n", [2, 3, 128, 129, 200, 256, 257, 1500])
     def test_blocked_weights_match_full_tables(self, n):
         # one block of rows holds 2^14 entries: n <= 128 is a single
@@ -190,6 +218,39 @@ class TestHypoexpCdf:
         logsum, sign = mathkit._log_weights(lam)
         assert np.array_equal(logsum, np.sum(logabs, axis=1))
         assert np.array_equal(sign, np.prod(np.sign(diff), axis=1))
+
+
+def tie_laden_sets(seed: int, count: int):
+    """Seeded rate sets drawn from four base values, each rate offset by a
+    relative gap of 0, 5e-10 (a tie), 2e-9 (no tie) or 1e-8, then by up to
+    three steps of 7e-10 (chains of near-ties)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(0, 12))
+        base = rng.choice([1.0, 3.7, 2.2e-3, 1e5], size=n)
+        gap = rng.choice([0.0, 5e-10, 2e-9, 1e-8], size=n)
+        yield base * (1.0 + gap) * (1.0 + 7e-10 * rng.integers(0, 4, size=n))
+
+
+class TestRateTies:
+    @pytest.mark.parametrize("rates", [
+        [], [2.0], [2.0, 1.0], [1.0, 1.0],
+        [1.0, 1.0 + 5e-10], [1.0, 1.0 + 2e-9],
+        [0.5, 1.0, 1.0, 4.0], [1.0, 1.0, 1.0, 0.5], [3.0] * 4 + [1.0],
+        [7.0] * 5, [1.0, 1.0, 2.0, 2.0, 2.0, 3.0],
+        # chained near-ties: each neighbour gap 6e-10, end to end 2.4e-9
+        list(1.0 + 6e-10 * np.arange(5)),
+        [1.0, 1.0 + 5e-10, 1.0 + 2.5e-9, 1.0 + 3e-9],
+    ])
+    def test_matches_walk_oracle(self, rates):
+        got = resolve_rate_ties(np.array(rates))
+        assert np.array_equal(got, resolve_rate_ties_walk(np.array(rates)))
+        assert got.size < 2 or np.all(np.diff(got) > 0.0)
+
+    def test_matches_walk_oracle_on_seeded_sets(self):
+        for rates in tie_laden_sets(23, 2000):
+            assert np.array_equal(resolve_rate_ties(rates),
+                                  resolve_rate_ties_walk(rates))
 
 
 class TestBisect:
@@ -232,6 +293,13 @@ class TestIntegrateRadial:
 
     def test_zero_width(self):
         assert integrate_radial(lambda r: r, 2.0, 2.0, 1e-10) == 0.0
+
+    @pytest.mark.parametrize("a, tol", [(math.nan, 1e-10), (0.0, math.nan),
+                                        (0.0, 0.0)])
+    def test_nan_lower_bound_or_tolerance_rejected(self, a, tol):
+        # not an AccuracyError claiming a missed tolerance
+        with pytest.raises(ValueError):
+            integrate_radial(lambda r: r, a, 1.0, tol)
 
     def test_non_finite_bound_rejected(self):
         for b in (math.inf, math.nan):

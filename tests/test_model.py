@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import gains as gains_both_branches
 from oracles import pathloss as pathloss_expr
 
+from uavsec.analytic import pc_approx
 from uavsec.model import (
     AllRayleigh,
     ExactLoSNLoS,
@@ -284,6 +285,24 @@ class TestWindowPolicies:
         p = params()
         w = connection_window_radius(p, 31.0, 100_000)
         assert max(3 * p.los_radius, 60.0) <= w <= rule_window_radius(p)
+
+    def test_connection_window_above_floor_meets_bias_budget(self):
+        # Above its floor the window is the radius where the truncation
+        # bias P_c pi lambda_u c / (R^2 + H^2) is 5% of the half-width.
+        p = params(lambda_u=1e-2)
+        n = 10 ** 8
+        w = connection_window_radius(p, 31.0, n)
+        assert w == pytest.approx(150.4, abs=0.05)
+        pc = pc_approx(p, 31.0)
+        hw = 1.96 * math.sqrt(pc * (1.0 - pc) / n)
+        c = 31.0 * p.eta_nlos * p.h ** 2 / p.eta_los
+        bias = math.pi * p.lambda_u * c * pc / (w * w + p.h ** 2)
+        assert bias == pytest.approx(0.05 * hw, rel=1e-12)
+
+    def test_connection_window_capped_at_tail_radius(self):
+        p = params(lambda_u=1e-2)
+        assert connection_window_radius(p, 31.0, 10 ** 12) == \
+            rule_window_radius(p) == pytest.approx(447.3, abs=0.05)
 
     def test_outage_window_grows_with_small_thresholds(self):
         p = params()

@@ -33,7 +33,6 @@ class TestConnectionSim:
         est = sim_connection(params(lambda_u=0.0), 31.0,
                              SimConfig(5000, 100.0, seed=1))
         assert est.value == 1.0
-        assert est.method == "monte-carlo"
 
     def test_deterministic(self):
         cfg = SimConfig(20_000, seed=3, model=AllRayleigh)
