@@ -208,6 +208,7 @@ def hypoexp_cdf(rates, y: float) -> float:
         return -math.expm1(-lam[0] * y)
 
     lam = resolve_rate_ties(lam)
+    n = lam.size
     logsum, sign = _log_weights(lam)
     logterm = logsum - lam * y
 
@@ -217,7 +218,7 @@ def hypoexp_cdf(rates, y: float) -> float:
     surv = math.fsum(terms)
     magnitude = math.fsum(np.abs(terms))
     # Each term carries ~n*eps relative error from the log/exp pipeline.
-    if 4.0 * lam.size * 1e-16 * magnitude > 1e-9:
+    if 4.0 * n * 1e-16 * magnitude > 1e-9:
         return _hypoexp_cdf_mp(lam, y)
     return min(max(1.0 - surv, 0.0), 1.0)
 
