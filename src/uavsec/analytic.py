@@ -6,7 +6,9 @@ The closed forms assume the canonical path-loss exponents (LoS 2, NLoS 4)
 and, for the outage forms, the all-Rayleigh treatment of LoS links plus an
 expectation swap over the interferer process; they are exact for the
 connection probability under that fading treatment and are validated
-against simulation in the small-outage regime. The semi-analytic
+against simulation in the small-outage regime. Each is written once, over
+arrays of cells (`_pc_cells`, `_brace_cells`): the public forms evaluate
+one cell, the optimizer whole grids. The semi-analytic
 `pc_exact`/`pso_exact` evaluators average, over sampled interferer
 configurations, the probability that the SIR from the transmitter overhead
 exceeds a threshold at a ground point given the interferers: a
@@ -79,36 +81,6 @@ def pc_approx(params: NetworkParams, beta_t: float) -> float:
                            np.array([params.h]))[0])
 
 
-# Gauss-Legendre(7) on [-1, 1]: exact for the narrow disk-term intervals.
-_GL7_X = np.array([-0.9491079123427585, -0.7415311855993945,
-                   -0.4058451513773972, 0.0,
-                   0.4058451513773972, 0.7415311855993945,
-                   0.9491079123427585])
-_GL7_W = np.array([0.1294849661688697, 0.2797053914892766,
-                   0.3818300505051189, 0.4179591836734694,
-                   0.3818300505051189, 0.2797053914892766,
-                   0.1294849661688697])
-
-
-def _disk_term(b: float, u1: float, u2: float) -> float:
-    """exp(b) * integral of s*exp(-s) over [u1, u2], i.e.
-    (1+u1)e^(b-u1) - (1+u2)e^(b-u2), evaluated without cancellation.
-
-    Narrow or near-origin intervals (where the direct difference loses all
-    precision) go through fixed quadrature of the smooth integrand instead.
-    """
-    if u2 <= u1:
-        return 0.0
-    if b - u1 > 700.0:
-        return math.inf     # past float range: the outage saturates at 1
-    if u2 - u1 < 0.1 or u2 < 1e-3:
-        mid = 0.5 * (u1 + u2)
-        half = 0.5 * (u2 - u1)
-        s = mid + half * _GL7_X
-        return half * float(np.dot(_GL7_W, s * np.exp(b - s)))
-    return (1.0 + u1) * math.exp(b - u1) - (1.0 + u2) * math.exp(b - u2)
-
-
 def pso_approx(params: NetworkParams, beta_e: float) -> float:
     """Secrecy outage probability of the typical pair, closed form.
 
@@ -116,7 +88,7 @@ def pso_approx(params: NetworkParams, beta_e: float) -> float:
     """
     _require_canonical_alphas(params)
     check_threshold(beta_e, "pso_approx: beta_e", positive=True)
-    return _pso_form(params, beta_e, 0.0)
+    return _pso_cell(params, beta_e, 0.0)
 
 
 def pso_zone_approx(params: NetworkParams, beta_e: float,
@@ -129,36 +101,26 @@ def pso_zone_approx(params: NetworkParams, beta_e: float,
     """
     _require_canonical_alphas(params)
     check_threshold(beta_e, "pso_zone_approx: beta_e", positive=True)
-    return _pso_form(params, beta_e, zone.d if zone is not None else 0.0)
+    return _pso_cell(params, beta_e, zone.d if zone is not None else 0.0)
 
 
-def _pso_form(params: NetworkParams, beta_e: float, d: float) -> float:
-    """The outage form of `pso_zone_approx` at zone radius d (0: no zone),
-    for validated inputs. For d < K the brace is the bracketed area
-    integral: the LoS-disk part on [d, K] plus the NLoS tail beyond K, both
-    carrying the exp(pi*lambda_u*H^2) factor."""
+def _pso_cell(params: NetworkParams, beta_e: float, d: float) -> float:
+    """The outage of `pso_zone_approx` at zone radius d (0: no zone), for
+    validated inputs: 1 - exp(-2 pi lambda_e (T + D)) with the brace of
+    one cell of `_brace_cells`."""
     if params.lambda_e == 0.0:
         return 0.0
     if params.lambda_u == 0.0:
         return 1.0  # no interference: every eavesdropper decodes
-    k = params.los_radius
-    h2 = params.h ** 2
-    q = q1(params, beta_e)
-    if d >= k:
-        log_arg = (math.log(math.pi * params.lambda_e / q)
-                   + math.pi * params.lambda_u * h2 - q * (h2 + d * d))
-        if log_arg > 700.0:
-            return 1.0
-        return -math.expm1(-math.exp(log_arg))
-    b = math.pi * params.lambda_u * h2
-    a = q * math.sqrt(params.eta_nlos / params.eta_los)
-    k2 = k ** 2
-    tail_log = b - q * (h2 + k2) - math.log(2.0 * q)
-    tail = math.exp(tail_log) if tail_log < 700.0 else math.inf
-    brace = tail + _disk_term(b, a * math.sqrt(h2 + d * d),
-                              a * math.sqrt(h2 + k2)) / (a * a)
-    if not math.isfinite(brace):
-        return 1.0
+    h = np.array([params.h])
+    d = np.array([d])
+    k = np.array([params.los_radius])
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail, disk, _ = _brace_cells(params, q1(params, beta_e), h, d, k,
+                                     h ** 2 + np.maximum(d, k) ** 2)
+    brace = float(tail[0] + disk[0])
+    if not brace < math.inf:
+        return 1.0  # past float range (inf, or inf - inf inside D)
     return -math.expm1(-2.0 * math.pi * params.lambda_e * brace)
 
 
@@ -197,21 +159,36 @@ def stc(rs: float, p_c: float, density: float) -> float:
     return rs * p_c * density
 
 
-# The closed forms over arrays of cells: the log-outage of `pso_zone_approx`
-# (both branches) and the connection probability (`pc_approx` is one cell).
-# Callers pass valid inputs; exponents past float range saturate as in the
-# scalar forms.
+# The closed forms over arrays of cells: the outage brace of
+# `pso_zone_approx` (both branches), which that form takes as one cell and
+# the optimizer's log-outage reads over its grid, and the connection
+# probability (`pc_approx` is one cell). Callers pass valid inputs;
+# exponents past float range saturate.
+
+# Gauss-Legendre(7) on [-1, 1]: exact for the narrow disk-term intervals.
+_GL7_X = np.array([-0.9491079123427585, -0.7415311855993945,
+                   -0.4058451513773972, 0.0,
+                   0.4058451513773972, 0.7415311855993945,
+                   0.9491079123427585])
+_GL7_W = np.array([0.1294849661688697, 0.2797053914892766,
+                   0.3818300505051189, 0.4179591836734694,
+                   0.3818300505051189, 0.2797053914892766,
+                   0.1294849661688697])
+
 
 def _disk_moments_cells(b, u1, u2):
-    """`_disk_term` elementwise, and with it the second moment
-    exp(b) * integral of s^2*exp(-s) over [u1, u2] by the same split
+    """exp(b) * integral of s*exp(-s) over [u1, u2], i.e.
+    (1+u1)e^(b-u1) - (1+u2)e^(b-u2), per cell, and with it the second
+    moment exp(b) * integral of s^2*exp(-s) over [u1, u2] by the same split
     (the antiderivative of s^2*exp(-s) is -(2 + 2s + s^2)*exp(-s)).
-    Cells past float range (b - u1 > 700) give inf for both, as in
-    `_disk_term`, and are evaluated at b = u1 so that nothing overflows.
-    The quadrature runs on the narrow cells only, and sums each cell's
-    nodes by itself (not by a BLAS product, whose rounding depends on how
-    many cells share the call), so a cell's values do not depend on the
-    other cells."""
+    Narrow or near-origin intervals (u2 - u1 < 0.1 or u2 < 1e-3), where the
+    direct difference loses all precision, go through fixed quadrature of
+    the smooth integrands instead. The quadrature runs on those cells only,
+    and sums each cell's nodes by itself (not by a BLAS product, whose
+    rounding depends on how many cells share the call), so a cell's values
+    do not depend on the other cells. Cells past float range
+    (b - u1 > 700) give inf for both, where the outage saturates at 1, and
+    are evaluated at b = u1 so that nothing overflows."""
     saturated = b - u1 > 700.0
     b = np.where(saturated, u1, b)
     e1, e2 = np.exp(b - u1), np.exp(b - u2)
@@ -228,34 +205,41 @@ def _disk_moments_cells(b, u1, u2):
     return np.where(empty, 0.0, first), np.where(empty, 0.0, second)
 
 
-def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
-    """The outage constraint of `pso_zone_approx` per cell (altitude h, zone
-    radius d, LoS radius k, s = h^2 + max(d, k)^2) in q = `q1`:
-    G(q) = log(T + D) - log(rho) with rho = L / (2 pi lambda_e) and
-    L = -log(1 - epsilon), so P_so = -expm1(-L e^G) <= epsilon where G <= 0.
-    T = e^(b - q s) / (2q) is the NLoS tail beyond sqrt(s - h^2) and D the
-    integral over the LoS annulus [s1, s2] = [sqrt(h^2 + d^2),
-    sqrt(h^2 + k^2)] (empty for d >= k) of x e^(b - c q x) dx, with
-    b = pi lambda_u h^2 and c = sqrt(eta_N/eta_L). Both terms are
-    log-convex and decreasing in q, so G is convex and decreasing (inf past
-    float range, where P_so saturates at 1). Returns g(q, j) -> (G, dG/dq)
-    at the cells j."""
+def _brace_cells(params: NetworkParams, q, h, d, k, s):
+    """The outage brace T + D of `pso_zone_approx` per cell (altitude h,
+    zone radius d, LoS radius k, s = h^2 + max(d, k)^2) at q = `q1`, so
+    that P_so = 1 - exp(-2 pi lambda_e (T + D)). T = e^(b - q s) / (2q) is
+    the NLoS tail beyond sqrt(s - h^2) and D the integral over the LoS
+    annulus [s1, s2] = [sqrt(h^2 + d^2), sqrt(h^2 + k^2)] (empty for
+    d >= k) of x e^(b - c q x) dx, with b = pi lambda_u h^2 and
+    c = sqrt(eta_N/eta_L). Returns T, D and c times D's second moment (the
+    same integral of x^2 e^(b - c q x)), which is -dD/dq; past float range
+    they are inf."""
     b = math.pi * params.lambda_u * h ** 2
     c = math.sqrt(params.eta_nlos / params.eta_los)
-    s1 = np.sqrt(h ** 2 + d * d)
-    s2 = np.sqrt(h ** 2 + k * k)
+    a = c * q
+    tail = np.exp(b - q * s - np.log(2.0 * q))
+    disk, disk2 = _disk_moments_cells(b, a * np.sqrt(h ** 2 + d * d),
+                                      a * np.sqrt(h ** 2 + k * k))
+    return tail, disk / (a * a), c * (disk2 / a ** 3)
+
+
+def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
+    """The outage constraint of `pso_zone_approx` per cell (the cells of
+    `_brace_cells`) in q = `q1`: G(q) = log(T + D) - log(rho) with
+    rho = L / (2 pi lambda_e) and L = -log(1 - epsilon), so
+    P_so = -expm1(-L e^G) <= epsilon where G <= 0. Both terms of the brace
+    are log-convex and decreasing in q, so G is convex and decreasing (inf
+    past float range, where P_so saturates at 1). Returns
+    g(q, j) -> (G, dG/dq) at the cells j."""
     log_rho = math.log(-math.log1p(-epsilon)
                        / (2.0 * math.pi * params.lambda_e))
 
     def g(q, j):
-        a = c * q
-        tail = np.exp(b[j] - q * s[j] - np.log(2.0 * q))
-        u1, u2 = a * s1[j], a * s2[j]
-        disk, disk2 = _disk_moments_cells(b[j], u1, u2)
-        disk, disk2 = disk / (a * a), disk2 / a ** 3
+        tail, disk, slope = _brace_cells(params, q, h[j], d[j], k[j], s[j])
         brace = tail + disk
         return (np.log(brace) - log_rho,
-                -(tail * (s[j] + 1.0 / q) + c * disk2) / brace)
+                -(tail * (s[j] + 1.0 / q) + slope) / brace)
     return g
 
 
@@ -287,9 +271,12 @@ _N_ANGLES = 64
 _PHIS = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
 _COS, _SIN = np.cos(_PHIS), np.sin(_PHIS)
 
+# Default radius (m) of the disk of interferers both evaluators sample.
+WINDOW = 200.0
+
 
 def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
-             window: float = 200.0, seed: int = 0) -> MetricEstimate:
+             window: float = WINDOW, seed: int = 0) -> MetricEstimate:
     """Connection probability by averaging the conditional hypoexponential
     form over sampled interferer configurations.
 
@@ -300,6 +287,7 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
     deterministic comparison against the LoS interference.
     """
     check_threshold(beta_t, "pc_exact: beta_t")
+    check_threshold(window, "pc_exact: window", positive=True)
     if beta_t == 0.0:       # always connects
         return MetricEstimate(1.0)
     p = params
@@ -506,7 +494,7 @@ def _product_rows(p: NetworkParams, scale, d2, los, work) -> np.ndarray:
 
 def pso_exact(params: NetworkParams, beta_e: float,
               zone: GuardZone | None = None, n_realizations: int = 200,
-              window: float = 200.0, seed: int = 0,
+              window: float = WINDOW, seed: int = 0,
               tol: float = 1e-4) -> MetricEstimate:
     """Secrecy outage probability by averaging, over sampled interferer
     configurations, the eavesdropper-process functional
@@ -525,11 +513,13 @@ def pso_exact(params: NetworkParams, beta_e: float,
     estimate attached.
     """
     check_threshold(beta_e, "pso_exact: beta_e", positive=True)
+    check_threshold(window, "pso_exact: window", positive=True)
     if params.lambda_e == 0.0:
         return MetricEstimate(0.0)
     d0 = zone.d if zone is not None else 0.0
     if d0 >= window:
-        raise ValueError("guard-zone radius must be below the window")
+        raise ValueError("pso_exact: guard-zone radius must be below the "
+                         "window")
     k = params.los_radius
 
     def outage(pts):

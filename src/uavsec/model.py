@@ -190,8 +190,9 @@ def gains(params: NetworkParams, model: type, horiz2: np.ndarray,
 
 
 def check_threshold(value: float, name: str, positive: bool = False):
-    """Raise ValueError unless `value` (an SIR threshold, a density or a
-    rate gap) is finite and nonnegative (positive, if `positive`)."""
+    """Raise ValueError unless `value` (an SIR threshold, a density, a
+    rate gap or a window radius) is finite and nonnegative (positive, if
+    `positive`)."""
     if not (0.0 < value if positive else 0.0 <= value) or value == math.inf:
         raise ValueError(f"{name} = {value!r} must be finite and "
                          f"{'positive' if positive else 'nonnegative'}")

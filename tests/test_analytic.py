@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (ExceedanceField, chernoff_exponents, disk_rows,
-                     estimates_agree, pc_radial, pso_radial, solve_re_bisect)
+                     estimates_agree, pc_radial, pso_form, pso_radial,
+                     solve_re_bisect)
 
 from uavsec import analytic, model, montecarlo, optimizer
 from uavsec.analytic import (
@@ -225,6 +226,8 @@ class TestDensityAndCapacity:
         assert not estimates_agree(a, MetricEstimate(0.60, half_width=0.01))
 
 
+EPS = np.finfo(float).eps
+
 # pi lambda_u H^2 = 711.5 here, past exp's float range once the LoS-disk
 # term is reached: the outage forms must saturate at 1, not raise.
 OVERFLOW = dict(lambda_u=0.09206, lambda_e=1.1223e-3, h=49.598,
@@ -233,20 +236,23 @@ OVERFLOW = dict(lambda_u=0.09206, lambda_e=1.1223e-3, h=49.598,
 
 class TestOverflowSaturation:
     def test_direct_disk_term(self):
+        # wide annuli: the disk term's closed antiderivative
         p = NetworkParams(**OVERFLOW)
         assert pso_approx(p, 0.1445) == 1.0
         assert pso_zone_approx(p, 0.1445, GuardZone(5.0)) == 1.0
 
     def test_quadrature_disk_term(self):
-        # a zone just inside K leaves a narrow annulus, the GL7 branch
+        # a zone just inside K leaves a narrow annulus: the disk term's
+        # GL7 quadrature
         p = NetworkParams(**OVERFLOW)
         zone = GuardZone(p.los_radius * (1.0 - 1e-9))
         assert pso_zone_approx(p, 0.1445, zone) == 1.0
 
     def test_array_disk_term(self):
-        # the optimizer's log-outage saturates by itself too: `solve_re`
-        # gives the bisection oracle's gap or raises with its outage, with
-        # no overflow or inf - inf escaping its errstate
+        # the optimizer's log-outage reads the same cell brace over arrays
+        # and saturates too: `solve_re` gives the bisection oracle's gap or
+        # raises with its outage, with no overflow or inf - inf escaping its
+        # errstate
         p = NetworkParams(**OVERFLOW)
         for d in (0.0, 10.0, 5 * p.h):
             zone = GuardZone(d)
@@ -290,6 +296,53 @@ def test_closed_forms_are_probabilities_at_extremes(
     for v in (pc_approx(p, beta), pso_approx(p, beta),
               pso_zone_approx(p, beta, GuardZone(d))):
         assert type(v) is float and 0.0 <= v <= 1.0, v
+    assert_matches_form(pso_approx(p, beta), p, beta, 0.0)
+    assert_matches_form(pso_zone_approx(p, beta, GuardZone(d)), p, beta, d)
+
+
+def assert_matches_form(got, p, beta, d):
+    """`got`, the closed-form outage at zone radius d, matches the scalar
+    reference `oracles.pso_form` to 1e-12 relative (1e-300 absolute) and
+    lies in its class: 0, interior or 1.
+
+    Inside the LoS disk both forms take the annulus width as s2 - s1, a
+    difference of rounded numbers, and round them differently (k**2
+    against k*k). So the tolerance adds four roundings of s2 relative to
+    the width (K - d)(K + d) / (s1 + s2); the largest gap seen over 90,000
+    draws was 0.82 of that allowance. Where it leaves the class open (a
+    width near rounding level), the class is not compared."""
+    ref = pso_form(p, beta, d)
+    k = p.los_radius
+    s1, s2 = math.hypot(p.h, d), math.hypot(p.h, k)
+    width = (k - d) * (k + d) / (s1 + s2)
+    rel = 1e-12 + (4.0 * EPS * s2 / width if d < k else 0.0)
+    assert got == pytest.approx(ref, rel=rel, abs=1e-300)
+    if rel < 1e-9:
+        assert (got == 0.0, got == 1.0) == (ref == 0.0, ref == 1.0)
+
+
+def test_closed_forms_match_reference_form():
+    # in-range draws at d = 0, just inside K, at K and beyond, the
+    # lambda_e = 0 and lambda_u = 0 returns, and saturation at 1
+    rng = np.random.default_rng(16)
+    for _ in range(500):
+        h = rng.uniform(10.0, 50.0)
+        p = NetworkParams(lambda_u=10 ** rng.uniform(-4, -2),
+                          lambda_e=10 ** rng.uniform(-5, -2), h=h,
+                          theta_c=rng.uniform(0.4, 1.2), h_min=h, h_max=h)
+        beta = 2.0 ** rng.uniform(0.05, 12.0) - 1.0
+        k = p.los_radius
+        assert_matches_form(pso_approx(p, beta), p, beta, 0.0)
+        for d in (0.0, k * (1.0 - 1e-9), k, rng.uniform(0.0, 3.0 * k)):
+            assert_matches_form(pso_zone_approx(p, beta, GuardZone(d)), p,
+                                beta, d)
+    for p, beta in ((params(lambda_e=0.0), 1.0), (params(lambda_u=0.0), 1.0),
+                    (NetworkParams(**OVERFLOW), 0.1445)):
+        k = p.los_radius
+        assert_matches_form(pso_approx(p, beta), p, beta, 0.0)
+        for d in (5.0, k * (1.0 - 1e-9), k, 2.0 * k):
+            assert_matches_form(pso_zone_approx(p, beta, GuardZone(d)), p,
+                                beta, d)
 
 
 # Every public evaluator of a threshold or a rate: the argument's name,
@@ -328,6 +381,26 @@ def test_evaluators_reject_out_of_domain_thresholds(monkeypatch, name, beta):
     arg, call = EVALUATORS[name]
     with pytest.raises(ValueError, match=f"^{name}: {arg}"):
         call(beta)
+
+
+# The semi-analytic evaluators at window radius w (no zone: the zone check
+# would reject w <= 0 if it ran first).
+WINDOWED = {
+    "pc_exact": lambda w: pc_exact(params(), 31.0, n_realizations=2,
+                                   window=w),
+    "pso_exact": lambda w: pso_exact(params(), 1.0, n_realizations=2,
+                                     window=w),
+}
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -5.0])
+@pytest.mark.parametrize("name", sorted(WINDOWED))
+def test_evaluators_reject_bad_windows(monkeypatch, name, window):
+    def no_draw(*args):
+        raise AssertionError("drew a random stream")
+    monkeypatch.setattr(analytic, "rng_stream", no_draw)
+    with pytest.raises(ValueError, match=f"^{name}: window"):
+        WINDOWED[name](window)
 
 
 def connection_value(p, beta_t, pts):
@@ -422,7 +495,7 @@ class TestExactEvaluators:
     def test_pso_exact_rejects_bad_args(self):
         with pytest.raises(ValueError):
             pso_exact(params(), 0.0, None, n_realizations=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pso_exact: guard-zone"):
             pso_exact(params(), 1.0, GuardZone(300.0), window=200.0)
 
     @pytest.mark.parametrize("lambda_u", [1e-3, 1e-2])
