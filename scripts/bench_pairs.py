@@ -7,7 +7,8 @@ runs once in the parent checkout and once in the changed one, the side that
 goes first alternating from seed to seed. The file records, per workload,
 each run's end-to-end metrics, CSV hashes, git SHA and source hash, then
 per metric the medians and quartiles of both sides, the relative change of
-the medians and how many pairs the change won. Running again with another
+the medians and how many pairs the change won, and each side's
+`src/uavsec` line count, per file and in total. Running again with another
 workload adds it to the same file.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR WORKLOAD
@@ -37,6 +38,17 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in line["metrics"].items()},
             "csv_sha256": hashes, "passes": len(summary["passes"]),
             "environment": summary["environment"]}
+
+
+def line_counts(root: str) -> dict:
+    """Lines of each `src/uavsec` module of a checkout, and their total."""
+    src = os.path.join(root, "src", "uavsec")
+    files = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                files[name] = sum(1 for _ in fh)
+    return {"files": files, "total": sum(files.values())}
 
 
 def quartiles(values: list) -> list:
@@ -91,7 +103,9 @@ def main() -> int:
         "csv_sha256_identical": all(
             a["csv_sha256"] == b["csv_sha256"]
             for a, b in zip(runs["parent"], runs["change"])),
-        "summary": compare(runs["parent"], runs["change"])}
+        "summary": compare(runs["parent"], runs["change"]),
+        "src_lines": {"parent": line_counts(parent_dir),
+                      "change": line_counts(change_dir)}}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,7 @@ the typical receiver sits, as one `_disk_rows` row. `pso_exact` evaluates
 it on rings of 64 points (`_exceedance`), integrated over the eavesdropper
 process; per configuration, one ring table (`_ring_table`) holds each
 interferer's projection on each ring angle, so a ring's geometry takes one
-scalar per ring.
+scalar per ring. Every link's D^2 and LoS side come from `model.links`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import mathkit
 from .model import (BLOCK_LINKS, GuardZone, NetworkParams, check_threshold,
-                    pathloss, q1, rng_stream, sample_ppp)
+                    links, los_radius, pathloss, q1, rng_stream, sample_ppp)
 
 __all__ = [
     "MetricEstimate",
@@ -248,7 +248,7 @@ def _pc_cells(params: NetworkParams, beta_t, h) -> np.ndarray:
     beta_t eta_N / eta_L underflows to 0, arctan(inf) = pi/2 makes the NLoS
     term its beta_t -> 0 limit, 0)."""
     h2 = h ** 2
-    k2 = (h / math.tan(params.theta_c)) ** 2
+    k2 = los_radius(h, params.theta_c) ** 2
     sqrt_c = h * np.sqrt(beta_t * params.eta_nlos / params.eta_los)
     with np.errstate(divide="ignore"):
         angle = np.arctan((h2 + k2) / sqrt_c)
@@ -294,10 +294,9 @@ def pc_exact(params: NetworkParams, beta_t: float, n_realizations: int = 200,
     sig = p.eta_los * pathloss(np.array([p.h ** 2]), p.alpha_los)
 
     def connects(pts):
-        u2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
-        return _disk_rows(p, beta_t, sig, (u2 + p.h ** 2)[None],
-                          (u2 < p.los_radius ** 2)[None],
-                          np.empty((1, u2.size)))[0]
+        d2, los = links(p, pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1])
+        return _disk_rows(p, beta_t, sig, d2[None], los[None],
+                          np.empty((1, d2.size)))[0]
 
     mean, hw = _average(params, connects, n_realizations, window, seed)
     return MetricEstimate(mean, hw)
@@ -363,9 +362,10 @@ def _exceedance(params: NetworkParams, beta: float, table, rs: np.ndarray,
     (point, interferer) pairs are built a block at a time (`_blocks`) in
     the `scratch` buffers (`_scratch`), filled in place from the table:
     each pass multiplies or adds one scalar per ring or the n-vector
-    |u|^2 over contiguous data. Each element keeps its operations and each
-    sum runs over one point's contiguous row, so results do not depend on
-    the block size. The span differs from |u - x|^2 computed from
+    |u|^2 over contiguous data, and `model.links` turns the spans into
+    distances and LoS masks in place. Each element keeps its operations and
+    each sum runs over one point's contiguous row, so results do not depend
+    on the block size. The span differs from |u - x|^2 computed from
     coordinate differences by rounding.
     """
     proj, u2 = table
@@ -374,11 +374,9 @@ def _exceedance(params: NetworkParams, beta: float, table, rs: np.ndarray,
     if n == 0:
         return out
     p = params
-    k2, h2 = p.los_radius ** 2, p.h ** 2
     r2 = rs * rs
-    d0 = r2 + h2
-    disk = r2[0] < k2
-    if disk:
+    d0, inside = links(p, r2)
+    if inside[0]:
         sig = p.eta_los * pathloss(d0, p.alpha_los)
     else:
         scale = beta * d0 ** (p.alpha_nlos / 2.0)
@@ -389,9 +387,8 @@ def _exceedance(params: NetworkParams, beta: float, table, rs: np.ndarray,
         np.multiply(rs[i0:i1, None, None], proj[a0:a1], out=d2)
         np.add(d2, u2, out=d2)
         np.add(d2, r2[i0:i1, None, None], out=d2)   # horizontal span^2
-        np.less(d2, k2, out=los)
-        np.add(d2, h2, out=d2)
-        if disk:
+        links(p, d2, d2, los)
+        if inside[0]:
             rows = (-1, n)
             out[i0:i1, a0:a1] = _disk_rows(
                 p, beta, np.repeat(sig[i0:i1], a1 - a0), d2.reshape(rows),
@@ -520,7 +517,6 @@ def pso_exact(params: NetworkParams, beta_e: float,
     if d0 >= window:
         raise ValueError("pso_exact: guard-zone radius must be below the "
                          "window")
-    k = params.los_radius
 
     def outage(pts):
         table = _ring_table(pts, _COS, _SIN)
@@ -533,7 +529,7 @@ def pso_exact(params: NetworkParams, beta_e: float,
             return 2.0 * math.pi * rs * np.mean(ring, axis=1)
 
         area = mathkit.integrate_radial(
-            g, d0, window, tol, breakpoints=(k,) if d0 < k < window else ())
+            g, d0, window, tol, breakpoints=(params.los_radius,))
         return -math.expm1(-params.lambda_e * area)
 
     mean, hw = _average(params, outage, n_realizations, window, seed)

@@ -169,17 +169,11 @@ class ExperimentConfig:
         if not cp.has_section("network"):
             raise ConfigError("missing [network] section")
         net = cp["network"]
-        kwargs = {
-            "lambda_u": _number(net["lambda_u"]),
-            "lambda_e": _number(net["lambda_e"]),
-        }
-        for key in ("h", "h_min", "h_max", "eta_los", "eta_nlos",
-                    "alpha_los", "alpha_nlos"):
-            if key in net:
-                kwargs[key] = _number(net[key])
-        if "theta_c" in net:
-            kwargs["theta_c"] = _parse_angle(net["theta_c"])
-        network = NetworkParams(**kwargs)
+        # the densities are required: a missing one is a KeyError
+        network = NetworkParams(**{
+            key: (_parse_angle if key == "theta_c" else _number)(net[key])
+            for key in _NETWORK_KEYS
+            if key in net or key in ("lambda_u", "lambda_e")})
 
         if not cp.has_section("sweep"):
             raise ConfigError("missing [sweep] section")
@@ -474,13 +468,11 @@ def main(argv=None) -> int:
         return EXIT_OK
     if args.command == "run":
         return run(args.config, args.out_dir)
-    if args.command == "validate":
-        n = 20_000 if args.fast else 100_000
-        report = validate_suite(n, args.seed)
-        print(report.format())
-        print("overall:", "PASS" if report.passed else "FAIL")
-        return EXIT_OK if report.passed else EXIT_VALIDATION
-    return EXIT_CONFIG
+    # the subcommand is required, so the one left is validate
+    report = validate_suite(20_000 if args.fast else 100_000, args.seed)
+    print(report.format())
+    print("overall:", "PASS" if report.passed else "FAIL")
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ path-loss exponent alpha_los; NLoS links carry unit-mean exponential
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "los_radius",
     "sample_ppp",
     "pathloss",
+    "links",
     "gains",
     "rng_stream",
     "q1",
@@ -52,10 +54,11 @@ class AllRayleigh(FadingModel):
     los_faded = True
 
 
-def los_radius(h: float, theta_c: float) -> float:
-    """Horizontal radius K = H*cot(theta_c) of the LoS disk."""
-    if h <= 0:
-        raise ValueError("los_radius: altitude must be positive")
+def los_radius(h, theta_c: float):
+    """Horizontal radius K = H*cot(theta_c) of the LoS disk, at an altitude
+    or, elementwise, at an array of altitudes."""
+    if not (np.isfinite(h) & np.greater(h, 0.0)).all():
+        raise ValueError("los_radius: altitude must be finite and positive")
     if not 0.0 < theta_c < math.pi / 2:
         raise ValueError("los_radius: theta_c must lie in (0, pi/2)")
     return h / math.tan(theta_c)
@@ -96,12 +99,11 @@ class NetworkParams:
         if self.alpha_los <= 0 or self.alpha_nlos <= 0:
             raise ValueError("path-loss exponents must be positive")
 
-    @property
+    @cached_property    # `links` reads it per block; the check costs ~3 us
     def los_radius(self) -> float:
         return los_radius(self.h, self.theta_c)
 
     def with_altitude(self, h: float) -> "NetworkParams":
-        from dataclasses import replace
         return replace(self, h=h)
 
 
@@ -166,24 +168,32 @@ def pathloss(d2: np.ndarray, alpha: float, out=None) -> np.ndarray:
     return np.power(d2, -alpha / 2.0, out=out)
 
 
+def links(params: NetworkParams, span2, d2=None, los=None):
+    """The one link kernel: squared 3-D distances span2 + H^2 and the LoS
+    mask span2 < K^2 (ties NLoS) from squared horizontal spans `span2`.
+    `d2` and `los` are numpy `out` arguments; `d2` may be `span2` itself."""
+    los = np.less(span2, params.los_radius ** 2, out=los)
+    return np.add(span2, params.h ** 2, out=d2), los
+
+
 def gains(params: NetworkParams, model: type, horiz2: np.ndarray,
           fades: np.ndarray) -> np.ndarray:
     """Received power factor eta*S*D^-alpha per link to a receiver on the
     ground from a transmitter at altitude H, from the squared horizontal
-    span `horiz2` (D^2 = horiz2 + H^2) and unit-mean exponential draws
-    `fades` (1-D arrays of one length).
+    span `horiz2` (D^2 and the LoS mask from `links`) and unit-mean
+    exponential draws `fades` (1-D arrays of one length).
 
-    LoS branch (horizontal span < K): eta_los, alpha_los, S = 1 under
-    ExactLoSNLoS or the draw under AllRayleigh. NLoS branch (span >= K,
-    ties go NLoS): eta_nlos, alpha_nlos, S = the draw under both models.
-    The NLoS expression is evaluated on every link in place, then
-    overwritten at the LoS links only (found by flat index), with the same
-    operations per element as evaluating both branches everywhere.
+    LoS branch: eta_los, alpha_los, S = 1 under ExactLoSNLoS or the draw
+    under AllRayleigh. NLoS branch: eta_nlos, alpha_nlos, S = the draw
+    under both models. The NLoS expression is evaluated on every link in
+    place, then overwritten at the LoS links only (found by flat index),
+    with the same operations per element as evaluating both branches
+    everywhere.
     """
-    d2 = horiz2 + params.h ** 2
+    d2, los = links(params, horiz2)
     g = pathloss(d2, params.alpha_nlos)
     np.multiply(params.eta_nlos * fades, g, out=g)
-    los = np.flatnonzero(horiz2 < params.los_radius ** 2)
+    los = np.flatnonzero(los)
     s_los = fades[los] if model.los_faded else 1.0
     g[los] = params.eta_los * s_los * pathloss(d2[los], params.alpha_los)
     return g

@@ -19,7 +19,7 @@ stream, and each receiver's interference is summed in the same order
 whatever the block size, so estimates do not depend on it. A chunk is one
 call (`_connection_chunk`, `_outage_chunk`), freeing its arrays before the
 next chunk draws (two chunks' arrays at once made peak RSS vary by 8 MB).
-A link is its squared horizontal span; `model.gains` adds H^2 to it.
+A link is its squared horizontal span, read through the kernel `model.links`.
 
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, mathkit
-from .model import GuardZone, NetworkParams, check_threshold, q1
+from .model import GuardZone, NetworkParams, check_threshold, los_radius, q1
 
 __all__ = [
     "InfeasibleError",
@@ -267,7 +267,7 @@ def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
     analytic._require_canonical_alphas(params)
     if params.lambda_u == 0.0:  # G(0) is 0/0; every eavesdropper decodes
         return np.full(h.shape, np.nan), np.ones(h.shape)
-    k = h / math.tan(params.theta_c)
+    k = los_radius(h, params.theta_c)
     s = h ** 2 + np.maximum(d, k) ** 2
     q0 = _tail_root(params, epsilon, h, s)
     re = np.maximum(_re_of_q(params, q0), RE_FLOOR)

@@ -252,23 +252,28 @@ class TestOverflowSaturation:
         # the optimizer's log-outage reads the same cell brace over arrays
         # and saturates too: `solve_re` gives the bisection oracle's gap or
         # raises with its outage, with no overflow or inf - inf escaping its
-        # errstate
-        p = NetworkParams(**OVERFLOW)
-        for d in (0.0, 10.0, 5 * p.h):
-            zone = GuardZone(d)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
+        # errstate; at the second set, D's second moment overflows to
+        # inf - inf in `_disk_moments_cells`
+        sets = [(OVERFLOW, (0.0, 10.0, 5 * OVERFLOW["h"])),
+                (dict(lambda_u=0.0148, lambda_e=1.32e-7, h=182.6,
+                      theta_c=1.5486, h_max=200.0), (0.0, 2.0, 10.0))]
+        for kw, ds in sets:
+            p = NetworkParams(**kw)
+            for d in ds:
+                zone = GuardZone(d)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        got = optimizer.solve_re(p, 0.01, zone)
+                    except optimizer.InfeasibleError as exc:
+                        got = exc
                 try:
-                    got = optimizer.solve_re(p, 0.01, zone)
+                    ref = solve_re_bisect(p, 0.01, zone)
                 except optimizer.InfeasibleError as exc:
-                    got = exc
-            try:
-                ref = solve_re_bisect(p, 0.01, zone)
-            except optimizer.InfeasibleError as exc:
-                assert got.achieved_outage == pytest.approx(
-                    exc.achieved_outage, rel=1e-12)
-                continue
-            assert abs(got - ref) <= 2e-12
+                    assert got.achieved_outage == pytest.approx(
+                        exc.achieved_outage, rel=1e-12)
+                    continue
+                assert abs(got - ref) <= 2e-12
 
 
 density = st.floats(-8.0, -1.0).map(lambda x: 10.0 ** x)

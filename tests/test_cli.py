@@ -216,6 +216,8 @@ class TestRun:
         ("seed = 1", "seed = 1\n[output]\ncharts = yes"),
         ("seed = 1", "seed = 1\n[output]\nlog_x = ture"),
         ("seed = 1", "seed = 1\n[output]\nlog_y = 1"),
+        ("lambda_u = 1e-3\n", ""),
+        ("lambda_e = 1e-3\n", ""),
     ])
     def test_out_of_domain_value_exits_without_csv(self, tmp_path, old, new):
         for mode in ("analyze", "simulate"):

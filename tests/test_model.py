@@ -15,6 +15,7 @@ from uavsec.model import (
     NetworkParams,
     connection_window_radius,
     gains,
+    links,
     los_radius,
     outage_window_radius,
     pathloss,
@@ -42,10 +43,19 @@ class TestLosRadius:
         assert los_radius(10.0, math.pi / 2 - 1e-9) < 1e-7
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            los_radius(-1.0, math.pi / 4)
+        for h in (-1.0, 0.0, math.nan, math.inf,
+                  np.array([10.0, math.nan]), np.array([math.inf, 10.0]),
+                  np.array([10.0, 0.0])):
+            with pytest.raises(ValueError, match="los_radius: altitude"):
+                los_radius(h, math.pi / 4)
         with pytest.raises(ValueError):
             los_radius(10.0, math.pi / 2)
+
+    def test_array_equals_scalar_calls(self):
+        h = np.array([1e-3, 10.0, 49.598, 182.6, 1e4])
+        for theta_c in (0.5790, math.pi / 4, 1.5486):
+            assert (los_radius(h, theta_c)
+                    == [los_radius(x, theta_c) for x in h]).all()
 
     @given(st.floats(min_value=0.0, max_value=500.0),
            st.floats(min_value=1.0, max_value=200.0),
@@ -271,6 +281,21 @@ class TestGainsMatchOracle:
         assert pathloss(d2, alpha, out=out) is out
         assert np.array_equal(out, pathloss_expr(d2, alpha))
         assert np.array_equal(pathloss(d2, alpha), out)
+
+    def test_links_in_place(self):
+        # `d2` may be the span array itself; a tie at K^2 goes NLoS
+        p = params()
+        span2 = np.append(np.random.default_rng(15).uniform(0.0, 900.0, 999),
+                          p.los_radius ** 2)
+        want_d2, want_los = links(p, span2)
+        assert np.array_equal(want_d2, span2 + p.h ** 2)
+        elevation = np.arcsin(p.h / np.sqrt(want_d2[:-1]))
+        assert np.array_equal(want_los[:-1], elevation > p.theta_c)
+        assert not want_los[-1]
+        los = np.empty(span2.size, dtype=bool)
+        d2, got = links(p, span2, span2, los)
+        assert d2 is span2 and got is los
+        assert np.array_equal(d2, want_d2) and np.array_equal(los, want_los)
 
 
 class TestWindowPolicies:

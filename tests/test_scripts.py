@@ -16,6 +16,16 @@ def test_scripts_load():
         assert callable(runpy.run_path(path, run_name="smoke")["main"])
 
 
+def test_bench_pairs_counts_source_lines():
+    script = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"),
+                            run_name="smoke")
+    counts = script["line_counts"](ROOT)
+    path = os.path.join(ROOT, "src", "uavsec", "model.py")
+    with open(path, encoding="utf-8") as fh:
+        assert counts["files"]["model.py"] == len(fh.readlines())
+    assert counts["total"] == sum(counts["files"].values())
+
+
 def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
     # `install` looks up each traced function by module and name, so a
     # rename such as `integrate_radial` or `_hypoexp_cdf_mp` fails here.
