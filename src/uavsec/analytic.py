@@ -133,9 +133,7 @@ def pc_simplified(params: NetworkParams, rt: float) -> float:
     regime.
     """
     _require_canonical_alphas(params)
-    if not 0.0 <= rt < math.inf:
-        raise ValueError(f"pc_simplified: rt = {rt!r} must be finite and "
-                         f"nonnegative")
+    check_threshold(rt, "pc_simplified: rt")
     ratio = math.sqrt(params.eta_nlos / params.eta_los)
     return math.exp(-(math.pi / 2.0) * params.lambda_u * params.h
                     * (ratio * math.pi * 2.0 ** (rt / 2.0) - 2.0 * params.h))
@@ -153,9 +151,9 @@ def effective_density(lambda_u: float, lambda_e: float,
 
 def stc(rs: float, p_c: float, density: float) -> float:
     """Secrecy transmission capacity rs * Pc * density (bps/Hz/m^2)."""
-    if not all(0.0 <= x < math.inf for x in (rs, p_c, density)):
-        raise ValueError(f"stc: rs, p_c, density = {rs!r}, {p_c!r}, "
-                         f"{density!r} must be finite and nonnegative")
+    check_threshold(rs, "stc: rs")
+    check_threshold(p_c, "stc: p_c")
+    check_threshold(density, "stc: density")
     return rs * p_c * density
 
 

@@ -44,19 +44,9 @@ _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
               "epsilon")
 _MODES = ("analyze", "simulate", "validate", "optimize")
 _MODELS = {"exact": ExactLoSNLoS, "rayleigh": AllRayleigh}
+_METRICS = ("pc", "pso", "cs")
 _NETWORK_KEYS = ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
                  "eta_los", "eta_nlos", "alpha_los", "alpha_nlos")
-# Every section and key the parser reads; anything else is an error.
-_KEYS = {
-    "experiment": ("mode", "name", "metrics"),
-    "network": _NETWORK_KEYS,
-    "sweep": ("variable", "values", "start", "stop", "step"),
-    "code": ("rt", "re", "rs"),
-    "zone": ("d",),
-    "sim": ("n_realizations", "seed", "window_radius", "model"),
-    "optimize": ("epsilon",),
-    "output": ("directory", "charts", "log_x", "log_y"),
-}
 
 
 class ConfigError(ValueError):
@@ -71,47 +61,87 @@ def _number(text: str) -> float:
     return value
 
 
-def _flag(text: str, key: str) -> bool:
+def _count(text: str) -> int:
+    """A whole number: a float form such as 1e5 is valid, a fraction is an
+    error, not truncated."""
+    value = _number(text)
+    if not value.is_integer():
+        raise ConfigError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _flag(text: str) -> bool:
     """`true` or `false` (any case); anything else is an error."""
     word = text.strip().lower()
     if word not in ("true", "false"):
-        raise ConfigError(f"{key} must be true or false, got {text.strip()!r}")
+        raise ConfigError(f"must be true or false, got {text.strip()!r}")
     return word == "true"
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def _parse_angle(text: str) -> float:
     text = text.strip()
     if text.endswith("deg"):
-        return math.radians(float(text[:-3].strip()))
-    if text.endswith("rad"):
-        return float(text[:-3].strip())
-    return float(text)
+        return math.radians(_number(text[:-3]))
+    return _number(text.removesuffix("rad"))
 
 
-def _parse_values(section) -> tuple[float, ...]:
-    if "values" in section:
-        vals = tuple(_number(v)
-                     for v in section["values"].replace(",", " ").split())
-    else:
-        try:
-            start = _number(section["start"])
-            stop = _number(section["stop"])
-            step = _number(section["step"])
-        except KeyError as exc:
-            raise ConfigError(f"sweep needs `values` or start/stop/step "
-                              f"(missing {exc})") from exc
-        if step <= 0 or stop < start:
-            raise ConfigError("sweep range needs step > 0 and stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        vals = tuple(start + i * step for i in range(n))
-    if not vals:
-        raise ConfigError("empty sweep list")
-    return vals
+# `[section] key` -> (ExperimentConfig field, parser). A key the file
+# leaves out keeps the field's default. Seeds parse as exact integers
+# (they may exceed 2^53).
+_FIELDS = {
+    "experiment": {"mode": ("mode", str.strip), "name": ("name", str.strip),
+                   "metrics": ("metrics", _names)},
+    "code": {"rt": ("rt", _number), "re": ("re", _number)},
+    "zone": {"d": ("zone_d", _number)},
+    "sim": {"n_realizations": ("n_realizations", _count),
+            "seed": ("seed", int),
+            "window_radius": ("window_radius", _number),
+            "model": ("model_name", str.strip)},
+    "optimize": {"epsilon": ("epsilon", _number)},
+    "output": {"directory": ("out_dir", str.strip),
+               "charts": ("charts", _flag), "log_x": ("log_x", _flag),
+               "log_y": ("log_y", _flag)},
+}
+# Every section and key the parser reads; anything else is an error.
+_KEYS = {section: tuple(table) for section, table in _FIELDS.items()}
+_KEYS.update(network=_NETWORK_KEYS,
+             sweep=("variable", "values", "start", "stop", "step"))
+_KEYS["code"] += ("rs",)
+
+
+def _read(cp, section: str, key: str, parse):
+    """`parse` of one value; its error names the key."""
+    try:
+        return parse(cp.get(section, key))
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
+def _sweep_values(cp) -> tuple[float, ...]:
+    if cp.has_option("sweep", "values"):
+        return _read(cp, "sweep", "values", lambda text: tuple(
+            map(_number, text.replace(",", " ").split())))
+    if not all(cp.has_option("sweep", k) for k in ("start", "stop", "step")):
+        raise ConfigError("sweep needs `values` or start, stop and step")
+    start, stop, step = (_read(cp, "sweep", k, _number)
+                         for k in ("start", "stop", "step"))
+    if step <= 0 or stop < start:
+        raise ConfigError("sweep range needs step > 0 and stop >= start")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(start + i * step for i in range(n))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a base network, one swept variable, and a mode."""
+    """One experiment: a base network, one swept variable, and a mode.
+
+    Construction checks every field and every sweep point, so a config
+    from a file, from `dataclasses.replace` or built in code is rejected
+    before its first point is computed."""
 
     name: str
     mode: str
@@ -132,6 +162,28 @@ class ExperimentConfig:
     log_x: bool = False
     log_y: bool = False
 
+    def __post_init__(self):
+        for value, allowed, what in (
+                (self.mode, _MODES, "mode"),
+                (self.sweep_variable, _SWEEPABLE, "sweep variable"),
+                (self.model_name, _MODELS, "fading model"),
+                *((m, _METRICS, "metric") for m in self.metrics)):
+            if value not in allowed:
+                raise ConfigError(f"unknown {what} {value!r} (one of "
+                                  f"{', '.join(allowed)})")
+        if not self.sweep_values:
+            raise ConfigError("empty sweep list")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        SimConfig(self.n_realizations, self.window_radius)  # count, window
+        for value in self.sweep_values:     # `at` checks network and zone
+            _, rt, re, _, epsilon = self.at(value)
+            for rate in (rt, re):
+                if rate is not None and not 0.0 <= rate < 1024.0:
+                    raise ConfigError(f"rate {rate:g} bps/Hz outside "
+                                      f"[0, 1024)")
+            optimizer.check_epsilon(epsilon)
+
     @classmethod
     def from_text(cls, text: str, name: str = "experiment") -> "ExperimentConfig":
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -141,7 +193,7 @@ class ExperimentConfig:
             raise ConfigError(f"config parse error: {exc}") from exc
         try:
             return cls._build(cp, name)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"config validation error: {exc}") from exc
@@ -162,88 +214,35 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown key(s) in [{section}]: "
                                   f"{', '.join(unknown)}")
-        exp = cp["experiment"] if cp.has_section("experiment") else {}
-        mode = exp.get("mode", "analyze").strip()
-        if mode not in _MODES:
-            raise ConfigError(f"unknown mode {mode!r} (one of {_MODES})")
-        if not cp.has_section("network"):
-            raise ConfigError("missing [network] section")
-        net = cp["network"]
-        # the densities are required: a missing one is a KeyError
+        for section in ("network", "sweep"):
+            if not cp.has_section(section):
+                raise ConfigError(f"missing [{section}] section")
+        for key in ("lambda_u", "lambda_e"):
+            if not cp.has_option("network", key):
+                raise ConfigError(f"[network] {key} is required")
         network = NetworkParams(**{
-            key: (_parse_angle if key == "theta_c" else _number)(net[key])
-            for key in _NETWORK_KEYS
-            if key in net or key in ("lambda_u", "lambda_e")})
-
-        if not cp.has_section("sweep"):
-            raise ConfigError("missing [sweep] section")
-        sweep = cp["sweep"]
-        variable = sweep.get("variable", "").strip()
-        if variable not in _SWEEPABLE:
-            raise ConfigError(
-                f"unknown sweep variable {variable!r} (one of {_SWEEPABLE})")
-        values = _parse_values(sweep)
-
-        rt = re = None
-        if cp.has_section("code"):
-            code = cp["code"]
-            rt = _number(code["rt"]) if "rt" in code else None
-            if "rs" in code:
-                # re = rt - rs, set once: needs rt, no re key, no rate sweep
-                if rt is None or "re" in code or variable in ("rt", "re"):
-                    raise ConfigError("[code] rs needs rt, and neither an "
-                                      "re key nor an rt or re sweep")
-                re = rt - _number(code["rs"])
-            elif "re" in code:
-                re = _number(code["re"])
-        zone_d = None
-        if cp.has_section("zone") and "d" in cp["zone"]:
-            zone_d = _number(cp["zone"]["d"])
-        sim = cp["sim"] if cp.has_section("sim") else {}
-        model_name = sim.get("model", "exact").strip()
-        if model_name not in _MODELS:
-            raise ConfigError(f"unknown fading model {model_name!r}")
-        opt = cp["optimize"] if cp.has_section("optimize") else {}
-        out = cp["output"] if cp.has_section("output") else {}
-        metrics_raw = exp.get("metrics", "")
-        if metrics_raw:
-            metrics = tuple(m.strip() for m in metrics_raw.split(",") if m.strip())
-        else:
-            metrics = ("pc",) if network.lambda_e == 0 or re is None \
-                else ("pc", "pso")
-        for m in metrics:
-            if m not in ("pc", "pso", "cs"):
-                raise ConfigError(f"unknown metric {m!r}")
-        # A float form such as 1e5 is a valid count; a fraction is an error,
-        # not truncated. Seeds parse as exact integers (they may exceed 2^53).
-        n_realizations = _number(sim.get("n_realizations", "20000"))
-        if not n_realizations.is_integer() or n_realizations < 1:
-            raise ConfigError(f"n_realizations must be a whole number >= 1, "
-                              f"got {n_realizations!r}")
-        seed = int(sim.get("seed", "0"))
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
-        return cls(
-            name=exp.get("name", default_name).strip() or default_name,
-            mode=mode,
-            network=network,
-            sweep_variable=variable,
-            sweep_values=values,
-            metrics=metrics,
-            rt=rt,
-            re=re,
-            epsilon=_number(opt.get("epsilon", "0.01")),
-            zone_d=zone_d,
-            n_realizations=int(n_realizations),
-            seed=seed,
-            window_radius=_number(sim["window_radius"])
-            if "window_radius" in sim else None,
-            model_name=model_name,
-            out_dir=out.get("directory", ""),
-            charts=_flag(out.get("charts", "false"), "charts"),
-            log_x=_flag(out.get("log_x", "false"), "log_x"),
-            log_y=_flag(out.get("log_y", "false"), "log_y"),
-        )
+            key: _read(cp, "network", key,
+                       _parse_angle if key == "theta_c" else _number)
+            for key in _NETWORK_KEYS if cp.has_option("network", key)})
+        fields = {name: _read(cp, section, key, parse)
+                  for section, table in _FIELDS.items()
+                  for key, (name, parse) in table.items()
+                  if cp.has_option(section, key)}
+        variable = cp.get("sweep", "variable", fallback="").strip()
+        if cp.has_option("code", "rs"):
+            # re = rt - rs, set once: needs rt, no re key, no rate sweep
+            if "rt" not in fields or "re" in fields \
+                    or variable in ("rt", "re"):
+                raise ConfigError("[code] rs needs rt, and neither an "
+                                  "re key nor an rt or re sweep")
+            fields["re"] = fields["rt"] - _read(cp, "code", "rs", _number)
+        if not fields.get("metrics"):
+            fields["metrics"] = ("pc",) if network.lambda_e == 0 \
+                or fields.get("re") is None else ("pc", "pso")
+        fields.setdefault("mode", "analyze")
+        fields["name"] = fields.get("name") or default_name
+        return cls(network=network, sweep_variable=variable,
+                   sweep_values=_sweep_values(cp), **fields)
 
     def at(self, value: float):
         """Network/code/zone/epsilon with the swept variable set to `value`.
@@ -276,8 +275,6 @@ def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
 
 
 def _beta(rate: float) -> float:
-    if not 0.0 <= rate < 1024.0:
-        raise ConfigError(f"rate {rate:g} bps/Hz outside [0, 1024)")
     return 2.0 ** rate - 1.0
 
 
@@ -356,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     except optimizer.InfeasibleError as exc:
         print(f"error: infeasible optimization: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:    # a model's own domain, e.g. its exponents
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     csv_path = os.path.join(directory, f"{cfg.name}.csv")

@@ -117,9 +117,7 @@ class GuardZone:
     d: float
 
     def __post_init__(self):
-        if not 0.0 <= self.d < math.inf:
-            raise ValueError("guard-zone radius must be finite and "
-                             "nonnegative")
+        check_threshold(self.d, "guard-zone radius d")
 
 
 def sample_ppp(density: float, r_in: float, r_out: float,
@@ -201,8 +199,8 @@ def gains(params: NetworkParams, model: type, horiz2: np.ndarray,
 
 def check_threshold(value: float, name: str, positive: bool = False):
     """Raise ValueError unless `value` (an SIR threshold, a density, a
-    rate gap or a window radius) is finite and nonnegative (positive, if
-    `positive`)."""
+    rate gap, a guard-zone or window radius) is finite and nonnegative
+    (positive, if `positive`)."""
     if not (0.0 < value if positive else 0.0 <= value) or value == math.inf:
         raise ValueError(f"{name} = {value!r} must be finite and "
                          f"{'positive' if positive else 'nonnegative'}")

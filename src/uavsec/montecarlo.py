@@ -75,9 +75,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("need n_realizations >= 1")
-        if self.window_radius is not None and not (
-                0.0 < self.window_radius < math.inf):
-            raise ValueError("window_radius must be finite and positive")
+        if self.window_radius is not None:
+            check_threshold(self.window_radius, "window_radius", positive=True)
 
 
 # Bounds of the per-chunk realization count.

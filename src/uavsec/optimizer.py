@@ -89,7 +89,7 @@ class OptimumReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_epsilon(epsilon: float):
+def check_epsilon(epsilon: float):
     """Raise ValueError unless the outage target lies in (0, 1)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon = {epsilon!r} must lie in (0, 1)")
@@ -100,7 +100,7 @@ def solve_re(params: NetworkParams, epsilon: float,
     """Smallest admissible rate gap: the root of P_so(re) = epsilon, or the
     floor when the constraint is already slack there. One cell of
     `_solve_re_cells`, so it equals the screen's gap at the same cell."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         re, achieved = _solve_re_cells(
             params, epsilon, np.array([params.h]),
@@ -140,7 +140,7 @@ def re_closed_zone(params: NetworkParams, epsilon: float,
     only the NLoS tail beyond d contributes, which inverts through the
     Lambert W function. One cell of `_tail_root`, the root the screen
     takes for such cells."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     if zone.d < params.los_radius * (1.0 - 1e-12):
         raise ValueError("re_closed_zone requires d >= the LoS radius")
     if params.lambda_e == 0.0:
@@ -316,7 +316,7 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
     grid) in array blocks, in altitude-major order so that the first
     maximum wins (lowest altitude, then smallest zone), and report the
     winner's screened numbers."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     h_grid = np.sort(np.asarray(
         default_h_grid(params) if h_grid is None else h_grid, dtype=float))
     d_grid = np.sort(np.asarray(

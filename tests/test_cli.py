@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -44,6 +45,7 @@ seed = 1
 """
 
 REPO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 class TestConfigParsing:
@@ -95,6 +97,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text(TINY_CFG.replace(
                 "values = 1e-4, 1e-3", "values ="))
+
+    @pytest.mark.parametrize("change", [
+        {"n_realizations": 0}, {"sweep_values": ()}, {"mode": "bogus"}])
+    def test_replace_is_checked(self, change):
+        with pytest.raises(ValueError):
+            replace(ExperimentConfig.from_text(TINY_CFG), **change)
+
+    def test_readme_config_reference_names_every_key(self):
+        # the README's INI block parses, and each section of it names
+        # (as `key =`, in an option or a comment) every key the parser reads
+        with open(README, encoding="utf-8") as fh:
+            block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+        ExperimentConfig.from_text(block)
+        sections = dict(re.findall(r"^\[(\w+)\](.*?)(?=^\[|\Z)", block,
+                                   re.S | re.M))
+        assert set(sections) == set(cli._KEYS)
+        for section, keys in cli._KEYS.items():
+            for key in keys:
+                assert re.search(rf"\b{key} =", sections[section]), \
+                    f"[{section}] {key}"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -218,27 +240,43 @@ class TestRun:
         ("seed = 1", "seed = 1\n[output]\nlog_y = 1"),
         ("lambda_u = 1e-3\n", ""),
         ("lambda_e = 1e-3\n", ""),
+        ("seed = 1", "seed = 1\nwindow_radius = 0"),
+        ("seed = 1", "seed = 1\nwindow_radius = -5"),
+        ("seed = 1", "seed = 1\n[optimize]\nepsilon = 1.5"),
+        # only the highest sweep value is out of domain
+        ("variable = lambda_e\nvalues = 1e-4, 1e-3",
+         "variable = theta_c\nvalues = 0.5, 2.0"),
     ])
-    def test_out_of_domain_value_exits_without_csv(self, tmp_path, old, new):
-        for mode in ("analyze", "simulate"):
+    def test_out_of_domain_value_exits_without_csv(self, tmp_path, capsys,
+                                                   old, new):
+        for mode in ("analyze", "simulate", "optimize"):
             cfg_path = tmp_path / "bad.cfg"
             cfg_path.write_text(TINY_CFG.replace(old, new).replace(
                 "mode = analyze", f"mode = {mode}"))
             assert cli.run(str(cfg_path), str(tmp_path / "out")) == \
                 EXIT_CONFIG
             assert not (tmp_path / "out").exists()
+            out, err = capsys.readouterr()
+            assert "tiny:" not in out        # no sweep point was computed
+            if not new:                      # a missing density is named
+                assert f"[network] {old.split()[0]} is required" in err
 
     # 2^2000 overflows a float; a negative rate gap is a negative threshold
-    @pytest.mark.parametrize("old,new", [("rt = 5", "rt = 2000"),
-                                         ("re = 1", "re = -3")])
+    # (the last only at the highest sweep value)
+    @pytest.mark.parametrize("old,new", [
+        ("rt = 5", "rt = 2000"),
+        ("re = 1", "re = -3"),
+        ("variable = lambda_e\nvalues = 1e-4, 1e-3",
+         "variable = rt\nvalues = 4, 5, 2000")])
     @pytest.mark.parametrize("mode", ["analyze", "simulate"])
-    def test_out_of_range_rate_exits_without_csv(self, tmp_path, old, new,
-                                                 mode):
+    def test_out_of_range_rate_exits_without_csv(self, tmp_path, capsys, old,
+                                                 new, mode):
         cfg_path = tmp_path / "rate.cfg"
         cfg_path.write_text(TINY_CFG.replace(old, new).replace(
             "mode = analyze", f"mode = {mode}"))
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out" / "tiny.csv").exists()
+        assert "tiny:" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("code, variable", [
         ("rs = 4", "rt"),                     # no rt: re would stay unset
