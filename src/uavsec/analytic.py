@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mathkit
-from .model import (BLOCK_LINKS, GuardZone, NetworkParams, check_threshold,
-                    links, los_radius, pathloss, q1, rng_stream, sample_ppp)
+from .model import (BLOCK_LINKS, GuardZone, NetworkParams, check_count,
+                    check_threshold, links, los_radius, pathloss, q1,
+                    rng_stream, sample_ppp)
 
 __all__ = [
     "MetricEstimate",
@@ -305,8 +306,7 @@ def _average(params: NetworkParams, value, n_realizations: int,
     """Mean of `value(pts)` over interferer configurations `pts`, PPPs on
     the disk of radius `window` drawn from streams (seed, i), and its 95%
     half-width."""
-    if n_realizations < 1:
-        raise ValueError("need n_realizations >= 1")
+    check_count(n_realizations, "n_realizations")
     vals = np.empty(n_realizations)
     for i in range(n_realizations):
         vals[i] = value(sample_ppp(params.lambda_u, 0.0, window,

@@ -175,9 +175,11 @@ class ExperimentConfig:
             raise ConfigError("empty sweep list")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        SimConfig(self.n_realizations, self.window_radius)  # count, window
+        sim = SimConfig(self.n_realizations, self.window_radius)
         for value in self.sweep_values:     # `at` checks network and zone
-            _, rt, re, _, epsilon = self.at(value)
+            net, rt, re, _, epsilon = self.at(value)
+            if self.mode in ("simulate", "validate"):
+                sim.check_window(net)
             for rate in (rt, re):
                 if rate is not None and not 0.0 <= rate < 1024.0:
                     raise ConfigError(f"rate {rate:g} bps/Hz outside "

@@ -206,6 +206,12 @@ def check_threshold(value: float, name: str, positive: bool = False):
                          f"{'positive' if positive else 'nonnegative'}")
 
 
+def check_count(value: int, name: str):
+    """Raise ValueError unless `value` (a count) is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} = {value!r} must be an integer >= 1")
+
+
 def q1(params: NetworkParams, beta_e):
     """The outage forms' variable q1 = lambda_u pi^2 sqrt(beta_e) / 2 (1/m)
     at thresholds beta_e: a float for a scalar, an array for an array."""

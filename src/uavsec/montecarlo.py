@@ -1,25 +1,26 @@
 """Ground-truth Monte Carlo simulator for the connection and secrecy-outage
 definitions, under either fading model.
 
-Realizations are processed in chunks, each driven by its own random
-stream spawned from the master seed, so estimates are bit-identical for a
-given (params, thresholds, config), and chunks could be evaluated
-concurrently without changing the result. The chunk is the stream
-partition and is frozen: changing `_chunk_size` changes every simulator
-CSV. Within a chunk the draw order is canonical (counts, positions, link
-fading, signal fading), and fading is drawn for every link under both
-fading models, so runs that differ only in the model share their NLoS
-draws.
+Both simulators pick their windows and Poisson means, then hand one chunk
+body, `count(rng, m)`, to the one driver `_estimate`. Realizations are
+processed in chunks, each driven by its own random stream spawned from the
+master seed, so estimates are bit-identical for a given (params,
+thresholds, config), and chunks could be evaluated concurrently without
+changing the result. The chunk is the stream partition and is frozen:
+changing `_estimate`'s chunk size changes every simulator CSV. Within a
+chunk the draw order is canonical (counts, positions, then fading), and
+fading is drawn for every link under both fading models, so runs that
+differ only in the model share their NLoS draws.
 
-The block bounds memory: inside a chunk, links are built, faded and summed
-a block of whole receivers at a time (`_blocks`, at most `BLOCK_LINKS`
+The block bounds memory: inside a chunk, `_interference` builds, fades and
+sums links a block of whole receivers at a time (at most `BLOCK_LINKS`
 links, each holding about 90 bytes of live temporaries under
 tracemalloc). The block's fades are the next draws of the chunk's
 stream, and each receiver's interference is summed in the same order
 whatever the block size, so estimates do not depend on it. A chunk is one
-call (`_connection_chunk`, `_outage_chunk`), freeing its arrays before the
-next chunk draws (two chunks' arrays at once made peak RSS vary by 8 MB).
-A link is its squared horizontal span, read through the kernel `model.links`.
+`count` call, freeing its arrays before the next chunk draws (two chunks'
+arrays at once made peak RSS vary by 8 MB). A link is its squared
+horizontal span, read through the kernel `model.links`.
 
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width
@@ -30,7 +31,8 @@ margin, because an eavesdropper near the sampling edge would otherwise see
 a half-empty interference field and decode far too often. Passing an
 explicit `window_radius` forces equal eavesdropper/interferer windows at
 that radius (used when comparing against the equally-truncated
-semi-analytic evaluators).
+semi-analytic evaluators); it must exceed the LoS radius
+(`SimConfig.check_window`).
 
 The guard-zone protocol never thins interferers: zone-silenced
 transmitters emit statistically identical artificial noise, so receivers
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from .model import (
     ExactLoSNLoS,
     GuardZone,
     NetworkParams,
+    check_count,
     check_threshold,
     connection_window_radius,
     gains,
@@ -73,10 +76,18 @@ class SimConfig:
     model: type = ExactLoSNLoS
 
     def __post_init__(self):
-        if self.n_realizations < 1:
-            raise ValueError("need n_realizations >= 1")
+        check_count(self.n_realizations, "n_realizations")
         if self.window_radius is not None:
             check_threshold(self.window_radius, "window_radius", positive=True)
+
+    def check_window(self, params: NetworkParams) -> None:
+        """Raise ValueError unless an explicit window exceeds the LoS
+        radius K of `params` (the policy windows always do)."""
+        if self.window_radius is not None \
+                and self.window_radius <= params.los_radius:
+            raise ValueError(
+                f"window_radius = {self.window_radius:g} must exceed the "
+                f"LoS radius {params.los_radius:g} m at h = {params.h:g} m")
 
 
 # Bounds of the per-chunk realization count.
@@ -84,34 +95,41 @@ _CHUNK_MIN = 16
 _CHUNK_MAX = 8192
 
 
-def _chunk_size(expected_work: float) -> int:
-    """Per-chunk realization count, about 1.2e7 / expected links per
-    realization, within [_CHUNK_MIN, _CHUNK_MAX].
+def _estimate(cfg: SimConfig, work: float, count) -> MetricEstimate:
+    """Event share over cfg.n_realizations realizations: `count(rng, m)`
+    events in each chunk of m, drawn from the chunk's own stream. A chunk
+    is about 1.2e7 / `work` (expected links per realization) realizations,
+    within [_CHUNK_MIN, _CHUNK_MAX]; frozen, being the stream partition.
+    Memory is bounded by `_interference`'s blocks, not here."""
+    chunk = _CHUNK_MAX if work <= 0 \
+        else int(max(_CHUNK_MIN, min(_CHUNK_MAX, 1.2e7 / work)))
+    n = cfg.n_realizations
+    events = sum(count(rng_stream(cfg.seed, 0x5EED, ci), min(chunk, n - start))
+                 for ci, start in enumerate(range(0, n, chunk)))
+    return _binary_estimate(events, n)
 
-    Frozen: the chunk is the random-stream partition, so changing this
-    changes every simulator CSV. Memory is bounded by `_blocks`, not here.
-    """
-    if expected_work <= 0:
-        return _CHUNK_MAX
-    return int(max(_CHUNK_MIN, min(_CHUNK_MAX, 1.2e7 / expected_work)))
 
-
-def _blocks(sizes: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
-    """Split consecutive receivers, receiver i owning sizes[i] links, into
-    blocks of whole receivers with at most BLOCK_LINKS links (a receiver
-    with more links is a block of its own).
-
-    Yields (lo, hi, first, last): receivers [lo, hi) own links
-    [first, last) of the concatenated link arrays.
-    """
+def _interference(params: NetworkParams, model: type, rng, sizes: np.ndarray,
+                  spans) -> np.ndarray:
+    """Interference at consecutive receivers, receiver i summing sizes[i]
+    links, in blocks of whole receivers with at most BLOCK_LINKS links (or
+    one receiver). `spans(lo, hi, first, last)` gives the squared spans of
+    links [first, last), those of receivers [lo, hi); their fades are the
+    stream's next draws."""
     ends = np.cumsum(sizes)
+    out = np.empty(len(sizes))
     lo = first = 0
     while lo < len(ends):
         hi = max(int(np.searchsorted(ends, first + BLOCK_LINKS,
                                      side="right")), lo + 1)
         last = int(ends[hi - 1])
-        yield lo, hi, first, last
+        span2 = spans(lo, hi, first, last)
+        fades = rng.standard_exponential(last - first)
+        out[lo:hi] = np.bincount(
+            np.repeat(np.arange(hi - lo), sizes[lo:hi]),
+            weights=gains(params, model, span2, fades), minlength=hi - lo)
         lo, first = hi, last
+    return out
 
 
 def _binary_estimate(successes: int, n: int) -> MetricEstimate:
@@ -131,36 +149,22 @@ def sim_connection(params: NetworkParams, beta_t: float,
                    cfg: SimConfig) -> MetricEstimate:
     """Fraction of realizations whose legitimate-receiver SIR exceeds beta_t."""
     check_threshold(beta_t, "sim_connection: beta_t")
+    cfg.check_window(params)
     window = cfg.window_radius if cfg.window_radius is not None \
         else connection_window_radius(params, beta_t, cfg.n_realizations)
-    if window <= params.los_radius:
-        raise ValueError("window_radius must exceed the LoS radius")
     area_mean = params.lambda_u * math.pi * window ** 2
-    chunk = _chunk_size(area_mean)
-    n = cfg.n_realizations
-    successes = sum(_connection_chunk(params, beta_t, cfg, ci,
-                                      min(chunk, n - start), window, area_mean)
-                    for ci, start in enumerate(range(0, n, chunk)))
-    return _binary_estimate(successes, n)
 
+    def count(rng, m):
+        counts = rng.poisson(area_mean, m)
+        horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
+        interference = _interference(
+            params, cfg.model, rng, counts,
+            lambda lo, hi, first, last: horiz2[first:last])
+        sig_fades = rng.standard_exponential(m)
+        signal = gains(params, cfg.model, np.zeros(m), sig_fades)
+        return int(np.count_nonzero(signal > beta_t * interference))
 
-def _connection_chunk(params: NetworkParams, beta_t: float, cfg: SimConfig,
-                      ci: int, m: int, window: float, area_mean: float) -> int:
-    """Successes among the m realizations of chunk ci."""
-    rng = rng_stream(cfg.seed, 0x5EED, ci)
-    counts = rng.poisson(area_mean, m)
-    horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
-    interference = np.empty(m)
-    for lo, hi, first, last in _blocks(counts):
-        span2 = horiz2[first:last]
-        fades = rng.standard_exponential(last - first)
-        interference[lo:hi] = np.bincount(
-            np.repeat(np.arange(hi - lo), counts[lo:hi]),
-            weights=gains(params, cfg.model, span2, fades),
-            minlength=hi - lo)
-    sig_fades = rng.standard_exponential(m)
-    signal = gains(params, cfg.model, np.zeros(m), sig_fades)
-    return int(np.count_nonzero(signal > beta_t * interference))
+    return _estimate(cfg, area_mean, count)
 
 
 def _outage_windows(params: NetworkParams, beta_e: float, cfg: SimConfig,
@@ -172,8 +176,7 @@ def _outage_windows(params: NetworkParams, beta_e: float, cfg: SimConfig,
     beyond that.
     """
     if cfg.window_radius is not None:
-        if cfg.window_radius <= params.los_radius:
-            raise ValueError("window_radius must exceed the LoS radius")
+        cfg.check_window(params)
         e_win = u_win = cfg.window_radius
     else:
         e_win = outage_window_radius(params, beta_e)
@@ -199,73 +202,58 @@ def sim_outage(params: NetworkParams, beta_e: float,
 
     Eavesdroppers are sampled on [d, R_e] (annulus outside the guard zone),
     interferers on [0, R_u]; see the module docstring for the window policy.
-    Each chunk is one `_outage_chunk` call: only the interferers of
-    realizations with an eavesdropper are kept, converted to x/y (cos/sin)
-    and paired, one block of eavesdroppers at a time (`_blocks`).
+    In each chunk only the interferers of realizations with an eavesdropper
+    are kept, right after each draw, converted to x/y (cos/sin) and paired
+    with the eavesdroppers of their realization, one block at a time.
     """
     check_threshold(beta_e, "sim_outage: beta_e")
     d0 = zone.d if zone is not None else 0.0
     e_win, u_win = _outage_windows(params, beta_e, cfg, zone)
     u_mean = params.lambda_u * math.pi * u_win ** 2
     e_mean = params.lambda_e * math.pi * (e_win ** 2 - d0 ** 2)
-    chunk = _chunk_size(u_mean + e_mean + e_mean * max(u_mean, 1.0))
-    n = cfg.n_realizations
-    outages = sum(_outage_chunk(params, beta_e, cfg, ci, min(chunk, n - start),
-                                d0, e_win, u_win, u_mean, e_mean)
-                  for ci, start in enumerate(range(0, n, chunk)))
-    return _binary_estimate(outages, n)
 
+    def count(rng, m):
+        u_counts = rng.poisson(u_mean, m)
+        e_counts = rng.poisson(e_mean, m) if e_mean > 0 else np.zeros(m, int)
+        tu = int(u_counts.sum())
+        te = int(e_counts.sum())
+        if te == 0:
+            return 0    # the stream is the chunk's own: skip its other draws
+        # Canonical draw order: positions (u then e), then fading. cos/sin
+        # cost about 30 multiplies an element, and at small lambda_e most
+        # realizations have no eavesdropper to pair with.
+        keep = np.repeat(e_counts > 0, u_counts)
+        ur = np.sqrt(rng.random(tu)[keep]) * u_win
+        uphi = rng.random(tu)[keep] * (2.0 * math.pi)
+        er2 = d0 ** 2 + rng.random(te) * (e_win ** 2 - d0 ** 2)
+        ephi = rng.random(te) * (2.0 * math.pi)
+        sig_fades = rng.standard_exponential(te)
+        ux = np.cos(uphi) * ur
+        uy = np.sin(uphi) * ur
+        del keep, ur, uphi
+        er = np.sqrt(er2)
+        ex = er * np.cos(ephi)
+        ey = er * np.sin(ephi)
+        e_seg = np.repeat(np.arange(m), e_counts)
 
-def _outage_chunk(params: NetworkParams, beta_e: float, cfg: SimConfig,
-                  ci: int, m: int, d0: float, e_win: float, u_win: float,
-                  u_mean: float, e_mean: float) -> int:
-    """Outages among the m realizations of chunk ci. Interferer positions
-    are kept, right after each draw, only where there is an eavesdropper."""
-    rng = rng_stream(cfg.seed, 0x5EED, ci)
-    u_counts = rng.poisson(u_mean, m)
-    e_counts = rng.poisson(e_mean, m) if e_mean > 0 else np.zeros(m, int)
-    tu = int(u_counts.sum())
-    te = int(e_counts.sum())
-    if te == 0:
-        return 0        # the stream is the chunk's own: skip its other draws
-    # Canonical draw order: positions (u then e), then fading. cos/sin cost
-    # about 30 multiplies an element, and at small lambda_e most
-    # realizations have no eavesdropper to pair with.
-    keep = np.repeat(e_counts > 0, u_counts)
-    ur = np.sqrt(rng.random(tu)[keep]) * u_win
-    uphi = rng.random(tu)[keep] * (2.0 * math.pi)
-    er2 = d0 ** 2 + rng.random(te) * (e_win ** 2 - d0 ** 2)
-    ephi = rng.random(te) * (2.0 * math.pi)
-    sig_fades = rng.standard_exponential(te)
-    ux = np.cos(uphi) * ur
-    uy = np.sin(uphi) * ur
-    del keep, ur, uphi
-    er = np.sqrt(er2)
-    ex = er * np.cos(ephi)
-    ey = er * np.sin(ephi)
-    e_seg = np.repeat(np.arange(m), e_counts)
+        # Eavesdropper i sees the lens[i] interferers of its realization,
+        # the first of them at index u_first[i] of `ux`.
+        paired = np.where(e_counts > 0, u_counts, 0)
+        lens = u_counts[e_seg]
+        u_first = (np.cumsum(paired) - paired)[e_seg]
 
-    # Pair every eavesdropper with the interferers of its realization,
-    # one block of eavesdroppers at a time; `u_first` is the index in
-    # `ux` of the first interferer an eavesdropper sees.
-    paired = np.where(e_counts > 0, u_counts, 0)
-    lens = u_counts[e_seg]
-    u_first = (np.cumsum(paired) - paired)[e_seg]
-    interference = np.empty(te)
-    for lo, hi, first, last in _blocks(lens):
-        blens = lens[lo:hi]
-        pair_fades = rng.standard_exponential(last - first)
-        pair_e = np.repeat(np.arange(hi - lo), blens)
-        pair_u = np.arange(last - first) + np.repeat(
-            u_first[lo:hi] - (np.cumsum(blens) - blens), blens)
-        dx = ux[pair_u] - np.repeat(ex[lo:hi], blens)
-        dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
-        horiz2 = dx * dx + dy * dy
-        interference[lo:hi] = np.bincount(
-            pair_e, weights=gains(params, cfg.model, horiz2, pair_fades),
-            minlength=hi - lo)
+        def spans(lo, hi, first, last):
+            blens = lens[lo:hi]
+            pair_u = np.arange(last - first) + np.repeat(
+                u_first[lo:hi] - (np.cumsum(blens) - blens), blens)
+            dx = ux[pair_u] - np.repeat(ex[lo:hi], blens)
+            dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
+            return dx * dx + dy * dy
 
-    signal = gains(params, cfg.model, er2, sig_fades)
-    decoded = signal > beta_e * interference
-    return int(np.count_nonzero(
-        np.bincount(e_seg, weights=decoded, minlength=m) > 0))
+        interference = _interference(params, cfg.model, rng, lens, spans)
+        signal = gains(params, cfg.model, er2, sig_fades)
+        decoded = signal > beta_e * interference
+        return int(np.count_nonzero(
+            np.bincount(e_seg, weights=decoded, minlength=m) > 0))
+
+    return _estimate(cfg, u_mean + e_mean + e_mean * max(u_mean, 1.0), count)

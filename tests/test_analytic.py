@@ -500,6 +500,11 @@ class TestExactEvaluators:
     def test_pso_exact_rejects_bad_args(self):
         with pytest.raises(ValueError):
             pso_exact(params(), 0.0, None, n_realizations=1)
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="^n_realizations = "):
+                pso_exact(params(), 1.0, None, n_realizations=bad)
+            with pytest.raises(ValueError, match="^n_realizations = "):
+                pc_exact(params(), 31.0, n_realizations=bad)
         with pytest.raises(ValueError, match="^pso_exact: guard-zone"):
             pso_exact(params(), 1.0, GuardZone(300.0), window=200.0)
 

@@ -99,7 +99,8 @@ class TestConfigParsing:
                 "values = 1e-4, 1e-3", "values ="))
 
     @pytest.mark.parametrize("change", [
-        {"n_realizations": 0}, {"sweep_values": ()}, {"mode": "bogus"}])
+        {"n_realizations": 0}, {"n_realizations": 100.5},
+        {"sweep_values": ()}, {"mode": "bogus"}])
     def test_replace_is_checked(self, change):
         with pytest.raises(ValueError):
             replace(ExperimentConfig.from_text(TINY_CFG), **change)
@@ -260,6 +261,27 @@ class TestRun:
             assert "tiny:" not in out        # no sweep point was computed
             if not new:                      # a missing density is named
                 assert f"[network] {old.split()[0]} is required" in err
+
+    @pytest.mark.parametrize("mode", ["simulate", "validate"])
+    def test_window_inside_a_later_los_radius_exits_without_csv(
+            self, tmp_path, capsys, mode):
+        # K = h at theta_c = 45 deg: the 30 m window is inside it at h = 40
+        text = TINY_CFG.replace(
+            "variable = lambda_e\nvalues = 1e-4, 1e-3",
+            "variable = h\nvalues = 10, 20, 40").replace(
+            "seed = 1", "seed = 1\nwindow_radius = 30")
+        cfg_path = tmp_path / "window.cfg"
+        cfg_path.write_text(text.replace("mode = analyze", f"mode = {mode}"))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        out, err = capsys.readouterr()
+        assert "tiny:" not in out        # no sweep point was computed
+        assert ("window_radius = 30 must exceed the LoS radius 40 m at "
+                "h = 40 m") in err
+        # the modes that do not simulate ignore the window
+        for other in ("analyze", "optimize"):
+            ExperimentConfig.from_text(text.replace(
+                "mode = analyze", f"mode = {other}"))
 
     # 2^2000 overflows a float; a negative rate gap is a negative threshold
     # (the last only at the highest sweep value)

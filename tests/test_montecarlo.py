@@ -69,8 +69,16 @@ class TestConnectionSim:
         assert abs(a.value - b.value) < a.half_width
 
     def test_window_must_exceed_los_radius(self):
-        with pytest.raises(ValueError):
-            sim_connection(params(), 31.0, SimConfig(100, 5.0))
+        # K = h / tan(45 deg) rounds one ulp above h = 10: a 10 m window
+        # is inside it
+        for window in (5.0, 10.0):
+            cfg = SimConfig(100, window)
+            match = (f"^window_radius = {window:g} must exceed the LoS "
+                     f"radius 10 m at h = 10 m$")
+            with pytest.raises(ValueError, match=match):
+                sim_connection(params(), 31.0, cfg)
+            with pytest.raises(ValueError, match=match):
+                sim_outage(params(), 1.0, None, cfg)
 
 
 class TestOutageSim:
@@ -164,15 +172,16 @@ class TestBlocks:
     def test_invariance_cases_reach_the_edges(self, monkeypatch):
         # The outage cases above hold a chunk without eavesdroppers,
         # eavesdroppers without interferers and eavesdroppers whose pairs
-        # exceed a 3-pair block. `_blocks` gets each eavesdropper's pair
-        # count, once per chunk that has eavesdroppers.
-        blocks = montecarlo._blocks
+        # exceed a 3-pair block. `_interference` gets each eavesdropper's
+        # pair count, once per chunk that has eavesdroppers.
+        interference = montecarlo._interference
         sizes = []
         for p, zone, cfg in _OUTAGE_CASES:
             seen = []
-            monkeypatch.setattr(montecarlo, "_blocks",
-                                lambda s, seen=seen: seen.append(s)
-                                or blocks(s))
+            monkeypatch.setattr(
+                montecarlo, "_interference",
+                lambda p, model, rng, s, spans, seen=seen: seen.append(s)
+                or interference(p, model, rng, s, spans))
             sim_outage(p, 1.0, zone, cfg)
             sizes.append(seen)
         assert len(sizes[3]) == 2 and sizes[4] == []   # of 3 and 1 chunks
@@ -273,8 +282,11 @@ class TestEstimateHelpers:
         assert np.allclose(g_ray[los], g_exact[los] * fades[los])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(0)
+        for bad in (0, 100.5, 100.0):
+            with pytest.raises(ValueError, match="^n_realizations = "):
+                SimConfig(bad)
+        with pytest.raises(ValueError, match="^n_realizations = "):
+            replace(SimConfig(100), n_realizations=100.5)
         for bad in (math.nan, math.inf, -5.0, 0.0):
             with pytest.raises(ValueError):
                 SimConfig(100, window_radius=bad)

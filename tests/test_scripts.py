@@ -1,6 +1,6 @@
-"""Load every script under scripts/, and install the benchmark's tracer,
-so a renamed library name they use fails here rather than in a user's run
-or a benchmark pass."""
+"""Load every script under scripts/, run the window audit, and install the
+benchmark's tracer, so a renamed library name they use fails here rather
+than in a user's run or a benchmark pass."""
 
 import glob
 import os
@@ -24,6 +24,17 @@ def test_bench_pairs_counts_source_lines():
     with open(path, encoding="utf-8") as fh:
         assert counts["files"]["model.py"] == len(fh.readlines())
     assert counts["total"] == sum(counts["files"].values())
+
+
+def test_outage_window_audit_runs(monkeypatch, capsys):
+    # the one script that reaches the simulator through a private name
+    monkeypatch.setattr("sys.argv", ["outage_window_audit.py", "200"])
+    script = runpy.run_path(
+        os.path.join(ROOT, "scripts", "outage_window_audit.py"),
+        run_name="smoke")
+    assert script["main"]() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[1].startswith("lambda_e=3e-05")
 
 
 def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
