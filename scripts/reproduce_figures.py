@@ -3,8 +3,9 @@
 
 Usage: python scripts/reproduce_figures.py [out_dir] [--fast]
 `--fast` runs each parsed config with its Monte Carlo budget cut to 5000
-realizations, so the whole set finishes in about a minute (for smoke runs;
-the bundled budgets take ~10 min). It writes nothing but the outputs.
+realizations, for smoke runs. It writes nothing but the outputs. Measured
+on 2 cores (Python 3.11, numpy 2.4): the whole set takes about 3 s with
+`--fast` and about 1 min at the bundled budgets.
 """
 
 import os

@@ -27,12 +27,8 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__, analytic, optimizer
 from .chart import render_chart
-from .model import (
-    AllRayleigh,
-    ExactLoSNLoS,
-    GuardZone,
-    NetworkParams,
-)
+from .model import (AllRayleigh, ExactLoSNLoS, GuardZone, NetworkParams,
+                    check_threshold)
 from .montecarlo import SimConfig, sim_connection, sim_outage
 
 EXIT_OK = 0
@@ -49,15 +45,11 @@ _NETWORK_KEYS = ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
                  "eta_los", "eta_nlos", "alpha_los", "alpha_nlos")
 
 
-class ConfigError(ValueError):
-    """Configuration file failed to parse or validate."""
-
-
 def _number(text: str) -> float:
     """A finite float; NaN and infinities are rejected."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"non-finite value {text.strip()!r}")
+        raise ValueError(f"non-finite value {text.strip()!r}")
     return value
 
 
@@ -66,7 +58,7 @@ def _count(text: str) -> int:
     error, not truncated."""
     value = _number(text)
     if not value.is_integer():
-        raise ConfigError(f"must be a whole number, got {value!r}")
+        raise ValueError(f"must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -74,7 +66,7 @@ def _flag(text: str) -> bool:
     """`true` or `false` (any case); anything else is an error."""
     word = text.strip().lower()
     if word not in ("true", "false"):
-        raise ConfigError(f"must be true or false, got {text.strip()!r}")
+        raise ValueError(f"must be true or false, got {text.strip()!r}")
     return word == "true"
 
 
@@ -118,7 +110,7 @@ def _read(cp, section: str, key: str, parse):
     try:
         return parse(cp.get(section, key))
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ValueError(f"[{section}] {key}: {exc}") from exc
 
 
 def _sweep_values(cp) -> tuple[float, ...]:
@@ -126,11 +118,11 @@ def _sweep_values(cp) -> tuple[float, ...]:
         return _read(cp, "sweep", "values", lambda text: tuple(
             map(_number, text.replace(",", " ").split())))
     if not all(cp.has_option("sweep", k) for k in ("start", "stop", "step")):
-        raise ConfigError("sweep needs `values` or start, stop and step")
+        raise ValueError("sweep needs `values` or start, stop and step")
     start, stop, step = (_read(cp, "sweep", k, _number)
                          for k in ("start", "stop", "step"))
     if step <= 0 or stop < start:
-        raise ConfigError("sweep range needs step > 0 and stop >= start")
+        raise ValueError("sweep range needs step > 0 and stop >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + i * step for i in range(n))
 
@@ -169,12 +161,12 @@ class ExperimentConfig:
                 (self.model_name, _MODELS, "fading model"),
                 *((m, _METRICS, "metric") for m in self.metrics)):
             if value not in allowed:
-                raise ConfigError(f"unknown {what} {value!r} (one of "
-                                  f"{', '.join(allowed)})")
+                raise ValueError(f"unknown {what} {value!r} (one of "
+                                 f"{', '.join(allowed)})")
         if not self.sweep_values:
-            raise ConfigError("empty sweep list")
+            raise ValueError("empty sweep list")
         if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         sim = SimConfig(self.n_realizations, self.window_radius)
         for value in self.sweep_values:     # `at` checks network and zone
             net, rt, re, _, epsilon = self.at(value)
@@ -182,9 +174,18 @@ class ExperimentConfig:
                 sim.check_window(net)
             for rate in (rt, re):
                 if rate is not None and not 0.0 <= rate < 1024.0:
-                    raise ConfigError(f"rate {rate:g} bps/Hz outside "
-                                      f"[0, 1024)")
+                    raise ValueError(f"rate {rate:g} bps/Hz outside "
+                                     f"[0, 1024)")
             optimizer.check_epsilon(epsilon)
+            # the closed forms' own rules, under `_point_metrics`' conditions
+            if self.mode != "simulate":
+                analytic._require_canonical_alphas(net)
+            if self.mode in ("analyze", "validate") and re is not None:
+                if "pso" in self.metrics:
+                    check_threshold(_beta(re), "pso_zone_approx: beta_e",
+                                    positive=True)
+                if "cs" in self.metrics and rt is not None:
+                    check_threshold(rt - re, "stc: rs")
 
     @classmethod
     def from_text(cls, text: str, name: str = "experiment") -> "ExperimentConfig":
@@ -192,13 +193,8 @@ class ExperimentConfig:
         try:
             cp.read_string(text)
         except configparser.Error as exc:
-            raise ConfigError(f"config parse error: {exc}") from exc
-        try:
-            return cls._build(cp, name)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"config validation error: {exc}") from exc
+            raise ValueError(f"config parse error: {exc}") from exc
+        return cls._build(cp, name)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -211,17 +207,17 @@ class ExperimentConfig:
     def _build(cls, cp, default_name):
         for section in cp.sections():
             if section not in _KEYS:
-                raise ConfigError(f"unknown section [{section}]")
+                raise ValueError(f"unknown section [{section}]")
             unknown = sorted(set(cp.options(section)) - set(_KEYS[section]))
             if unknown:
-                raise ConfigError(f"unknown key(s) in [{section}]: "
-                                  f"{', '.join(unknown)}")
+                raise ValueError(f"unknown key(s) in [{section}]: "
+                                 f"{', '.join(unknown)}")
         for section in ("network", "sweep"):
             if not cp.has_section(section):
-                raise ConfigError(f"missing [{section}] section")
+                raise ValueError(f"missing [{section}] section")
         for key in ("lambda_u", "lambda_e"):
             if not cp.has_option("network", key):
-                raise ConfigError(f"[network] {key} is required")
+                raise ValueError(f"[network] {key} is required")
         network = NetworkParams(**{
             key: _read(cp, "network", key,
                        _parse_angle if key == "theta_c" else _number)
@@ -235,8 +231,8 @@ class ExperimentConfig:
             # re = rt - rs, set once: needs rt, no re key, no rate sweep
             if "rt" not in fields or "re" in fields \
                     or variable in ("rt", "re"):
-                raise ConfigError("[code] rs needs rt, and neither an "
-                                  "re key nor an rt or re sweep")
+                raise ValueError("[code] rs needs rt, and neither an "
+                                 "re key nor an rt or re sweep")
             fields["re"] = fields["rt"] - _read(cp, "code", "rs", _number)
         if not fields.get("metrics"):
             fields["metrics"] = ("pc",) if network.lambda_e == 0 \
@@ -247,15 +243,11 @@ class ExperimentConfig:
                    sweep_values=_sweep_values(cp), **fields)
 
     def at(self, value: float):
-        """Network/code/zone/epsilon with the swept variable set to `value`.
-        An altitude sweep widens [h_min, h_max] to include each value."""
+        """Network/code/zone/epsilon with the swept variable set to `value`."""
         var, net = self.sweep_variable, self.network
         point = {"rt": self.rt, "re": self.re, "d": self.zone_d,
                  "epsilon": self.epsilon}
-        if var == "h":
-            net = replace(net, h=value, h_min=min(net.h_min, value),
-                          h_max=max(net.h_max, value))
-        elif var in point:
+        if var in point:
             point[var] = value
         else:
             net = replace(net, **{var: value})
@@ -328,7 +320,7 @@ def run(config_path: str, out_dir: str | None = None) -> int:
     """Execute one experiment config file; returns a process exit status."""
     try:
         cfg = ExperimentConfig.from_file(config_path)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return run_experiment(cfg, out_dir)
@@ -339,7 +331,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     SVG chart if asked); returns a process exit status."""
     directory = (out_dir or cfg.out_dir
                  or os.environ.get("UAVSEC_OUTDIR", "out"))
-    os.makedirs(directory, exist_ok=True)
     columns: list[str] = [cfg.sweep_variable]
     rows = []
     try:
@@ -355,9 +346,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     except optimizer.InfeasibleError as exc:
         print(f"error: infeasible optimization: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:    # a model's own domain, e.g. its exponents
+    except ValueError as exc:    # e.g. optimize at lambda_u = lambda_e = 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{cfg.name}.csv")
     write_csv(csv_path, columns, rows)
     print(f"wrote {csv_path}")
@@ -468,7 +460,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         return run(args.config, args.out_dir)
     # the subcommand is required, so the one left is validate
-    report = validate_suite(20_000 if args.fast else 100_000, args.seed)
+    try:
+        report = validate_suite(20_000 if args.fast else 100_000, args.seed)
+    except ValueError as exc:     # e.g. a negative seed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(report.format())
     print("overall:", "PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VALIDATION

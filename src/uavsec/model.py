@@ -66,7 +66,7 @@ def los_radius(h, theta_c: float):
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Densities, channel constants and altitude bounds of the network.
+    """Densities, channel constants, altitude and the optimizer's h range.
 
     Units: densities per m^2, angles in radians, altitudes in metres,
     reference gains linear (dimensionless at 1 m).
@@ -76,8 +76,8 @@ class NetworkParams:
     lambda_e: float            # eavesdropper density
     h: float = 10.0            # transmitter altitude
     theta_c: float = math.pi / 4
-    h_min: float = 10.0
-    h_max: float = 50.0
+    h_min: float = 10.0        # the optimizer's altitude range; h may
+    h_max: float = 50.0        # lie outside it
     eta_los: float = 1.0
     eta_nlos: float = 0.01     # 20 dB LoS advantage at 1 m by default
     alpha_los: float = 2.0
@@ -91,9 +91,9 @@ class NetworkParams:
             raise ValueError("densities must be nonnegative")
         if not 0.0 < self.theta_c < math.pi / 2:
             raise ValueError("theta_c must lie in (0, pi/2)")
-        if not 0.0 < self.h_min <= self.h <= self.h_max:
-            raise ValueError(f"altitude {self.h} outside [{self.h_min}, "
-                             f"{self.h_max}] or h_min not positive")
+        if not (0.0 < self.h and 0.0 < self.h_min <= self.h_max):
+            raise ValueError(f"need h > 0 and 0 < h_min <= h_max, got h = "
+                             f"{self.h}, [{self.h_min}, {self.h_max}]")
         if not self.eta_los >= self.eta_nlos > 0:
             raise ValueError("need eta_los >= eta_nlos > 0")
         if self.alpha_los <= 0 or self.alpha_nlos <= 0:

@@ -157,7 +157,7 @@ class TestSurrogateConnection:
         # altitude chosen so the two exponent terms cancel
         rt = 8.0
         h = math.pi * 0.1 * 2 ** (rt / 2.0) / 2.0
-        p = params(h=h, h_min=1.0, h_max=100.0)
+        p = params(h=h)
         assert pc_simplified(p, rt) == pytest.approx(1.0, rel=1e-12)
 
     def test_agrees_with_full_form_deep_in_regime(self):
@@ -256,7 +256,7 @@ class TestOverflowSaturation:
         # inf - inf in `_disk_moments_cells`
         sets = [(OVERFLOW, (0.0, 10.0, 5 * OVERFLOW["h"])),
                 (dict(lambda_u=0.0148, lambda_e=1.32e-7, h=182.6,
-                      theta_c=1.5486, h_max=200.0), (0.0, 2.0, 10.0))]
+                      theta_c=1.5486), (0.0, 2.0, 10.0))]
         for kw, ds in sets:
             p = NetworkParams(**kw)
             for d in ds:
@@ -295,7 +295,7 @@ density = st.floats(-8.0, -1.0).map(lambda x: 10.0 ** x)
 def test_closed_forms_are_probabilities_at_extremes(
         lambda_u, lambda_e, h, theta_c, beta, d_kind, frac):
     p = NetworkParams(lambda_u=lambda_u, lambda_e=lambda_e, h=h,
-                      theta_c=theta_c, h_min=h, h_max=h)
+                      theta_c=theta_c)
     d = {"zero": 0.0, "K": p.los_radius,
          "random": frac * p.los_radius}[d_kind]
     for v in (pc_approx(p, beta), pso_approx(p, beta),
@@ -334,7 +334,7 @@ def test_closed_forms_match_reference_form():
         h = rng.uniform(10.0, 50.0)
         p = NetworkParams(lambda_u=10 ** rng.uniform(-4, -2),
                           lambda_e=10 ** rng.uniform(-5, -2), h=h,
-                          theta_c=rng.uniform(0.4, 1.2), h_min=h, h_max=h)
+                          theta_c=rng.uniform(0.4, 1.2))
         beta = 2.0 ** rng.uniform(0.05, 12.0) - 1.0
         k = p.los_radius
         assert_matches_form(pso_approx(p, beta), p, beta, 0.0)

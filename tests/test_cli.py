@@ -12,7 +12,6 @@ from uavsec.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VALIDATION,
-    ConfigError,
     ExperimentConfig,
     ValidationReport,
     ValidationRow,
@@ -81,20 +80,18 @@ class TestConfigParsing:
     def test_point_sets_the_swept_variable(self, variable, value):
         base = ExperimentConfig.from_text(TINY_CFG)
         net, rt, re, zone, eps = replace(
-            base, sweep_variable=variable).at(value)
+            base, sweep_variable=variable, sweep_values=(value,)).at(value)
         got = {"h": net.h, "d": zone.d if zone is not None else None,
                "rt": rt, "re": re, "epsilon": eps}
         want = {"h": 10.0, "d": None, "rt": 5.0, "re": 1.0, "epsilon": 0.01}
         want[variable] = value
         assert got == want
-        # an altitude sweep widens [h_min, h_max] = [10, 50] to cover it
-        assert (net.h_min, net.h_max) == (
-            (min(10.0, value), max(50.0, value)) if variable == "h"
-            else (10.0, 50.0))
-        assert replace(net, h=10.0, h_min=10.0, h_max=50.0) == base.network
+        # [h_min, h_max] = [10, 50] is the optimizer's range, whatever h is
+        assert (net.h_min, net.h_max) == (10.0, 50.0)
+        assert replace(net, h=10.0) == base.network
 
     def test_empty_sweep_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ExperimentConfig.from_text(TINY_CFG.replace(
                 "values = 1e-4, 1e-3", "values ="))
 
@@ -120,12 +117,12 @@ class TestConfigParsing:
                     f"[{section}] {key}"
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ExperimentConfig.from_text(TINY_CFG.replace(
                 "mode = analyze", "mode = frobnicate"))
 
     def test_unknown_sweep_variable_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ExperimentConfig.from_text(TINY_CFG.replace(
                 "variable = lambda_e", "variable = bogus"))
 
@@ -140,7 +137,7 @@ class TestConfigParsing:
         ("seed = 1", "seed = 1\n[optimize]\nepsilon = nan"),
     ])
     def test_non_finite_values_rejected(self, old, new):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ExperimentConfig.from_text(TINY_CFG.replace(old, new))
 
     def test_whole_float_counts_and_flag_case(self):
@@ -218,7 +215,7 @@ class TestRun:
             "[optimize]\nepsilon = 0.01\n")
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == \
             EXIT_INFEASIBLE
-        assert not (tmp_path / "out" / "zero.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old,new", [
         ("h = 10", "h = 10\neta_nlso = 0.5"),
@@ -282,6 +279,49 @@ class TestRun:
         for other in ("analyze", "optimize"):
             ExperimentConfig.from_text(text.replace(
                 "mode = analyze", f"mode = {other}"))
+
+    # each closed form's domain (the cs case breaks it only at the second
+    # sweep point); validate computes the same closed forms, and optimize
+    # reads the exponents too
+    @pytest.mark.parametrize("old, new, modes, rule", [
+        pytest.param("re = 1", "re = 0", ("analyze", "validate"),
+                     "pso_zone_approx: beta_e = 0.0 must be finite and "
+                     "positive", id="re0-pso"),
+        pytest.param("rt = 5\nre = 1\n\n[sweep]\nvariable = lambda_e\n"
+                     "values = 1e-4, 1e-3",
+                     "rt = 1.5\n\n[sweep]\nvariable = re\nvalues = 1, 2",
+                     ("analyze", "validate"),
+                     "stc: rs = -0.5 must be finite and nonnegative",
+                     id="cs-re-sweep-past-rt"),
+        pytest.param("theta_c = 45 deg", "theta_c = 45 deg\nalpha_los = 3",
+                     ("analyze", "validate", "optimize"),
+                     "closed forms require alpha_los = 2 and alpha_nlos = 4",
+                     id="alpha_los3"),
+    ])
+    def test_closed_form_domain_exits_without_csv(self, tmp_path, capsys, old,
+                                                  new, modes, rule):
+        text = TINY_CFG.replace(old, new)
+        assert text != TINY_CFG
+        for mode in modes:
+            cfg_path = tmp_path / "domain.cfg"
+            cfg_path.write_text(text.replace("mode = analyze",
+                                             f"mode = {mode}"))
+            assert cli.run(str(cfg_path), str(tmp_path / "out")) == \
+                EXIT_CONFIG
+            assert not (tmp_path / "out").exists()
+            out, err = capsys.readouterr()
+            assert "tiny:" not in out        # no sweep point was computed
+            assert rule in err
+        if "alpha_los" in new:               # the simulators take any exponent
+            ExperimentConfig.from_text(text.replace("mode = analyze",
+                                                    "mode = simulate"))
+
+    def test_altitude_outside_the_optimizer_range_writes_csv(self, tmp_path):
+        cfg_path = tmp_path / "high.cfg"
+        cfg_path.write_text(TINY_CFG.replace("h = 10", "h = 60"))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_OK
+        assert len((tmp_path / "out" / "tiny.csv").read_text()
+                   .splitlines()) == 3
 
     # 2^2000 overflows a float; a negative rate gap is a negative threshold
     # (the last only at the highest sweep value)
@@ -364,6 +404,12 @@ class TestEntryPoint:
         # one summary line per sweep point
         assert out.count("tiny: lambda_e=") == 2
 
+
+    def test_validate_bad_seed_exits_config(self, capsys):
+        # the suite's first config rejects the seed before any simulation
+        assert cli.main(["validate", "--fast", "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: seed must be nonnegative, got -1\n"
 
     def test_validate_exit_code_follows_verdict(self, monkeypatch, capsys):
         for passed, code in ((False, EXIT_VALIDATION), (True, EXIT_OK)):

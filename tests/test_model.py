@@ -71,8 +71,10 @@ class TestDomainTypes:
     def test_network_params_validation(self):
         with pytest.raises(ValueError):
             params(lambda_u=-1.0)
-        with pytest.raises(ValueError):
-            params(h=5.0)            # below h_min
+        assert params(h=5.0).h == 5.0    # below h_min: the optimizer's range
+        for bad in (dict(h=0.0), dict(h=-1.0), dict(h_min=30.0, h_max=20.0)):
+            with pytest.raises(ValueError, match="need h > 0"):
+                params(**bad)
         with pytest.raises(ValueError):
             params(eta_nlos=2.0)     # exceeds eta_los
 

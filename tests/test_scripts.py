@@ -1,6 +1,7 @@
-"""Load every script under scripts/, run the window audit, and install the
-benchmark's tracer, so a renamed library name they use fails here rather
-than in a user's run or a benchmark pass."""
+"""Load every script under scripts/, run the window audit and the fast
+figure set, and install the benchmark's tracer, so a renamed library name
+they use, or a bundled config the checks reject, fails here rather than in
+a user's run or a benchmark pass."""
 
 import glob
 import os
@@ -35,6 +36,21 @@ def test_outage_window_audit_runs(monkeypatch, capsys):
     assert script["main"]() == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 and lines[1].startswith("lambda_e=3e-05")
+
+
+def test_reproduce_figures_fast_runs(monkeypatch, tmp_path):
+    # every bundled config passes its checks and writes its CSV and chart
+    monkeypatch.setattr("sys.argv", ["reproduce_figures.py", str(tmp_path),
+                                     "--fast"])
+    script = runpy.run_path(
+        os.path.join(ROOT, "scripts", "reproduce_figures.py"),
+        run_name="smoke")
+    assert script["main"]() == 0
+    configs = glob.glob(os.path.join(ROOT, "configs", "*.cfg"))
+    assert len(configs) == 8
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(c)[:-4] + ext for c in configs
+        for ext in (".csv", ".svg"))
 
 
 def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
