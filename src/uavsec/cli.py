@@ -6,10 +6,10 @@ CSV schema: the first column is the swept variable, one column per computed
 metric, half-width columns suffixed `_hw`. Rows are ordered by sweep value;
 identical config + seed gives byte-identical output.
 
-`run` parses a config file and hands it to `run_experiment`, which writes
-one row per sweep point; `_point_metrics` is the one place where a sweep
-point becomes numbers, and the built-in `validate_suite` reads its checks
-from the same function on five validate-mode sweeps.
+`run` parses a config file and writes one row per sweep point;
+`_point_metrics` is the one place where a sweep point becomes numbers, and
+the built-in `validate_suite` reads its checks from the same function on
+five validate-mode sweeps.
 
 Exit codes: 0 success, 2 config parse/validation error, 3 infeasible
 optimization, 5 validation suite failed.
@@ -70,6 +70,10 @@ def _flag(text: str) -> bool:
     return word == "true"
 
 
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(map(_number, text.replace(",", " ").split()))
+
+
 def _names(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
@@ -88,21 +92,20 @@ _FIELDS = {
     "experiment": {"mode": ("mode", str.strip), "name": ("name", str.strip),
                    "metrics": ("metrics", _names)},
     "code": {"rt": ("rt", _number), "re": ("re", _number)},
+    "sweep": {"variable": ("sweep_variable", str.strip),
+              "values": ("sweep_values", _numbers)},
     "zone": {"d": ("zone_d", _number)},
     "sim": {"n_realizations": ("n_realizations", _count),
             "seed": ("seed", int),
             "window_radius": ("window_radius", _number),
             "model": ("model_name", str.strip)},
     "optimize": {"epsilon": ("epsilon", _number)},
-    "output": {"directory": ("out_dir", str.strip),
-               "charts": ("charts", _flag), "log_x": ("log_x", _flag),
+    "output": {"charts": ("charts", _flag), "log_x": ("log_x", _flag),
                "log_y": ("log_y", _flag)},
 }
 # Every section and key the parser reads; anything else is an error.
-_KEYS = {section: tuple(table) for section, table in _FIELDS.items()}
-_KEYS.update(network=_NETWORK_KEYS,
-             sweep=("variable", "values", "start", "stop", "step"))
-_KEYS["code"] += ("rs",)
+_KEYS = {**{section: tuple(table) for section, table in _FIELDS.items()},
+         "network": _NETWORK_KEYS}
 
 
 def _read(cp, section: str, key: str, parse):
@@ -111,20 +114,6 @@ def _read(cp, section: str, key: str, parse):
         return parse(cp.get(section, key))
     except ValueError as exc:
         raise ValueError(f"[{section}] {key}: {exc}") from exc
-
-
-def _sweep_values(cp) -> tuple[float, ...]:
-    if cp.has_option("sweep", "values"):
-        return _read(cp, "sweep", "values", lambda text: tuple(
-            map(_number, text.replace(",", " ").split())))
-    if not all(cp.has_option("sweep", k) for k in ("start", "stop", "step")):
-        raise ValueError("sweep needs `values` or start, stop and step")
-    start, stop, step = (_read(cp, "sweep", k, _number)
-                         for k in ("start", "stop", "step"))
-    if step <= 0 or stop < start:
-        raise ValueError("sweep range needs step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,6 @@ class ExperimentConfig:
     seed: int = 0
     window_radius: float | None = None
     model_name: str = "exact"
-    out_dir: str = ""
     charts: bool = False
     log_x: bool = False
     log_y: bool = False
@@ -163,6 +151,9 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ValueError(f"unknown {what} {value!r} (one of "
                                  f"{', '.join(allowed)})")
+        if self.name in ("", ".", "..") \
+                or self.name != os.path.basename(self.name):
+            raise ValueError(f"name {self.name!r} must be a plain file name")
         if not self.sweep_values:
             raise ValueError("empty sweep list")
         if self.seed < 0:
@@ -212,12 +203,10 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"unknown key(s) in [{section}]: "
                                  f"{', '.join(unknown)}")
-        for section in ("network", "sweep"):
-            if not cp.has_section(section):
-                raise ValueError(f"missing [{section}] section")
-        for key in ("lambda_u", "lambda_e"):
-            if not cp.has_option("network", key):
-                raise ValueError(f"[network] {key} is required")
+        for section, key in (("network", "lambda_u"), ("network", "lambda_e"),
+                             ("sweep", "variable"), ("sweep", "values")):
+            if not cp.has_option(section, key):
+                raise ValueError(f"[{section}] {key} is required")
         network = NetworkParams(**{
             key: _read(cp, "network", key,
                        _parse_angle if key == "theta_c" else _number)
@@ -226,21 +215,12 @@ class ExperimentConfig:
                   for section, table in _FIELDS.items()
                   for key, (name, parse) in table.items()
                   if cp.has_option(section, key)}
-        variable = cp.get("sweep", "variable", fallback="").strip()
-        if cp.has_option("code", "rs"):
-            # re = rt - rs, set once: needs rt, no re key, no rate sweep
-            if "rt" not in fields or "re" in fields \
-                    or variable in ("rt", "re"):
-                raise ValueError("[code] rs needs rt, and neither an "
-                                 "re key nor an rt or re sweep")
-            fields["re"] = fields["rt"] - _read(cp, "code", "rs", _number)
         if not fields.get("metrics"):
             fields["metrics"] = ("pc",) if network.lambda_e == 0 \
                 or fields.get("re") is None else ("pc", "pso")
         fields.setdefault("mode", "analyze")
         fields["name"] = fields.get("name") or default_name
-        return cls(network=network, sweep_variable=variable,
-                   sweep_values=_sweep_values(cp), **fields)
+        return cls(network=network, **fields)
 
     def at(self, value: float):
         """Network/code/zone/epsilon with the swept variable set to `value`."""
@@ -316,24 +296,19 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
     return out
 
 
-def run(config_path: str, out_dir: str | None = None) -> int:
-    """Execute one experiment config file; returns a process exit status."""
-    try:
-        cfg = ExperimentConfig.from_file(config_path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return run_experiment(cfg, out_dir)
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    """Execute one parsed experiment: one CSV row per sweep point (and an
-    SVG chart if asked); returns a process exit status."""
-    directory = (out_dir or cfg.out_dir
-                 or os.environ.get("UAVSEC_OUTDIR", "out"))
-    columns: list[str] = [cfg.sweep_variable]
+def run(config_path: str, out_dir: str | None = None,
+        n_realizations: int | None = None) -> int:
+    """Execute one experiment config file: one CSV row per sweep point (and
+    an SVG chart if asked) in `out_dir`, else ./out. `n_realizations`, if
+    given, replaces the config's Monte Carlo budget. Returns a process exit
+    status."""
+    directory = out_dir or "out"
     rows = []
     try:
+        cfg = ExperimentConfig.from_file(config_path)
+        if n_realizations is not None:
+            cfg = replace(cfg, n_realizations=n_realizations)
+        columns = [cfg.sweep_variable]
         for value in sorted(cfg.sweep_values):
             metrics = _point_metrics(cfg, value)
             for key in metrics:
@@ -346,7 +321,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     except optimizer.InfeasibleError as exc:
         print(f"error: infeasible optimization: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:    # e.g. optimize at lambda_u = lambda_e = 0
+    # a rejected or unreadable config, or optimize at lambda_u = lambda_e = 0
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(directory, exist_ok=True)

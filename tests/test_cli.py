@@ -63,17 +63,6 @@ class TestConfigParsing:
         for name in names:
             ExperimentConfig.from_file(os.path.join(REPO_CONFIGS, name))
 
-    def test_range_sweep(self):
-        text = TINY_CFG.replace("values = 1e-4, 1e-3",
-                                "start = 10\nstop = 12\nstep = 1")
-        cfg = ExperimentConfig.from_text(text)
-        assert cfg.sweep_values == (10.0, 11.0, 12.0)
-
-    def test_secrecy_rate_sets_rate_gap(self):
-        cfg = ExperimentConfig.from_text(
-            TINY_CFG.replace("re = 1", "rs = 4"))
-        assert (cfg.rt, cfg.re) == (5.0, 1.0)
-
     @pytest.mark.parametrize("variable, value", [
         ("h", 60.0), ("h", 5.0), ("h", 20.0), ("d", 12.0), ("rt", 6.0),
         ("re", 2.5), ("epsilon", 0.05)])
@@ -217,17 +206,45 @@ class TestRun:
             EXIT_INFEASIBLE
         assert not (tmp_path / "out").exists()
 
+    # typos, and the spellings the parser no longer reads (a sweep range,
+    # a secrecy rate in place of re, an output directory in the file)
     @pytest.mark.parametrize("old,new", [
         ("h = 10", "h = 10\neta_nlso = 0.5"),
         ("h = 10", "h = 10\np_t = 7"),
         ("seed = 1", "seed = 1\nbatch_size = 10"),
         ("[sweep]", "[sweeep]\nvariable = h\n\n[sweep]"),
+        pytest.param("values = 1e-4, 1e-3",
+                     "start = 1e-4\nstop = 1e-3\nstep = 9e-4",
+                     id="sweep-range"),
+        pytest.param("re = 1", "rs = 4", id="secrecy-rate"),
+        pytest.param("seed = 1", "seed = 1\n[output]\ndirectory = elsewhere",
+                     id="output-directory"),
     ])
-    def test_unknown_key_exits_without_csv(self, tmp_path, old, new):
+    def test_unknown_key_exits_without_csv(self, tmp_path, monkeypatch,
+                                           capsys, old, new):
+        monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "typo.cfg"
         cfg_path.write_text(TINY_CFG.replace(old, new))
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert sorted(os.listdir(tmp_path)) == ["typo.cfg"]
+        err = capsys.readouterr().err
+        for key in re.findall(r"^(\w+) =", new, re.M):
+            if f"{key} =" not in TINY_CFG:       # each unknown key is named
+                assert re.search(rf"\]: .*\b{key}\b", err), key
+
+    @pytest.mark.parametrize("old, key", [
+        ("variable = lambda_e\n", "[sweep] variable"),
+        ("values = 1e-4, 1e-3\n", "[sweep] values"),
+        ("[sweep]\nvariable = lambda_e\nvalues = 1e-4, 1e-3\n",
+         "[sweep] variable"),
+    ])
+    def test_missing_sweep_key_exits_without_csv(self, tmp_path, capsys, old,
+                                                 key):
+        cfg_path = tmp_path / "nosweep.cfg"
+        cfg_path.write_text(TINY_CFG.replace(old, ""))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == f"error: {key} is required\n"
 
     @pytest.mark.parametrize("old,new", [
         ("n_realizations = 500", "n_realizations = 1000.7"),
@@ -241,6 +258,9 @@ class TestRun:
         ("seed = 1", "seed = 1\nwindow_radius = 0"),
         ("seed = 1", "seed = 1\nwindow_radius = -5"),
         ("seed = 1", "seed = 1\n[optimize]\nepsilon = 1.5"),
+        # a name that is not a plain file name
+        ("name = tiny", "name = sub/tiny"),
+        ("name = tiny", "name = .."),
         # only the highest sweep value is out of domain
         ("variable = lambda_e\nvalues = 1e-4, 1e-3",
          "variable = theta_c\nvalues = 0.5, 2.0"),
@@ -340,20 +360,6 @@ class TestRun:
         assert not (tmp_path / "out" / "tiny.csv").exists()
         assert "tiny:" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("code, variable", [
-        ("rs = 4", "rt"),                     # no rt: re would stay unset
-        ("rt = 5\nre = 1\nrs = 4", "lambda_e"),  # re given as well
-        ("rt = 5\nrs = 4", "re"),             # the re sweep would replace it
-        ("rt = 5\nrs = 4", "rt"),             # rs would hold at rt = 5 only
-    ])
-    def test_unused_secrecy_rate_exits_without_csv(self, tmp_path, code,
-                                                   variable):
-        cfg_path = tmp_path / "rs.cfg"
-        cfg_path.write_text(TINY_CFG.replace("rt = 5\nre = 1", code).replace(
-            "variable = lambda_e", f"variable = {variable}"))
-        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
-        assert not (tmp_path / "out" / "tiny.csv").exists()
-
     def test_saturated_outage_writes_csv(self, tmp_path):
         # pi lambda_u H^2 = 711.5 is past exp's float range in the outage
         # form's LoS-disk term: the outage saturates at 1
@@ -381,12 +387,12 @@ class TestRun:
         svg = (tmp_path / "tiny.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UAVSEC_OUTDIR", str(tmp_path / "env_out"))
-        cfg_path = tmp_path / "tiny.cfg"
-        cfg_path.write_text(TINY_CFG)
-        assert cli.run(str(cfg_path)) == EXIT_OK
-        assert (tmp_path / "env_out" / "tiny.csv").exists()
+    def test_default_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+        assert cli.run("tiny.cfg") == EXIT_OK
+        assert len((tmp_path / "out" / "tiny.csv").read_text()
+                   .splitlines()) == 3
 
 
 class TestEntryPoint:

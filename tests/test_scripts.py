@@ -1,11 +1,15 @@
 """Load every script under scripts/, run the window audit and the fast
-figure set, and install the benchmark's tracer, so a renamed library name
-they use, or a bundled config the checks reject, fails here rather than in
-a user's run or a benchmark pass."""
+figure set, and install and exercise the benchmark's tracer, so a renamed
+library name or parameter they use, or a bundled config the checks reject,
+fails here rather than in a user's run or a benchmark pass."""
 
 import glob
 import os
 import runpy
+
+import pytest
+
+from uavsec import NetworkParams, analytic, cli
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -53,6 +57,32 @@ def test_reproduce_figures_fast_runs(monkeypatch, tmp_path):
         for ext in (".csv", ".svg"))
 
 
+@pytest.mark.parametrize("flags", [["--fast"], []],
+                         ids=["fast", "full"])
+def test_reproduce_figures_goes_past_a_rejected_config(monkeypatch, capsys,
+                                                       tmp_path, flags):
+    # the closed forms reject alpha_los = 3 at parse time, with and without
+    # the budget cut; the next config still runs
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    text = ("[experiment]\nname = {}\n\n[network]\nlambda_u = 1e-3\n"
+            "lambda_e = 1e-3\n{}\n[code]\nrt = 5\nre = 1\n\n[sweep]\n"
+            "variable = lambda_e\nvalues = 1e-4, 1e-3\n\n[output]\n"
+            "charts = true\n")
+    (configs / "a_bad.cfg").write_text(text.format("bad", "alpha_los = 3"))
+    (configs / "b_good.cfg").write_text(text.format("good", ""))
+    monkeypatch.setattr("sys.argv", ["reproduce_figures.py", str(out),
+                                     *flags])
+    main = runpy.run_path(
+        os.path.join(ROOT, "scripts", "reproduce_figures.py"),
+        run_name="smoke")["main"]
+    monkeypatch.setitem(main.__globals__, "CONFIGS", str(configs))
+    assert main() == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: closed forms require")
+    assert sorted(os.listdir(out)) == ["good.csv", "good.svg"]
+
+
 def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
     # `install` looks up each traced function by module and name, so a
     # rename such as `integrate_radial` or `_hypoexp_cdf_mp` fails here.
@@ -64,3 +94,38 @@ def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
         t.install()
     finally:
         assert t.uninstall()
+
+
+def test_benchmark_tracer_observers_read_their_arguments(monkeypatch,
+                                                         tmp_path):
+    # the observers bind call arguments by parameter name and the outage
+    # observer calls `montecarlo._outage_windows`, so a rename there fails
+    # here rather than only in a traced benchmark pass
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "uavbench"))
+    import tracer
+
+    base = ("[network]\nlambda_u = 1e-3\nlambda_e = 1e-4\n\n"
+            "[code]\nrt = 5\nre = 1\n\n[sweep]\nvariable = lambda_e\n"
+            "values = 1e-4\n\n")
+    texts = {"val": "[experiment]\nmode = validate\nmetrics = pc, pso\n\n"
+                    + base + "[zone]\nd = 5\n\n[sim]\nn_realizations = 200\n",
+             "opt": "[experiment]\nmode = optimize\n\n" + base}
+    net = NetworkParams(lambda_u=1e-3, lambda_e=1e-4)
+    t = tracer.Tracer("t")
+    try:
+        t.install()
+        for name, text in texts.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+            assert cli.run(str(tmp_path / f"{name}.cfg"),
+                           str(tmp_path / "out")) == cli.EXIT_OK
+        analytic.pc_exact(net, 31.0, n_realizations=3)
+        analytic.pso_exact(net, 1.0, n_realizations=2, tol=1e-2)
+    finally:
+        assert t.uninstall()
+    metrics = t.layer_metrics()
+    for key in ("montecarlo.sim_outage.pairs_computed", "optimizer.cells",
+                "model.connection_window_radius.m",
+                "model.outage_window_radius.m", "cli.write_csv.bytes",
+                "analytic.pc_exact.s_per_realization",
+                "analytic.pso_exact.s_per_realization"):
+        assert metrics[key] > 0, key
