@@ -10,7 +10,7 @@ Usage: python scripts/outage_window_audit.py [n_realizations]
 import sys
 
 from uavsec import analytic
-from uavsec.model import ExactLoSNLoS, GuardZone, NetworkParams
+from uavsec.model import GuardZone, NetworkParams
 from uavsec.montecarlo import SimConfig, _outage_windows, sim_outage
 
 
@@ -23,11 +23,9 @@ def main() -> int:
         p = NetworkParams(lambda_u=1e-3, lambda_e=le, h=10.0)
         zone = GuardZone(d) if d is not None else None
         e_win, u_win = _outage_windows(p, beta_e, SimConfig(n), zone)
-        a = sim_outage(p, beta_e, zone, SimConfig(n, seed=7,
-                                                  model=ExactLoSNLoS))
+        a = sim_outage(p, beta_e, zone, SimConfig(n, seed=7))
         b = sim_outage(p, beta_e, zone,
-                       SimConfig(n, window_radius=2 * u_win, seed=7,
-                                 model=ExactLoSNLoS))
+                       SimConfig(n, window_radius=2 * u_win, seed=7))
         cf = analytic.pso_zone_approx(p, beta_e, zone)
         label = f"lambda_e={le:g}" + (f", d={d:g}" if d else "")
         print(f"{label:28s} {e_win:7.1f} {u_win:7.1f} {a.value:9.5f} "

@@ -5,24 +5,13 @@ capacity, a Monte Carlo ground-truth simulator, and an optimizer for the
 wiretap code rates, UAV altitude and secrecy guard-zone radius.
 """
 
-from .model import (
-    AllRayleigh,
-    ExactLoSNLoS,
-    FadingModel,
-    GuardZone,
-    NetworkParams,
-    los_radius,
-    sample_ppp,
-)
+from .model import GuardZone, NetworkParams, los_radius, sample_ppp
 from .analytic import MetricEstimate
 from .montecarlo import SimConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllRayleigh",
-    "ExactLoSNLoS",
-    "FadingModel",
     "GuardZone",
     "MetricEstimate",
     "NetworkParams",

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import mathkit
 from .model import (BLOCK_LINKS, GuardZone, NetworkParams, check_count,
-                    check_threshold, links, los_radius, pathloss, q1,
-                    rng_stream, sample_ppp)
+                    check_seed, check_threshold, links, los_radius, pathloss,
+                    q1, rng_stream, sample_ppp)
 
 __all__ = [
     "MetricEstimate",
@@ -305,8 +305,9 @@ def _average(params: NetworkParams, value, n_realizations: int,
              window: float, seed: int) -> tuple[float, float]:
     """Mean of `value(pts)` over interferer configurations `pts`, PPPs on
     the disk of radius `window` drawn from streams (seed, i), and its 95%
-    half-width."""
+    half-width. The count and seed are checked before the first draw."""
     check_count(n_realizations, "n_realizations")
+    check_seed(seed)
     vals = np.empty(n_realizations)
     for i in range(n_realizations):
         vals[i] = value(sample_ppp(params.lambda_u, 0.0, window,

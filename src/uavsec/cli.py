@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__, analytic, optimizer
 from .chart import render_chart
-from .model import (AllRayleigh, ExactLoSNLoS, GuardZone, NetworkParams,
-                    check_threshold)
+from .model import GuardZone, NetworkParams, beta, check_threshold
 from .montecarlo import SimConfig, sim_connection, sim_outage
 
 EXIT_OK = 0
@@ -39,7 +38,6 @@ EXIT_VALIDATION = 5
 _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
               "epsilon")
 _MODES = ("analyze", "simulate", "validate", "optimize")
-_MODELS = {"exact": ExactLoSNLoS, "rayleigh": AllRayleigh}
 _METRICS = ("pc", "pso", "cs")
 _NETWORK_KEYS = ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
                  "eta_los", "eta_nlos", "alpha_los", "alpha_nlos")
@@ -98,7 +96,7 @@ _FIELDS = {
     "sim": {"n_realizations": ("n_realizations", _count),
             "seed": ("seed", int),
             "window_radius": ("window_radius", _number),
-            "model": ("model_name", str.strip)},
+            "model": ("model", str.strip)},
     "optimize": {"epsilon": ("epsilon", _number)},
     "output": {"charts": ("charts", _flag), "log_x": ("log_x", _flag),
                "log_y": ("log_y", _flag)},
@@ -137,7 +135,7 @@ class ExperimentConfig:
     n_realizations: int = 20000
     seed: int = 0
     window_radius: float | None = None
-    model_name: str = "exact"
+    model: str = "exact"
     charts: bool = False
     log_x: bool = False
     log_y: bool = False
@@ -146,7 +144,6 @@ class ExperimentConfig:
         for value, allowed, what in (
                 (self.mode, _MODES, "mode"),
                 (self.sweep_variable, _SWEEPABLE, "sweep variable"),
-                (self.model_name, _MODELS, "fading model"),
                 *((m, _METRICS, "metric") for m in self.metrics)):
             if value not in allowed:
                 raise ValueError(f"unknown {what} {value!r} (one of "
@@ -156,9 +153,8 @@ class ExperimentConfig:
             raise ValueError(f"name {self.name!r} must be a plain file name")
         if not self.sweep_values:
             raise ValueError("empty sweep list")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        sim = SimConfig(self.n_realizations, self.window_radius)
+        sim = SimConfig(self.n_realizations, self.window_radius, self.seed,
+                        self.model)
         for value in self.sweep_values:     # `at` checks network and zone
             net, rt, re, _, epsilon = self.at(value)
             if self.mode in ("simulate", "validate"):
@@ -173,7 +169,7 @@ class ExperimentConfig:
                 analytic._require_canonical_alphas(net)
             if self.mode in ("analyze", "validate") and re is not None:
                 if "pso" in self.metrics:
-                    check_threshold(_beta(re), "pso_zone_approx: beta_e",
+                    check_threshold(beta(re), "pso_zone_approx: beta_e",
                                     positive=True)
                 if "cs" in self.metrics and rt is not None:
                     check_threshold(rt - re, "stc: rs")
@@ -248,10 +244,6 @@ def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _beta(rate: float) -> float:
-    return 2.0 ** rate - 1.0
-
-
 def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
     """Metric columns at one sweep point, per the experiment mode: closed
     forms (analyze, validate), Monte Carlo estimates under the config's
@@ -263,27 +255,27 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
 
     if cfg.mode in ("analyze", "validate"):
         if "pc" in cfg.metrics and rt is not None:
-            out["pc_approx"] = analytic.pc_approx(net, _beta(rt))
+            out["pc_approx"] = analytic.pc_approx(net, beta(rt))
         if "pso" in cfg.metrics and re is not None:
-            out["pso_approx"] = analytic.pso_zone_approx(net, _beta(re), zone)
+            out["pso_approx"] = analytic.pso_zone_approx(net, beta(re), zone)
         if "cs" in cfg.metrics and rt is not None and re is not None:
             p_c = out["pc_approx"] if "pc_approx" in out \
-                else analytic.pc_approx(net, _beta(rt))
+                else analytic.pc_approx(net, beta(rt))
             density = analytic.effective_density(net.lambda_u, net.lambda_e,
                                                  zone)
             out["cs"] = analytic.stc(rt - re, p_c, density)
 
     # (column suffix, fading model, the metrics simulated under it)
-    runs = {"simulate": (("", _MODELS[cfg.model_name], ("pc", "pso")),),
-            "validate": (("_rayleigh", AllRayleigh, ("pc",)),
-                         ("_exact", ExactLoSNLoS, ("pc", "pso")))}
-    for suffix, model_cls, names in runs.get(cfg.mode, ()):
+    runs = {"simulate": (("", cfg.model, ("pc", "pso")),),
+            "validate": (("_rayleigh", "rayleigh", ("pc",)),
+                         ("_exact", "exact", ("pc", "pso")))}
+    for suffix, model, names in runs.get(cfg.mode, ()):
         sim = SimConfig(cfg.n_realizations, cfg.window_radius, cfg.seed,
-                        model_cls)
+                        model)
         for metric, rate in (("pc", rt), ("pso", re)):
             if metric in names and metric in cfg.metrics and rate is not None:
-                est = (sim_connection(net, _beta(rate), sim) if metric == "pc"
-                       else sim_outage(net, _beta(rate), zone, sim))
+                est = (sim_connection(net, beta(rate), sim) if metric == "pc"
+                       else sim_outage(net, beta(rate), zone, sim))
                 out[f"{metric}_mc{suffix}"] = est.value
                 out[f"{metric}_mc{suffix}_hw"] = est.half_width
 
@@ -318,26 +310,28 @@ def run(config_path: str, out_dir: str | None = None,
                                    for c in columns[1:]])
             summary = " ".join(f"{k}={_fmt(v)}" for k, v in metrics.items())
             print(f"{cfg.name}: {cfg.sweep_variable}={_fmt(value)} {summary}")
+        os.makedirs(directory, exist_ok=True)
+        csv_path = os.path.join(directory, f"{cfg.name}.csv")
+        write_csv(csv_path, columns, rows)
+        print(f"wrote {csv_path}")
+        if cfg.charts:
+            series = {c: [r[columns.index(c)] for r in rows]
+                      for c in columns[1:] if not c.endswith("_hw")}
+            svg = render_chart([r[0] for r in rows], series,
+                               cfg.sweep_variable, title=cfg.name,
+                               log_x=cfg.log_x, log_y=cfg.log_y)
+            svg_path = os.path.join(directory, f"{cfg.name}.svg")
+            with open(svg_path, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+            print(f"wrote {svg_path}")
     except optimizer.InfeasibleError as exc:
         print(f"error: infeasible optimization: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    # a rejected or unreadable config, or optimize at lambda_u = lambda_e = 0
+    # a rejected or unreadable config, optimize at lambda_u = lambda_e = 0,
+    # or an output directory that cannot be made or written
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(directory, exist_ok=True)
-    csv_path = os.path.join(directory, f"{cfg.name}.csv")
-    write_csv(csv_path, columns, rows)
-    print(f"wrote {csv_path}")
-    if cfg.charts:
-        series = {c: [r[columns.index(c)] for r in rows]
-                  for c in columns[1:] if not c.endswith("_hw")}
-        svg = render_chart([r[0] for r in rows], series, cfg.sweep_variable,
-                           title=cfg.name, log_x=cfg.log_x, log_y=cfg.log_y)
-        svg_path = os.path.join(directory, f"{cfg.name}.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        print(f"wrote {svg_path}")
     return EXIT_OK
 
 

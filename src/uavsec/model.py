@@ -5,9 +5,11 @@ Geometry: the typical legitimate receiver sits at the origin of the ground
 plane with its serving transmitter directly overhead at altitude H. A ground
 node at horizontal distance r sees the transmitter at elevation angle
 arcsin(H / sqrt(r^2 + H^2)); the link is line-of-sight iff that angle exceeds
-theta_c, i.e. iff r < K = H*cot(theta_c). LoS links are deterministic with
-path-loss exponent alpha_los; NLoS links carry unit-mean exponential
-(Rayleigh power) fading with exponent alpha_nlos.
+theta_c, i.e. iff r < K = H*cot(theta_c). LoS links have path-loss exponent
+alpha_los and NLoS links alpha_nlos. NLoS links carry unit-mean exponential
+(Rayleigh power) fading. LoS links are deterministic under the paper's
+exact fading model and Rayleigh too under the all-Rayleigh model behind
+the closed forms; `gains` takes the one bit that tells them apart.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "FadingModel",
-    "ExactLoSNLoS",
-    "AllRayleigh",
     "NetworkParams",
     "GuardZone",
     "los_radius",
@@ -30,28 +29,11 @@ __all__ = [
     "links",
     "gains",
     "rng_stream",
+    "beta",
     "q1",
     "rule_window_radius",
     "outage_window_radius",
 ]
-
-
-class FadingModel:
-    """Marker for the fading treatment of LoS links.
-
-    ExactLoSNLoS: LoS links deterministic, NLoS links Rayleigh.
-    AllRayleigh: every link Rayleigh with its branch's path loss.
-    """
-
-    los_faded = False
-
-
-class ExactLoSNLoS(FadingModel):
-    los_faded = False
-
-
-class AllRayleigh(FadingModel):
-    los_faded = True
 
 
 def los_radius(h, theta_c: float):
@@ -174,25 +156,25 @@ def links(params: NetworkParams, span2, d2=None, los=None):
     return np.add(span2, params.h ** 2, out=d2), los
 
 
-def gains(params: NetworkParams, model: type, horiz2: np.ndarray,
+def gains(params: NetworkParams, los_faded: bool, horiz2: np.ndarray,
           fades: np.ndarray) -> np.ndarray:
     """Received power factor eta*S*D^-alpha per link to a receiver on the
     ground from a transmitter at altitude H, from the squared horizontal
     span `horiz2` (D^2 and the LoS mask from `links`) and unit-mean
     exponential draws `fades` (1-D arrays of one length).
 
-    LoS branch: eta_los, alpha_los, S = 1 under ExactLoSNLoS or the draw
-    under AllRayleigh. NLoS branch: eta_nlos, alpha_nlos, S = the draw
-    under both models. The NLoS expression is evaluated on every link in
-    place, then overwritten at the LoS links only (found by flat index),
-    with the same operations per element as evaluating both branches
-    everywhere.
+    LoS branch: eta_los, alpha_los, S = the draw if `los_faded` (the
+    all-Rayleigh model), else 1 (the exact model). NLoS branch: eta_nlos,
+    alpha_nlos, S = the draw under both models. The NLoS expression is
+    evaluated on every link in place, then overwritten at the LoS links
+    only (found by flat index), with the same operations per element as
+    evaluating both branches everywhere.
     """
     d2, los = links(params, horiz2)
     g = pathloss(d2, params.alpha_nlos)
     np.multiply(params.eta_nlos * fades, g, out=g)
     los = np.flatnonzero(los)
-    s_los = fades[los] if model.los_faded else 1.0
+    s_los = fades[los] if los_faded else 1.0
     g[los] = params.eta_los * s_los * pathloss(d2[los], params.alpha_los)
     return g
 
@@ -210,6 +192,20 @@ def check_count(value: int, name: str):
     """Raise ValueError unless `value` (a count) is an integer >= 1."""
     if not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} = {value!r} must be an integer >= 1")
+
+
+def check_seed(value: int):
+    """Raise ValueError unless `value` (a seed) is an integer >= 0."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"seed must be nonnegative, got {value}")
+
+
+def beta(rate):
+    """The SIR threshold 2^R - 1 at which rate R (bps/Hz) is decodable: a
+    float for a scalar, an array for an array."""
+    return 2.0 ** rate - 1.0
 
 
 def q1(params: NetworkParams, beta_e):

@@ -1,5 +1,6 @@
 """Ground-truth Monte Carlo simulator for the connection and secrecy-outage
-definitions, under either fading model.
+definitions, under either fading model: `SimConfig.model` names it, and
+each simulator call reads it once as the one bit `model.gains` takes.
 
 Both simulators pick their windows and Poisson means, then hand one chunk
 body, `count(rng, m)`, to the one driver `_estimate`. Realizations are
@@ -51,10 +52,10 @@ import numpy as np
 from .analytic import MetricEstimate
 from .model import (
     BLOCK_LINKS,
-    ExactLoSNLoS,
     GuardZone,
     NetworkParams,
     check_count,
+    check_seed,
     check_threshold,
     connection_window_radius,
     gains,
@@ -66,19 +67,29 @@ __all__ = ["SimConfig", "sim_connection", "sim_outage"]
 
 _Z95 = 1.959963984540054
 
+MODELS = ("exact", "rayleigh")      # the values of `SimConfig.model`
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls: realization count, window, seed, fading model."""
+    """Simulation controls, each checked at construction: realization
+    count, window, seed and fading model, "exact" (the paper's channel,
+    LoS links deterministic) or "rayleigh" (every link Rayleigh-faded, as
+    the closed forms assume)."""
 
     n_realizations: int
     window_radius: Optional[float] = None   # None -> per-metric policy
     seed: int = 0
-    model: type = ExactLoSNLoS
+    model: str = "exact"
 
     def __post_init__(self):
         check_count(self.n_realizations, "n_realizations")
         if self.window_radius is not None:
             check_threshold(self.window_radius, "window_radius", positive=True)
+        check_seed(self.seed)
+        if self.model not in MODELS:
+            raise ValueError(f"unknown fading model {self.model!r} (one of "
+                             f"{', '.join(MODELS)})")
 
     def check_window(self, params: NetworkParams) -> None:
         """Raise ValueError unless an explicit window exceeds the LoS
@@ -109,8 +120,8 @@ def _estimate(cfg: SimConfig, work: float, count) -> MetricEstimate:
     return _binary_estimate(events, n)
 
 
-def _interference(params: NetworkParams, model: type, rng, sizes: np.ndarray,
-                  spans) -> np.ndarray:
+def _interference(params: NetworkParams, los_faded: bool, rng,
+                  sizes: np.ndarray, spans) -> np.ndarray:
     """Interference at consecutive receivers, receiver i summing sizes[i]
     links, in blocks of whole receivers with at most BLOCK_LINKS links (or
     one receiver). `spans(lo, hi, first, last)` gives the squared spans of
@@ -127,7 +138,8 @@ def _interference(params: NetworkParams, model: type, rng, sizes: np.ndarray,
         fades = rng.standard_exponential(last - first)
         out[lo:hi] = np.bincount(
             np.repeat(np.arange(hi - lo), sizes[lo:hi]),
-            weights=gains(params, model, span2, fades), minlength=hi - lo)
+            weights=gains(params, los_faded, span2, fades),
+            minlength=hi - lo)
         lo, first = hi, last
     return out
 
@@ -153,15 +165,16 @@ def sim_connection(params: NetworkParams, beta_t: float,
     window = cfg.window_radius if cfg.window_radius is not None \
         else connection_window_radius(params, beta_t, cfg.n_realizations)
     area_mean = params.lambda_u * math.pi * window ** 2
+    los_faded = cfg.model == "rayleigh"
 
     def count(rng, m):
         counts = rng.poisson(area_mean, m)
         horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
         interference = _interference(
-            params, cfg.model, rng, counts,
+            params, los_faded, rng, counts,
             lambda lo, hi, first, last: horiz2[first:last])
         sig_fades = rng.standard_exponential(m)
-        signal = gains(params, cfg.model, np.zeros(m), sig_fades)
+        signal = gains(params, los_faded, np.zeros(m), sig_fades)
         return int(np.count_nonzero(signal > beta_t * interference))
 
     return _estimate(cfg, area_mean, count)
@@ -211,6 +224,7 @@ def sim_outage(params: NetworkParams, beta_e: float,
     e_win, u_win = _outage_windows(params, beta_e, cfg, zone)
     u_mean = params.lambda_u * math.pi * u_win ** 2
     e_mean = params.lambda_e * math.pi * (e_win ** 2 - d0 ** 2)
+    los_faded = cfg.model == "rayleigh"
 
     def count(rng, m):
         u_counts = rng.poisson(u_mean, m)
@@ -250,8 +264,8 @@ def sim_outage(params: NetworkParams, beta_e: float,
             dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
             return dx * dx + dy * dy
 
-        interference = _interference(params, cfg.model, rng, lens, spans)
-        signal = gains(params, cfg.model, er2, sig_fades)
+        interference = _interference(params, los_faded, rng, lens, spans)
+        signal = gains(params, los_faded, er2, sig_fades)
         decoded = signal > beta_e * interference
         return int(np.count_nonzero(
             np.bincount(e_seg, weights=decoded, minlength=m) > 0))

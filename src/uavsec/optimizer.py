@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, mathkit
-from .model import GuardZone, NetworkParams, check_threshold, los_radius, q1
+from .model import (GuardZone, NetworkParams, beta, check_threshold,
+                    los_radius, q1)
 
 __all__ = [
     "InfeasibleError",
@@ -272,7 +273,7 @@ def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
     q0 = _tail_root(params, epsilon, h, s)
     re = np.maximum(_re_of_q(params, q0), RE_FLOOR)
     i = np.flatnonzero((d < k) | ~(re <= 2.0 * RE_CEILING))
-    lo, hi = q1(params, 2.0 ** np.array([RE_FLOOR, 2.0 * RE_CEILING]) - 1.0)
+    lo, hi = q1(params, beta(np.array([RE_FLOOR, 2.0 * RE_CEILING])))
     g = analytic._log_outage_cells(params, epsilon, h[i], d[i], k[i], s[i])
     slack = g(lo, np.arange(i.size))[0] <= 0.0
     g_hi = g(hi, np.arange(i.size))[0]
@@ -304,7 +305,7 @@ def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
         return re, re, re, np.full(h.shape, -np.inf), achieved
     re = np.where(infeasible, RE_FLOOR, re)
     rt = _rt_cells(params, re, h)
-    pc = analytic._pc_cells(params, 2.0 ** rt - 1.0, h)
+    pc = analytic._pc_cells(params, beta(rt), h)
     density = params.lambda_u * np.exp(-math.pi * params.lambda_e * d ** 2)
     cs = np.where(infeasible, -np.inf, (rt - re) * pc * density)
     return re, rt, pc, cs, achieved
@@ -356,7 +357,7 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
     p = params.with_altitude(float(h_grid[i // n_d]))
     zone = GuardZone(float(d_grid[i % n_d])) if zoned else None
     rs = rt - re
-    pso = analytic.pso_zone_approx(p, 2.0 ** re - 1.0, zone)
+    pso = analytic.pso_zone_approx(p, beta(re), zone)
     if not cs > 0.0:
         # the connection probability at the optimal rates underflows to 0
         raise InfeasibleError(

@@ -174,19 +174,20 @@ def pathloss(d2: np.ndarray, alpha: float) -> np.ndarray:
     return d2 ** (-alpha / 2.0)
 
 
-def gains(params: NetworkParams, model: type, d2: np.ndarray,
+def gains(params: NetworkParams, los_faded: bool, d2: np.ndarray,
           horiz2: np.ndarray, fades: np.ndarray) -> np.ndarray:
     """Received power factor eta*S*D^-alpha per link, from squared 3-D
     distance `d2`, squared horizontal span `horiz2` and unit-mean
     exponential draws `fades`.
 
-    LoS branch (horizontal span < K): eta_los, alpha_los, S = 1 under
-    ExactLoSNLoS or the draw under AllRayleigh. NLoS branch (span >= K,
-    ties go NLoS): eta_nlos, alpha_nlos, S = the draw under both models.
+    LoS branch (horizontal span < K): eta_los, alpha_los, S = the draw if
+    `los_faded` (the all-Rayleigh model), else 1 (the exact model). NLoS
+    branch (span >= K, ties go NLoS): eta_nlos, alpha_nlos, S = the draw
+    under both models.
     Both branches are evaluated on every link and selected elementwise,
     which is cheaper than gathering and scattering each branch.
     """
-    s_los = fades if model.los_faded else 1.0
+    s_los = fades if los_faded else 1.0
     return np.where(horiz2 < params.los_radius ** 2,
                     params.eta_los * s_los * pathloss(d2, params.alpha_los),
                     params.eta_nlos * fades * pathloss(d2, params.alpha_nlos))

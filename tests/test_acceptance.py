@@ -21,13 +21,7 @@ from uavsec.analytic import (
     pso_zone_approx,
 )
 from uavsec.mathkit import hypoexp_cdf, lambert_w0
-from uavsec.model import (
-    AllRayleigh,
-    ExactLoSNLoS,
-    GuardZone,
-    NetworkParams,
-    connection_window_radius,
-)
+from uavsec.model import GuardZone, NetworkParams, connection_window_radius
 from uavsec.montecarlo import SimConfig, sim_connection, sim_outage
 
 BETA_T = 2.0 ** 5 - 1.0          # codeword rate 5 bps/Hz
@@ -56,7 +50,7 @@ def test_criterion_01_rayleigh_model_exactness():
             p = fig_params(lambda_u=lu, h=h)
             w = connection_window_radius(p, BETA_T, N_MC)
             est = sim_connection(p, BETA_T, SimConfig(N_MC, w, seed=42,
-                                                      model=AllRayleigh))
+                                                      model="rayleigh"))
             cf = pc_approx(p, BETA_T)
             ok = abs(est.value - cf) <= est.half_width
             hits += ok
@@ -72,7 +66,7 @@ def test_criterion_02_los_nlos_approximation_quality():
             p = fig_params(lambda_u=lu, h=h)
             w = connection_window_radius(p, BETA_T, N_MC)
             est = sim_connection(p, BETA_T, SimConfig(N_MC, w, seed=42,
-                                                      model=ExactLoSNLoS))
+                                                      model="exact"))
             worst = max(worst, abs(est.value - pc_approx(p, BETA_T)))
     report(2, "LoS/NLoS approximation quality (<=0.03 absolute)",
            worst <= 0.03, f"worst |gap| = {worst:.4f}")
@@ -84,7 +78,7 @@ def test_criterion_03_outage_approximation_regime():
     for le in LAMBDA_E_SWEEP:
         p = fig_params(lambda_e=le)
         est = sim_outage(p, BETA_E, None, SimConfig(N_MC, seed=7,
-                                                    model=ExactLoSNLoS))
+                                                    model="exact"))
         if est.value <= 0.1:
             in_regime += 1
             worst = max(worst, abs(est.value - pso_approx(p, BETA_E)))
@@ -101,7 +95,7 @@ def test_criterion_04_zone_outage():
         for le in LAMBDA_E_SWEEP:
             p = fig_params(lambda_e=le)
             est = sim_outage(p, BETA_E, zone, SimConfig(N_MC, seed=11,
-                                                        model=ExactLoSNLoS))
+                                                        model="exact"))
             if est.value <= 0.1:
                 in_regime += 1
                 worst = max(worst,
@@ -126,7 +120,7 @@ def test_criterion_05_semianalytic_evaluators():
     all_ok = True
     notes = []
     for name, p, zone in spots:
-        sim_cfg = SimConfig(20_000, window, seed=9, model=ExactLoSNLoS)
+        sim_cfg = SimConfig(20_000, window, seed=9, model="exact")
         conn_exact = pc_exact(p, BETA_T, n_realizations=200, window=window,
                               seed=3)
         conn_sim = sim_connection(p, BETA_T, sim_cfg)

@@ -388,13 +388,13 @@ def test_evaluators_reject_out_of_domain_thresholds(monkeypatch, name, beta):
         call(beta)
 
 
-# The semi-analytic evaluators at window radius w (no zone: the zone check
-# would reject w <= 0 if it ran first).
+# The semi-analytic evaluators at a given window radius or seed (no zone:
+# the zone check would reject a window <= 0 if it ran first).
 WINDOWED = {
-    "pc_exact": lambda w: pc_exact(params(), 31.0, n_realizations=2,
-                                   window=w),
-    "pso_exact": lambda w: pso_exact(params(), 1.0, n_realizations=2,
-                                     window=w),
+    "pc_exact": lambda **kw: pc_exact(params(), 31.0, n_realizations=2,
+                                      **kw),
+    "pso_exact": lambda **kw: pso_exact(params(), 1.0, n_realizations=2,
+                                        **kw),
 }
 
 
@@ -405,7 +405,21 @@ def test_evaluators_reject_bad_windows(monkeypatch, name, window):
         raise AssertionError("drew a random stream")
     monkeypatch.setattr(analytic, "rng_stream", no_draw)
     with pytest.raises(ValueError, match=f"^{name}: window"):
-        WINDOWED[name](window)
+        WINDOWED[name](window=window)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be nonnegative, got -1"),
+    (1.5, "seed must be an integer, got 1.5")])
+@pytest.mark.parametrize("name", sorted(WINDOWED))
+def test_evaluators_reject_bad_seeds(monkeypatch, name, seed, message):
+    # the simulators' seed rule, `model.check_seed`, before any draw
+    def no_draw(*args):
+        raise AssertionError("drew a random stream")
+    monkeypatch.setattr(analytic, "rng_stream", no_draw)
+    with pytest.raises(ValueError) as exc:
+        WINDOWED[name](seed=seed)
+    assert str(exc.value) == message
 
 
 def connection_value(p, beta_t, pts):

@@ -105,6 +105,28 @@ class TestConfigParsing:
                 assert re.search(rf"\b{key} =", sections[section]), \
                     f"[{section}] {key}"
 
+    def test_readme_library_quick_start_runs(self, capsys):
+        # the README's Python block runs as written, so a public name it
+        # uses cannot go stale
+        with open(README, encoding="utf-8") as fh:
+            block = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                              fh.read(), re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.split()) == 4
+
+    @pytest.mark.parametrize("new, message", [
+        ("model = Rayleigh",
+         "unknown fading model 'Rayleigh' (one of exact, rayleigh)"),
+        ("model = 1", "unknown fading model '1' (one of exact, rayleigh)"),
+        ("seed = -1", "seed must be nonnegative, got -1"),
+    ])
+    def test_sim_rules_are_simconfig_rules(self, new, message):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_text(TINY_CFG.replace("seed = 1", new))
+        assert str(exc.value) == message
+        cfg = ExperimentConfig.from_text(TINY_CFG + "model = rayleigh\n")
+        assert cfg.model == "rayleigh"
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_text(TINY_CFG.replace(
@@ -378,6 +400,20 @@ class TestRun:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.run(str(tmp_path / "nope.cfg"), str(tmp_path)) == \
             EXIT_CONFIG
+
+    @pytest.mark.parametrize("charts", ["false", "true"])
+    def test_unwritable_out_dir_exits_config(self, tmp_path, capsys, charts):
+        # an output directory that is an existing file: the points are
+        # computed, then the write fails as one error line
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CFG + f"\n[output]\ncharts = {charts}\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert cli.run(str(cfg_path), str(afile)) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out.count("tiny: lambda_e=") == 2 and "wrote" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(afile) in err and afile.read_text() == ""
 
     def test_charts_emitted(self, tmp_path):
         text = TINY_CFG + "\n[output]\ncharts = true\n"

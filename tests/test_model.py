@@ -9,8 +9,6 @@ from oracles import pathloss as pathloss_expr
 
 from uavsec.analytic import pc_approx
 from uavsec.model import (
-    AllRayleigh,
-    ExactLoSNLoS,
     GuardZone,
     NetworkParams,
     connection_window_radius,
@@ -130,23 +128,27 @@ class TestSamplePpp:
 # Scalar oracle of the channel: one link at a time, explicit positions and
 # fades, its own D^-alpha arithmetic. `model.gains` must agree with it.
 
-def link_gain(r, h, p, model, fading_draw=1.0):
+# Test ids of los_faded = False and True: the exact LoS/NLoS model and the
+# all-Rayleigh one.
+MODEL_IDS = ["ExactLoSNLoS", "AllRayleigh"]
+
+def link_gain(r, h, p, los_faded, fading_draw=1.0):
     """eta*S*D^-alpha for a link of horizontal span r (ties to NLoS)."""
     d2 = r * r + h * h
     if r < los_radius(h, p.theta_c):
-        s = fading_draw if model.los_faded else 1.0
+        s = fading_draw if los_faded else 1.0
         return p.eta_los * s * d2 ** (-p.alpha_los / 2.0)
     return p.eta_nlos * fading_draw * d2 ** (-p.alpha_nlos / 2.0)
 
 
-def sir(p, model, interferers, fades, at=(0.0, 0.0), sig_fade=1.0):
+def sir(p, los_faded, interferers, fades, at=(0.0, 0.0), sig_fade=1.0):
     """SIR at ground position `at` from the transmitter above the origin:
     the typical receiver by default, an eavesdropper elsewhere; +inf
     without interferers."""
     x0, y0 = at
-    signal = link_gain(math.hypot(x0, y0), p.h, p, model, sig_fade)
+    signal = link_gain(math.hypot(x0, y0), p.h, p, los_faded, sig_fade)
     interference = sum(
-        link_gain(math.hypot(x - x0, y - y0), p.h, p, model, f)
+        link_gain(math.hypot(x - x0, y - y0), p.h, p, los_faded, f)
         for (x, y), f in zip(interferers, fades))
     return signal / interference if interference else math.inf
 
@@ -154,44 +156,44 @@ def sir(p, model, interferers, fades, at=(0.0, 0.0), sig_fade=1.0):
 class TestLinkGain:
     def test_overhead_los(self):
         p = params()
-        assert link_gain(0.0, 10.0, p, ExactLoSNLoS) == pytest.approx(0.01)
+        assert link_gain(0.0, 10.0, p, False) == pytest.approx(0.01)
 
     def test_nlos_direct(self):
         p = params(eta_los=1.0, eta_nlos=1.0)
         k = p.los_radius
-        got = link_gain(2 * k, 10.0, p, ExactLoSNLoS, fading_draw=1.0)
+        got = link_gain(2 * k, 10.0, p, False, fading_draw=1.0)
         assert got == pytest.approx((4 * k * k + 100.0) ** -2, rel=1e-12)
         assert got == pytest.approx(4e-6, rel=1e-9)
 
     def test_boundary_goes_nlos(self):
         p = params()
         k = p.los_radius
-        got = link_gain(k, 10.0, p, ExactLoSNLoS, fading_draw=1.0)
+        got = link_gain(k, 10.0, p, False, fading_draw=1.0)
         assert got == pytest.approx(p.eta_nlos * (k * k + 100.0) ** -2)
 
     def test_los_ignores_draw_under_exact_model(self):
         p = params()
-        assert link_gain(1.0, 10.0, p, ExactLoSNLoS, fading_draw=7.0) == \
-            link_gain(1.0, 10.0, p, ExactLoSNLoS, fading_draw=0.1)
+        assert link_gain(1.0, 10.0, p, False, fading_draw=7.0) == \
+            link_gain(1.0, 10.0, p, False, fading_draw=0.1)
 
     def test_los_faded_under_rayleigh(self):
         p = params()
-        assert link_gain(1.0, 10.0, p, AllRayleigh, fading_draw=2.0) == \
-            pytest.approx(2.0 * link_gain(1.0, 10.0, p, ExactLoSNLoS))
+        assert link_gain(1.0, 10.0, p, True, fading_draw=2.0) == \
+            pytest.approx(2.0 * link_gain(1.0, 10.0, p, False))
 
 
 class TestSir:
     def test_no_interferers_infinite(self):
         p = params()
-        assert sir(p, ExactLoSNLoS, [], []) == math.inf
-        assert sir(p, ExactLoSNLoS, [], [], at=(30.0, 0.0)) == math.inf
+        assert sir(p, False, [], []) == math.inf
+        assert sir(p, False, [], [], at=(30.0, 0.0)) == math.inf
 
     def test_single_nlos_interferer(self):
         p = params()
         draw = 0.7
         expected = (p.eta_los * 10.0 ** -2) / \
             (p.eta_nlos * draw * (30.0 ** 2 + 100.0) ** -2)
-        assert sir(p, ExactLoSNLoS, [(30.0, 0.0)], [draw]) == \
+        assert sir(p, False, [(30.0, 0.0)], [draw]) == \
             pytest.approx(expected)
 
     def test_eta_cancels_for_nlos_pair(self):
@@ -199,7 +201,7 @@ class TestSir:
         p = params()
         d0e2 = 25.0 ** 2 + 100.0
         due2 = 40.0 ** 2 + 25.0 ** 2 + 100.0
-        assert sir(p, ExactLoSNLoS, [(40.0, 0.0)], [1.0],
+        assert sir(p, False, [(40.0, 0.0)], [1.0],
                    at=(0.0, 25.0)) == pytest.approx(d0e2 ** -2 / due2 ** -2,
                                                     rel=1e-12)
 
@@ -239,8 +241,8 @@ class TestGainsMatchOracle:
             yield (rng.uniform(-150.0, 150.0, (n_u, 2)),
                    rng.uniform(-100.0, 100.0, (n_rx, 2)))
 
-    @pytest.mark.parametrize("model", [ExactLoSNLoS, AllRayleigh])
-    def test_sirs_match(self, model):
+    @pytest.mark.parametrize("los_faded", [False, True], ids=MODEL_IDS)
+    def test_sirs_match(self, los_faded):
         p = params()
         rng = np.random.default_rng(12)
         for u, rx in self.layouts(p.los_radius):
@@ -251,18 +253,18 @@ class TestGainsMatchOracle:
             d = u[np.tile(np.arange(n_u), n_rx)] - rx[pair_rx]
             horiz2 = d[:, 0] ** 2 + d[:, 1] ** 2
             interference = np.bincount(
-                pair_rx, weights=gains(p, model, horiz2, fades.ravel()),
+                pair_rx, weights=gains(p, los_faded, horiz2, fades.ravel()),
                 minlength=n_rx)
             r2 = rx[:, 0] ** 2 + rx[:, 1] ** 2
-            signal = gains(p, model, r2, sig_fades)
+            signal = gains(p, los_faded, r2, sig_fades)
             for j in range(n_rx):
-                want = sir(p, model, u, fades[j], rx[j], sig_fades[j])
+                want = sir(p, los_faded, u, fades[j], rx[j], sig_fades[j])
                 got = (signal[j] / interference[j] if interference[j]
                        else math.inf)
                 assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("model", [ExactLoSNLoS, AllRayleigh])
-    def test_equals_both_branch_evaluation(self, model):
+    @pytest.mark.parametrize("los_faded", [False, True], ids=MODEL_IDS)
+    def test_equals_both_branch_evaluation(self, los_faded):
         # LoS only at the LoS links changes no bit of a simulator block
         rng = np.random.default_rng(13)
         for p in (params(), params(h=40.0, alpha_los=2.5, alpha_nlos=3.0)):
@@ -271,10 +273,34 @@ class TestGainsMatchOracle:
                 horiz2 = (rng.uniform(0.0, 3.0 * k, n) ** 2
                           if n != 1 else np.array([k * k]))   # tie: NLoS
                 fades = rng.standard_exponential(n)
-                want = gains_both_branches(p, model, horiz2 + p.h ** 2,
+                want = gains_both_branches(p, los_faded, horiz2 + p.h ** 2,
                                            horiz2, fades)
-                got = gains(p, model, horiz2, fades)
+                got = gains(p, los_faded, horiz2, fades)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("los_faded, want", [
+        (False, ([0.01, 0.008, 0.005025125628140704, 0.005,
+                  4.4000000000000004e-08, 8.82266444466229e-11],
+                 [9.882117688026186e-05, 7.476743906106102e-05,
+                  4.181033777977451e-05, 4.154918669488272e-05,
+                  1.5372967345311057e-08, 1.3854168799334627e-10])),
+        (True, ([0.005, 0.0136, 0.011055276381909548, 0.0015,
+                 4.4000000000000004e-08, 8.82266444466229e-11],
+                [4.941058844013093e-05, 0.00012710464640380373,
+                 9.198274311550393e-05, 1.2464756008464816e-05,
+                 1.5372967345311057e-08, 1.3854168799334627e-10])),
+    ], ids=["exact", "rayleigh"])
+    def test_pinned_values(self, los_faded, want):
+        # four LoS spans (K^2 is 100 m^2 at h = 10, 1600 m^2 at h = 40, a
+        # hair above the fourth) and two NLoS ones, at fixed fades; the
+        # values are those of the model's exact and all-Rayleigh branches
+        horiz2 = np.array([0.0, 25.0, 99.0, 100.0, 400.0, 1e4])
+        fades = np.array([0.5, 1.7, 2.2, 0.3, 1.1, 0.9])
+        for p, values in zip(
+                (params(), params(h=40.0, alpha_los=2.5, alpha_nlos=3.0)),
+                want):
+            got = gains(p, los_faded, horiz2 * (p.h / 10.0) ** 2, fades)
+            assert got.tolist() == values
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 4.5])
     def test_pathloss_in_place(self, alpha):

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from uavsec import analytic, montecarlo
-from uavsec.model import (
-    AllRayleigh,
-    ExactLoSNLoS,
-    GuardZone,
-    NetworkParams,
-    gains,
-)
+from uavsec.model import GuardZone, NetworkParams, gains
 from uavsec.montecarlo import (
     SimConfig,
     _binary_estimate,
@@ -35,7 +29,7 @@ class TestConnectionSim:
         assert est.value == 1.0
 
     def test_deterministic(self):
-        cfg = SimConfig(20_000, seed=3, model=AllRayleigh)
+        cfg = SimConfig(20_000, seed=3, model="rayleigh")
         a = sim_connection(params(), 31.0, cfg)
         b = sim_connection(params(), 31.0, cfg)
         assert a == b
@@ -48,7 +42,7 @@ class TestConnectionSim:
     def test_matches_closed_form_under_rayleigh(self):
         p = params()
         est = sim_connection(p, 31.0, SimConfig(100_000, seed=12,
-                                                model=AllRayleigh))
+                                                model="rayleigh"))
         assert abs(est.value - analytic.pc_approx(p, 31.0)) <= est.half_width
 
     def test_halfwidth_scaling(self):
@@ -155,7 +149,8 @@ _CONNECTION_CASES = [
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("model", [ExactLoSNLoS, AllRayleigh])
+    @pytest.mark.parametrize("model", ["exact", "rayleigh"],
+                             ids=["ExactLoSNLoS", "AllRayleigh"])
     def test_estimates_do_not_depend_on_block_size(self, monkeypatch,
                                                    model):
         runs = {}
@@ -180,8 +175,8 @@ class TestBlocks:
             seen = []
             monkeypatch.setattr(
                 montecarlo, "_interference",
-                lambda p, model, rng, s, spans, seen=seen: seen.append(s)
-                or interference(p, model, rng, s, spans))
+                lambda p, los_faded, rng, s, spans, seen=seen: seen.append(s)
+                or interference(p, los_faded, rng, s, spans))
             sim_outage(p, 1.0, zone, cfg)
             sizes.append(seen)
         assert len(sizes[3]) == 2 and sizes[4] == []   # of 3 and 1 chunks
@@ -196,7 +191,7 @@ class TestBlocks:
                             SimConfig(20_000, seed=24)),
          "(0.0566, 0.0032025007840097764)"),
         (lambda: sim_outage(params(lambda_e=3e-4), 1.0, GuardZone(15.0),
-                            SimConfig(3000, seed=22, model=AllRayleigh)),
+                            SimConfig(3000, seed=22, model="rayleigh")),
          "(0.048, 0.007649385645711224)"),
         (lambda: sim_outage(params(h=20.0), 0.5, GuardZone(10.0),
                             SimConfig(1500, 80.0, seed=23)),
@@ -211,7 +206,7 @@ class TestBlocks:
          "(0.72445, 0.006192093553042943)"),
         (lambda: sim_connection(params(lambda_u=1e-2), 0.3,
                                 SimConfig(2400, 400.0, seed=26,
-                                          model=AllRayleigh)),
+                                          model="rayleigh")),
          "(0.5895833333333333, 0.019680111907048943)"),
     ], ids=["outage-2-dense-chunks", "outage-3-sparse-chunks",
             "outage-zone-rayleigh", "outage-window",
@@ -274,8 +269,8 @@ class TestEstimateHelpers:
         rng = np.random.default_rng(0)
         horiz2 = rng.uniform(0.0, 200.0 ** 2, 500)
         fades = rng.standard_exponential(500)
-        g_exact = gains(p, ExactLoSNLoS, horiz2, fades)
-        g_ray = gains(p, AllRayleigh, horiz2, fades)
+        g_exact = gains(p, False, horiz2, fades)
+        g_ray = gains(p, True, horiz2, fades)
         nlos = horiz2 >= p.los_radius ** 2
         assert np.array_equal(g_exact[nlos], g_ray[nlos])
         los = ~nlos
@@ -290,3 +285,22 @@ class TestEstimateHelpers:
         for bad in (math.nan, math.inf, -5.0, 0.0):
             with pytest.raises(ValueError):
                 SimConfig(100, window_radius=bad)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"model": 1}, "unknown fading model 1 (one of exact, rayleigh)"),
+        ({"model": "Rayleigh"},
+         "unknown fading model 'Rayleigh' (one of exact, rayleigh)"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ])
+    def test_model_and_seed_checked_at_construction(self, change, message):
+        with pytest.raises(ValueError) as exc:
+            SimConfig(100, **change)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError):
+            replace(SimConfig(100), **change)
+
+    def test_models_named(self):
+        assert montecarlo.MODELS == ("exact", "rayleigh")
+        assert SimConfig(100).model == "exact"
+        assert SimConfig(100, seed=np.uint32(7), model="rayleigh").seed == 7
