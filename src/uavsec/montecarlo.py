@@ -23,6 +23,28 @@ whatever the block size, so estimates do not depend on it. A chunk is one
 arrays at once made peak RSS vary by 8 MB). A link is its squared
 horizontal span, read through the kernel `model.links`.
 
+The outage screen: an eavesdropper decodes when its signal exceeds beta_e
+times its interference, and most do not. So in a block with at least
+`SCREEN_GATE` links per interferer (below that, sorting the interferers
+costs more than it saves), `sim_outage` first sums, per eavesdropper, its
+links to the `SCREEN_K` interferers of its realization that lie nearest
+it in x (one sort of the block's interferers by realization and x, one
+`searchsorted`), and sums all of its links only if signal > beta_e *
+partial. The estimate is still bit-identical:
+- each partial term equals its term in the full sum bit for bit (same
+  span, same fade, the same elementwise operations in `model.gains`);
+- the partial terms are a subsequence of the eavesdropper's terms in link
+  order, and `np.bincount` adds each sum left to right from 0. Every term
+  is >= 0, and rounding to nearest is monotone, so by induction over the
+  terms the partial sum is <= the full sum (Higham, Accuracy and
+  Stability of Numerical Algorithms, 2002, ch. 4);
+- beta_e >= 0, so beta_e * partial <= beta_e * full, and an eavesdropper
+  the partial sum rules out fails the full test too.
+Which interferers the screen picks changes only its speed. An unscreened
+block keeps the contiguous path, with no gather of its fades, and the
+screen's arrays are built per block from the block's slice of
+interferers, never per chunk, so they do not raise the chunk's peak.
+
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width
 (never beyond the 0.1%-interference-tail radius). The outage simulator samples
@@ -66,6 +88,16 @@ from .model import (
 __all__ = ["SimConfig", "sim_connection", "sim_outage"]
 
 _Z95 = 1.959963984540054
+
+# `sim_outage`'s screen (module docstring): each eavesdropper's SCREEN_K
+# nearest-in-x interferers, in blocks of at least SCREEN_GATE links
+# (eavesdroppers per realization) per interferer. On the ten outage points
+# of the benchmark's mc_validate workload (2 cores, CPU-time minimums),
+# K = 8 to 16 ran within 3% of each other, K = 4 3-5% and K = 32 10-15%
+# slower. Screening every block cost 7-11% more at lambda_e <= 1e-4 (1.2
+# to 1.7 eavesdroppers per realization); gates of 2 to 8 were within noise.
+SCREEN_K = 16
+SCREEN_GATE = 4
 
 MODELS = ("exact", "rayleigh")      # the values of `SimConfig.model`
 
@@ -121,12 +153,19 @@ def _estimate(cfg: SimConfig, work: float, count) -> MetricEstimate:
 
 
 def _interference(params: NetworkParams, los_faded: bool, rng,
-                  sizes: np.ndarray, spans) -> np.ndarray:
+                  sizes: np.ndarray, spans, screen=None) -> np.ndarray:
     """Interference at consecutive receivers, receiver i summing sizes[i]
     links, in blocks of whole receivers with at most BLOCK_LINKS links (or
     one receiver). `spans(lo, hi, first, last)` gives the squared spans of
     links [first, last), those of receivers [lo, hi); their fades are the
-    stream's next draws."""
+    stream's next draws.
+
+    `screen(lo, hi, first, fades)`, if given, may settle receivers of a
+    block from some of their links. It returns None (sum every link of the
+    block), or a lower bound on each of the block's sums, the receivers
+    (an index array) it leaves open and the squared spans of their links.
+    Only the open receivers are summed in full, from the block's fades at
+    their links; the others get the bound."""
     ends = np.cumsum(sizes)
     out = np.empty(len(sizes))
     lo = first = 0
@@ -134,14 +173,27 @@ def _interference(params: NetworkParams, los_faded: bool, rng,
         hi = max(int(np.searchsorted(ends, first + BLOCK_LINKS,
                                      side="right")), lo + 1)
         last = int(ends[hi - 1])
-        span2 = spans(lo, hi, first, last)
         fades = rng.standard_exponential(last - first)
-        out[lo:hi] = np.bincount(
-            np.repeat(np.arange(hi - lo), sizes[lo:hi]),
+        screened = None if screen is None else screen(lo, hi, first, fades)
+        if screened is None:
+            rows, span2 = slice(lo, hi), spans(lo, hi, first, last)
+        else:
+            out[lo:hi], rows, span2 = screened
+            fades = fades[_ranges(ends[rows] - sizes[rows] - first,
+                                  sizes[rows])]
+        blens = sizes[rows]
+        out[rows] = np.bincount(
+            np.repeat(np.arange(len(blens)), blens),
             weights=gains(params, los_faded, span2, fades),
-            minlength=hi - lo)
+            minlength=len(blens))
         lo, first = hi, last
     return out
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integers [starts[i], starts[i] + lens[i]) of every i, in order."""
+    return np.arange(int(lens.sum())) + np.repeat(
+        starts - (np.cumsum(lens) - lens), lens)
 
 
 def _binary_estimate(successes: int, n: int) -> MetricEstimate:
@@ -217,7 +269,8 @@ def sim_outage(params: NetworkParams, beta_e: float,
     interferers on [0, R_u]; see the module docstring for the window policy.
     In each chunk only the interferers of realizations with an eavesdropper
     are kept, right after each draw, converted to x/y (cos/sin) and paired
-    with the eavesdroppers of their realization, one block at a time.
+    with the eavesdroppers of their realization, one block at a time, each
+    dense block screened first (module docstring).
     """
     check_threshold(beta_e, "sim_outage: beta_e")
     d0 = zone.d if zone is not None else 0.0
@@ -256,16 +309,60 @@ def sim_outage(params: NetworkParams, beta_e: float,
         lens = u_counts[e_seg]
         u_first = (np.cumsum(paired) - paired)[e_seg]
 
-        def spans(lo, hi, first, last):
-            blens = lens[lo:hi]
-            pair_u = np.arange(last - first) + np.repeat(
-                u_first[lo:hi] - (np.cumsum(blens) - blens), blens)
-            dx = ux[pair_u] - np.repeat(ex[lo:hi], blens)
-            dy = uy[pair_u] - np.repeat(ey[lo:hi], blens)
+        def pair_spans(rows):
+            # Squared spans of the links of eavesdroppers `rows` (a slice
+            # or an index array), eavesdropper by eavesdropper.
+            blens = lens[rows]
+            pair_u = _ranges(u_first[rows], blens)
+            dx = ux[pair_u] - np.repeat(ex[rows], blens)
+            dy = uy[pair_u] - np.repeat(ey[rows], blens)
             return dx * dx + dy * dy
 
-        interference = _interference(params, los_faded, rng, lens, spans)
+        def screen(lo, hi, first, fades):
+            # The block's interferers are ux[u0:u0 + n_u]; g[i] is
+            # eavesdropper lo + i's first one, counted from u0.
+            blens = lens[lo:hi]
+            u0 = u_first[lo]
+            g = u_first[lo:hi] - u0
+            n_u = int(g[-1] + blens[-1])
+            if n_u == 0 or fades.size < SCREEN_GATE * n_u:
+                return None
+            # Sort them by (realization, x): the key x + r * 4 u_win keeps
+            # realization r's interferers apart from every other's.
+            mark = np.zeros(n_u, bool)
+            mark[g[blens > 0]] = True
+            shift = np.cumsum(mark) * (4.0 * u_win)
+            key = ux[u0:u0 + n_u] + shift
+            order = np.argsort(key)
+            # For each eavesdropper with more than SCREEN_K interferers,
+            # the SCREEN_K nearest it in x, as link numbers in canonical
+            # order.
+            wide = np.flatnonzero(blens > SCREEN_K)
+            e, gw, lw = lo + wide, g[wide], blens[wide]
+            at = np.searchsorted(key[order], ex[e] + shift[gw])
+            start = np.clip(at - SCREEN_K // 2, gw, gw + lw - SCREEN_K)
+            near = np.sort(order[start[:, None] + np.arange(SCREEN_K)]
+                           - gw[:, None], axis=1)
+            u = u_first[e][:, None] + near
+            dx = ux[u] - ex[e][:, None]
+            dy = uy[u] - ey[e][:, None]
+            link = (np.cumsum(blens) - blens)[wide][:, None] + near
+            partial = np.bincount(
+                np.repeat(np.arange(len(wide)), SCREEN_K),
+                weights=gains(params, los_faded, (dx * dx + dy * dy).ravel(),
+                              fades[link.ravel()]),
+                minlength=len(wide))
+            bound = np.zeros(hi - lo)
+            bound[wide] = partial
+            undecided = blens <= SCREEN_K
+            undecided[wide] = signal[e] > beta_e * partial
+            rows = lo + np.flatnonzero(undecided)
+            return bound, rows, pair_spans(rows)
+
         signal = gains(params, los_faded, er2, sig_fades)
+        interference = _interference(
+            params, los_faded, rng, lens,
+            lambda lo, hi, first, last: pair_spans(slice(lo, hi)), screen)
         decoded = signal > beta_e * interference
         return int(np.count_nonzero(
             np.bincount(e_seg, weights=decoded, minlength=m) > 0))

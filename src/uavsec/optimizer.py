@@ -78,7 +78,9 @@ class InfeasibleError(RuntimeError):
 class OptimumReport:
     """Solution of a capacity maximization: rates (bps/Hz), altitude,
     optional zone radius, capacity (bps/Hz/m^2), achieved outage, and
-    search diagnostics."""
+    search diagnostics. `diagnostics["surrogate_pc_ratio"]` is
+    `pc_simplified / pc_approx` at the optimal rates, or None where that
+    ratio is not finite (a pc of order 1e-239 overflows it)."""
 
     rt: float
     rs: float
@@ -364,7 +366,8 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
             f"zero secrecy capacity on the whole grid: the best cell "
             f"(h = {p.h:g} m) carries cs = {cs:g} at outage {pso:g}", pso)
     diagnostics["infeasible_cells"] = infeasible
-    diagnostics["surrogate_pc_ratio"] = analytic.pc_simplified(p, rt) / pc
+    ratio = analytic.pc_simplified(p, rt) / pc
+    diagnostics["surrogate_pc_ratio"] = ratio if math.isfinite(ratio) else None
     diagnostics["constraint_active"] = re > RE_FLOOR
     return OptimumReport(rt=rt, rs=rs, re=re, h=p.h, cs=cs, pso=pso,
                          d=zone.d if zoned else None, diagnostics=diagnostics)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavsec import analytic, montecarlo
 from uavsec.model import GuardZone, NetworkParams, gains
@@ -175,13 +177,63 @@ class TestBlocks:
             seen = []
             monkeypatch.setattr(
                 montecarlo, "_interference",
-                lambda p, los_faded, rng, s, spans, seen=seen: seen.append(s)
-                or interference(p, los_faded, rng, s, spans))
+                lambda p, los_faded, rng, s, spans, screen=None, seen=seen:
+                seen.append(s) or interference(p, los_faded, rng, s, spans,
+                                               screen))
             sim_outage(p, 1.0, zone, cfg)
             sizes.append(seen)
         assert len(sizes[3]) == 2 and sizes[4] == []   # of 3 and 1 chunks
         assert (sizes[2][0] == 0).any()
         assert sizes[0][0].max() > 3
+
+    @pytest.mark.parametrize("model", ["exact", "rayleigh"],
+                             ids=["ExactLoSNLoS", "AllRayleigh"])
+    def test_estimates_do_not_depend_on_the_screen(self, monkeypatch,
+                                                   model):
+        # Screen widths 1, 3 and the module's, the screen off (gate inf),
+        # and every block screened (gate 0), where the lambda_u = 1e-4
+        # case's realizations hold fewer interferers than the width.
+        cases = _OUTAGE_CASES + [
+            (params(lambda_e=3e-3), GuardZone(20.0), SimConfig(200, seed=9))]
+        k, gate = montecarlo.SCREEN_K, montecarlo.SCREEN_GATE
+        runs = []
+        for width, at in ((k, gate), (1, gate), (3, gate), (k, math.inf),
+                          (1, 0), (k, 0)):
+            monkeypatch.setattr(montecarlo, "SCREEN_K", width)
+            monkeypatch.setattr(montecarlo, "SCREEN_GATE", at)
+            runs.append([sim_outage(p, 1.0, zone, replace(cfg, model=model))
+                         for p, zone, cfg in cases])
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_screened_sums_bound_the_exact_ones(self, monkeypatch):
+        # Per eavesdropper of a dense case, the screened interference is at
+        # most the exact sum: the partial sum where the screen settled it
+        # (most eavesdroppers), else the sum. A sparse case screens no
+        # block.
+        interference = montecarlo._interference
+        sums, screened_blocks = [], []
+
+        def spy(p, los_faded, rng, s, spans, screen=None):
+            def watched(*block):
+                out = screen(*block)
+                screened_blocks.append(out is not None)
+                return out
+            sums.append(interference(p, los_faded, rng, s, spans, watched))
+            return sums[-1]
+
+        monkeypatch.setattr(montecarlo, "_interference", spy)
+        gate = montecarlo.SCREEN_GATE
+        for at in (gate, math.inf):
+            monkeypatch.setattr(montecarlo, "SCREEN_GATE", at)
+            sim_outage(params(lambda_e=3e-3), 1.0, None,
+                       SimConfig(200, seed=9))
+        screened, exact = sums
+        assert (screened <= exact).all()
+        assert 0.8 < (screened < exact).mean() < 1.0
+        monkeypatch.setattr(montecarlo, "SCREEN_GATE", gate)
+        screened_blocks.clear()
+        sim_outage(params(lambda_e=3e-5), 1.0, None, SimConfig(2000, seed=9))
+        assert screened_blocks and not any(screened_blocks)
 
     @pytest.mark.parametrize("run, expected", [
         (lambda: sim_outage(params(lambda_u=1e-2, lambda_e=1e-2), 1.0, None,
@@ -230,6 +282,19 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
+    def test_screen_memory_at_the_densest_benchmark_point(self):
+        # The densest outage point of the benchmark's mc_validate workload
+        # peaks at 19.1 MiB with the screen's arrays built per block (19.9
+        # MiB unscreened), which bounds its share of peak RSS.
+        tracemalloc.start()
+        try:
+            sim_outage(params(lambda_e=3e-3), 1.0, None,
+                       SimConfig(4000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
     @pytest.mark.parametrize("run, bound_mib", [
         # Three full chunks with eavesdroppers in about 2/3 of the
         # realizations: one chunk's kept interferers, about 13 MiB; 31 MiB
@@ -249,6 +314,22 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20
+
+
+@settings(max_examples=300)
+@given(st.floats(-323.0, 299.0),
+       st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-20.0, 0.0),
+                          st.booleans()), min_size=1, max_size=40))
+def test_partial_sum_never_exceeds_the_full_sum(scale, terms):
+    # The screen's exactness: nonnegative terms (here subnormal to 1e300)
+    # added left to right from 0 by np.bincount, as the simulators sum
+    # links; any subsequence of them, in order, sums to at most the whole.
+    weights = np.array([m * 10.0 ** (scale + s) for m, s, _ in terms])
+    keep = np.array([k for _, _, k in terms])
+    full = np.bincount(np.zeros(len(weights), int), weights=weights)
+    partial = np.bincount(np.zeros(int(keep.sum()), int),
+                          weights=weights[keep], minlength=1)
+    assert partial[0] <= full[0]
 
 
 class TestEstimateHelpers:

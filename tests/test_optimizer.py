@@ -397,6 +397,14 @@ class TestGridSearches:
         rep = optimize_zone(params(), 0.01)
         assert rep.diagnostics["surrogate_pc_ratio"] > 0.0
 
+    def test_surrogate_ratio_none_when_not_finite(self):
+        # The winner carries cs = 9.1e-239: pc_simplified / pc overflows.
+        p = NetworkParams(lambda_u=0.0921, lambda_e=1.1223e-3, h=49.6,
+                          h_min=49.0, h_max=50.0, theta_c=0.579)
+        rep = optimize_zone(p, 0.01)
+        assert 0.0 < rep.cs < 1e-200 and rep.d == 80.0
+        assert rep.diagnostics["surrogate_pc_ratio"] is None
+
     def test_zero_capacity_grid_is_infeasible(self):
         # At the best cell (h = 49, rt = 16.6) pc_approx underflows to 0, so
         # no cell carries secrecy capacity: no rate pair is an optimum. A
