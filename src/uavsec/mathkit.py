@@ -81,20 +81,27 @@ def lambert_w0_array(x: np.ndarray) -> np.ndarray:
         p2 = 2.0 * (math.e * x + 1.0)
         p = np.sqrt(np.maximum(p2, 0.0))
         w = np.where(p2 < 0.5, -1.0 + p - p2 / 3.0 + 11.0 * p * p2 / 72.0, w)
-    # Iterate only the elements still moving: a few never meet the stopping
-    # rule (their last step is one rounding) and run all 60 steps.
+    # Iterate only the elements still moving, for at most 60 steps. A few
+    # never meet the stopping rule (their last step is one rounding): once
+    # an iterate equals the one two steps back, the deterministic map
+    # repeats with period 1 or 2 and never meets the rule either, so the
+    # element stops with the member step 60 would hold, chosen by parity.
     flat_w, flat_x = w.reshape(-1), x.reshape(-1)
     live = (np.flatnonzero(p2.reshape(-1) > 0.0) if negative
             else np.arange(flat_w.size))
-    for _ in range(60):
+    older = np.full(live.size, np.nan)      # each live iterate 2 steps back
+    for step in range(1, 61):
         wl, xl = flat_w[live], flat_x[live]
         ew = np.exp(wl)
         r = wl * ew - xl
         w1 = wl + 1.0
         dw = r / (ew * w1 - (wl + 2.0) * r / (2.0 * w1))
-        wl = wl - dw
-        flat_w[live] = wl
-        live = live[np.abs(dw) > 1e-16 * (1.0 + np.abs(wl))]
+        new = wl - dw
+        moving = np.abs(dw) > 1e-16 * (1.0 + np.abs(new))
+        cycle = moving & (new == older)
+        flat_w[live] = np.where(cycle & (step % 2 == 1), wl, new)
+        keep = moving & ~cycle
+        live, older = live[keep], wl[keep]
         if live.size == 0:
             break
     ew = np.exp(w)

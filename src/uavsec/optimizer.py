@@ -24,6 +24,16 @@ codeword rate has one formula, `_rt_cells`; `rt_star`, `rs_star` and
 `large_zone_limit` are one-cell calls of it. Every cell's numbers are
 computed elementwise, so they do not depend on which block the cell falls
 in.
+
+The search is bound-and-prune. Its floor is the best capacity some cell
+has attained: in earlier blocks, and in this block's cells that need no
+Newton. The capacity falls as the rate gap grows, and Newton's bracket
+keeps every later iterate at or above its lower end, so the capacity at
+that end's rate gap bounds what the cell can still reach. A Newton cell
+is retired once that bound falls below the floor, less a margin that
+covers the capacity's rounding: it could neither win nor tie, so every
+report is the one an unpruned search gives, bit for bit, while Newton
+runs on the few cells that can still win.
 """
 
 from __future__ import annotations
@@ -217,17 +227,45 @@ _BLOCK_CELLS = 4096
 # bracket, so the fixed cap _NEWTON_CAP is never what stops a cell.
 _NEWTON_TOL = 1e-13
 _NEWTON_CAP = 100
+# A Newton cell is retired once its capacity bound falls below
+# floor * (1 - _PRUNE_MARGIN), where the floor is a capacity some cell has
+# attained. The bound is the capacity at the lowest rate gap the cell can
+# still reach, with the secrecy rate rs = rt - re padded by
+# _RS_PAD * (rt + 2 RE_CEILING). Error budget, against the exact capacity
+# at the computed rate gap (eps = 2^-52):
+# - rs carries an absolute error of about eps (40 rs + rt) (the rounding of
+#   rt, of Lambert W and of 2^(-re/2)); rt + 2 RE_CEILING bounds rt at any
+#   gap the cell reaches, so the pad covers it eight times over even where
+#   rs is far smaller than rt;
+# - pc = e^(-T) carries a relative error of a few eps of T plus rt's error
+#   through dT/drt, about 3e-13 (T + 60), so at most 2.4e-10 while pc is a
+#   normal number, and about 1e-13 at the paper's points;
+# - the products add a few eps.
+# The margin covers all of it. Below _PRUNE_TINY a capacity may be
+# subnormal, where rounding is not relative, so no floor that small prunes.
+_PRUNE_MARGIN = 1e-9
+_RS_PAD = 2.0 ** -48
+_PRUNE_TINY = 2.0 ** -900
 
 
-def _newton_q(params: NetworkParams, g, q, lo, hi):
+def _newton_q(params: NetworkParams, g, q, lo, hi, retire=None):
     """Roots of the decreasing convex functions g(q, j) -> (values, slopes)
     of cells j inside the brackets [lo, hi] (0 < lo), from starts q at or
     below the roots, where Newton climbs monotonically. A step that leaves
     the bracket or is not finite becomes a bisection (geometric: a bracket
     spans decades), and so does a step from right of the root (g < 0, from
     rounding or lost convexity) longer than half the previous one, as in
-    Numerical Recipes' rtsafe. Returns the rate gaps and the steps each
-    cell took."""
+    Numerical Recipes' rtsafe.
+
+    Bracket invariant: each step raises lo to the iterate where g > 0
+    (lowers hi where g < 0), and the next iterate lies in the new [lo, hi]
+    (a Newton step only if it does; the geometric mean of two floats lies
+    between them unless their product under- or overflows). So lo never
+    falls, every later iterate is at least lo, and as `_re_of_q` is
+    monotone a cell's final rate gap is at least `_re_of_q(lo)` for any lo
+    it held, whatever g's rounding. After each step's bracket update
+    `retire(lo, j)`, if given, flags cells to drop; their rate gaps are
+    NaN. Returns the rate gaps and the steps each cell took."""
     re = _re_of_q(params, q)
     steps = np.zeros(q.shape, dtype=int)
     last = hi - lo
@@ -236,6 +274,10 @@ def _newton_q(params: NetworkParams, g, q, lo, hi):
         val, slope = g(q[j], j)
         lo[j] = np.where(val > 0.0, q[j], lo[j])
         hi[j] = np.where(val < 0.0, q[j], hi[j])
+        if retire is not None:
+            gone = retire(lo[j], j)
+            re[j[gone]] = np.nan
+            j, val, slope = j[~gone], val[~gone], slope[~gone]
         newton = q[j] - val / slope
         fast = ((newton >= lo[j]) & (newton <= hi[j])
                 & ((val > 0.0) | (np.abs(newton - q[j]) <= 0.5 * last[j])))
@@ -250,26 +292,26 @@ def _newton_q(params: NetworkParams, g, q, lo, hi):
     return re, steps
 
 
-def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
-                    d: np.ndarray):
-    """The rate gap of each cell (altitude h[i], zone radius d[i]; d = 0 is
-    no zone): the root of P_so = epsilon, or RE_FLOOR where the constraint
-    is slack there. Returns the rate gaps, NaN where the target is
-    unreachable, and those cells' outage at the bracket end 2 * RE_CEILING
-    (+inf elsewhere).
+def _bracket_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
+                   d: np.ndarray):
+    """Classify each cell (altitude h[i], zone radius d[i]; d = 0 is no
+    zone) by its outage constraint. Returns the rate gaps of the cells that
+    need no Newton (NaN at the Newton and unreachable cells), the outage
+    at the bracket end 2 * RE_CEILING of the unreachable cells (+inf
+    elsewhere), and the Newton cells as (cells, log-outage G, starts, lo,
+    hi), or None.
 
     Cells with d >= K take the Lambert-W root of `re_closed_zone`, floored
     at RE_FLOOR. The rest, and those whose root overflows or passes the
     bracket [q(RE_FLOOR), q(2 * RE_CEILING)], read the log-outage G
     (`analytic._log_outage_cells`) at its ends: slack where G <= 0 at the
-    floor, unreachable where G > 0 at the ceiling, else `_newton_q` on G
-    from the tail-only root. Each cell's result is the same whatever cells
-    share the call."""
+    floor, unreachable where G > 0 at the ceiling, else a Newton cell,
+    started from the tail-only root clipped to the bracket."""
     if params.lambda_e == 0.0:
-        return np.full(h.shape, RE_FLOOR), np.full(h.shape, np.inf)
+        return np.full(h.shape, RE_FLOOR), np.full(h.shape, np.inf), None
     analytic._require_canonical_alphas(params)
     if params.lambda_u == 0.0:  # G(0) is 0/0; every eavesdropper decodes
-        return np.full(h.shape, np.nan), np.ones(h.shape)
+        return np.full(h.shape, np.nan), np.ones(h.shape), None
     k = los_radius(h, params.theta_c)
     s = h ** 2 + np.maximum(d, k) ** 2
     q0 = _tail_root(params, epsilon, h, s)
@@ -286,39 +328,89 @@ def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
     achieved[i[unreachable]] = -np.expm1(math.log1p(-epsilon)
                                          * np.exp(g_hi[unreachable]))
     i = i[bracketed]
-    re[i], _ = _newton_q(
-        params, analytic._log_outage_cells(params, epsilon, h[i], d[i], k[i],
-                                           s[i]),
+    return re, achieved, (
+        i, analytic._log_outage_cells(params, epsilon, h[i], d[i], k[i],
+                                      s[i]),
         np.where(q0[i] > lo, np.minimum(q0[i], hi), lo),
         np.full(i.size, lo), np.full(i.size, hi))
-    return re, achieved
 
 
 def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
-            d: np.ndarray):
-    """Each cell's rate gap re (`_solve_re_cells`), codeword rate rt*
-    (`_rt_cells`), full connection probability `pc_approx` at
-    rt* and capacity (rt* - re) * pc * lambda_u', and the outages
-    `_solve_re_cells` returns. Where the target is unreachable the
-    capacity is -inf and re, rt* and pc are placeholders."""
-    re, achieved = _solve_re_cells(params, epsilon, h, d)
-    infeasible = np.isnan(re)
-    if infeasible.all():
-        return re, re, re, np.full(h.shape, -np.inf), achieved
-    re = np.where(infeasible, RE_FLOOR, re)
-    rt = _rt_cells(params, re, h)
-    pc = analytic._pc_cells(params, beta(rt), h)
+            d: np.ndarray, floor: Optional[float] = None):
+    """Each cell's rate gap re (`_bracket_cells`, then `_newton_q`),
+    codeword rate rt* (`_rt_cells`), full connection probability
+    `pc_approx` at rt* and capacity (rt* - re) * pc * lambda_u', and the
+    outages `_bracket_cells` returns.
+
+    Given a floor (the best capacity attained before this call, -inf for
+    none), Newton cells that cannot win are retired: after each Newton
+    step the floor, raised by this call's cells that need no Newton, is
+    compared with each cell's capacity bound at re_lo = `_re_of_q(lo)`.
+    The capacity falls as the rate gap grows and the cell's final gap is
+    at least re_lo (`_newton_q`), so within the margin's error budget
+    (`_PRUNE_MARGIN`) a retired cell's capacity lies strictly below the
+    floor: it can neither win nor tie, and every other cell's numbers are
+    the ones an unpruned screen gives.
+
+    Where the target is unreachable or the cell was retired, re, rt* and
+    pc are NaN and the capacity is -inf. Returns those arrays, the
+    outages, and the numbers of Newton cells solved and retired."""
+    re, achieved, newton = _bracket_cells(params, epsilon, h, d)
+    rt, pc = np.full(h.shape, np.nan), np.full(h.shape, np.nan)
+    cs = np.full(h.shape, -np.inf)
     density = params.lambda_u * np.exp(-math.pi * params.lambda_e * d ** 2)
-    cs = np.where(infeasible, -np.inf, (rt - re) * pc * density)
-    return re, rt, pc, cs, achieved
+
+    def rates(re_c, c):
+        rt_c = _rt_cells(params, re_c, h[c])
+        return rt_c, analytic._pc_cells(params, beta(rt_c), h[c])
+
+    def solve(c):
+        if c.size == 0:     # `_rt_cells` rejects lambda_u = 0
+            return
+        rt[c], pc[c] = rates(re[c], c)
+        cs[c] = (rt[c] - re[c]) * pc[c] * density[c]
+
+    solve(np.flatnonzero(~np.isnan(re)))
+    if newton is None:
+        return re, rt, pc, cs, achieved, 0, 0
+    i, g, q, lo, hi = newton
+    floor = -math.inf if floor is None else max(floor, float(cs.max()))
+    retire = None
+    if floor >= _PRUNE_TINY:
+        level = floor * (1.0 - _PRUNE_MARGIN)
+
+        def retire(lo_j, j):
+            c = i[j]
+            re_lo = _re_of_q(params, lo_j)
+            rt_lo, pc_lo = rates(re_lo, c)
+            rs_hi = rt_lo - re_lo + _RS_PAD * (rt_lo + 2.0 * RE_CEILING)
+            return rs_hi * pc_lo * density[c] < level
+
+    re[i], _ = _newton_q(params, g, q, lo, hi, retire)
+    solved = i[~np.isnan(re[i])]
+    solve(solved)
+    return re, rt, pc, cs, achieved, solved.size, i.size - solved.size
+
+
+def _solve_re_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
+                    d: np.ndarray):
+    """The rate gap of each cell (altitude h[i], zone radius d[i]; d = 0 is
+    no zone): the root of P_so = epsilon, or RE_FLOOR where the constraint
+    is slack there, NaN where the target is unreachable; and those cells'
+    outage at the bracket end 2 * RE_CEILING (+inf elsewhere): `_screen`
+    with no floor, so nothing is retired. Each cell's result is the same
+    whatever cells share the call."""
+    re, _, _, _, achieved, _, _ = _screen(params, epsilon, h, d)
+    return re, achieved
 
 
 def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
             zoned: bool) -> OptimumReport:
     """Screen the sorted altitude x zone-radius grid (None: the default
     grid) in array blocks, in altitude-major order so that the first
-    maximum wins (lowest altitude, then smallest zone), and report the
-    winner's screened numbers."""
+    maximum wins (lowest altitude, then smallest zone), each block pruned
+    against the best capacity so far, and report the winner's screened
+    numbers."""
     check_epsilon(epsilon)
     h_grid = np.sort(np.asarray(
         default_h_grid(params) if h_grid is None else h_grid, dtype=float))
@@ -338,18 +430,21 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
     n = h_grid.size * n_d
     # best: capacity, rate gap, codeword rate, pc and index of the winner
     best, least = (-np.inf, 0.0, 0.0, 0.0, 0), np.inf
-    infeasible = 0
+    infeasible = solved = retired = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, n, _BLOCK_CELLS):
             cell = np.arange(start, min(start + _BLOCK_CELLS, n))
-            re, rt, pc, cs, achieved = _screen(
-                params, epsilon, h_grid[cell // n_d], d_grid[cell % n_d])
+            re, rt, pc, cs, achieved, n_solved, n_retired = _screen(
+                params, epsilon, h_grid[cell // n_d], d_grid[cell % n_d],
+                best[0])
             i = int(np.argmax(cs))
             if cs[i] > best[0]:
                 best = (float(cs[i]), float(re[i]), float(rt[i]),
                         float(pc[i]), start + i)
             least = min(least, float(achieved.min()))
-            infeasible += int(np.count_nonzero(np.isneginf(cs)))
+            infeasible += int(np.count_nonzero(np.isneginf(cs))) - n_retired
+            solved += n_solved
+            retired += n_retired
 
     cs, re, rt, pc, i = best
     if cs == -np.inf:
@@ -366,6 +461,8 @@ def _search(params: NetworkParams, epsilon: float, h_grid, d_grid,
             f"zero secrecy capacity on the whole grid: the best cell "
             f"(h = {p.h:g} m) carries cs = {cs:g} at outage {pso:g}", pso)
     diagnostics["infeasible_cells"] = infeasible
+    diagnostics["newton_cells"] = solved
+    diagnostics["retired_cells"] = retired
     ratio = analytic.pc_simplified(p, rt) / pc
     diagnostics["surrogate_pc_ratio"] = ratio if math.isfinite(ratio) else None
     diagnostics["constraint_active"] = re > RE_FLOOR

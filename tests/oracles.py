@@ -31,6 +31,11 @@ For the optimizer: `solve_re_bisect`, the scalar rate-gap solver the
 optimizer used before its array screen became its only solver, kept
 verbatim (slack test, one bracket expansion, bisection to 1e-12).
 
+For Lambert W: `lambert_w0_array_halley60`, `mathkit.lambert_w0_array`
+as it was before it learned to stop the elements whose Halley iterates
+cycle, kept verbatim (those ran all 60 steps). The current routine must
+match it bit for bit.
+
 For the hypoexponential CDF: `resolve_rate_ties_walk`, the tie rule as it
 was before it became one vectorized pass, kept verbatim (a relative-gap
 early exit and a Python walk over each run of tied neighbours).
@@ -48,6 +53,7 @@ from uavsec.model import NetworkParams, q1
 from uavsec.optimizer import RE_CEILING, RE_FLOOR, InfeasibleError
 
 EPSREL = 1e-10
+_INV_E = math.exp(-1.0)
 
 
 def _integral(f, a, b):
@@ -382,3 +388,47 @@ def resolve_rate_ties_walk(rates: np.ndarray) -> np.ndarray:
             i = j + 1
         lam = np.sort(out)
     return lam
+
+
+def lambert_w0_array_halley60(x: np.ndarray) -> np.ndarray:
+    """Principal branch of the Lambert W function elementwise: Halley
+    iteration from the seeds of `mathkit.lambert_w0_array`, each element
+    stopped by the step-size rule or after 60 steps, then one Newton
+    polish."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= -_INV_E) & (x < math.inf)):
+        raise ValueError("lambert_w0: x is NaN, infinite or below -1/e")
+    negative = not np.all(x >= 0.0)
+    l1 = np.log(np.maximum(x, math.e))
+    l2 = np.log(l1)
+    w = np.where(x < math.e,
+                 x / (1.0 + x * (1.0 + x * 0.5) / (1.0 + x * 1.1)),
+                 l1 - l2 + l2 / l1)
+    if negative:
+        # Series around the branch point: w = -1 + p - p^2/3 + 11 p^3/72.
+        p2 = 2.0 * (math.e * x + 1.0)
+        p = np.sqrt(np.maximum(p2, 0.0))
+        w = np.where(p2 < 0.5, -1.0 + p - p2 / 3.0 + 11.0 * p * p2 / 72.0, w)
+    # Iterate only the elements still moving: a few never meet the stopping
+    # rule (their last step is one rounding) and run all 60 steps.
+    flat_w, flat_x = w.reshape(-1), x.reshape(-1)
+    live = (np.flatnonzero(p2.reshape(-1) > 0.0) if negative
+            else np.arange(flat_w.size))
+    for _ in range(60):
+        wl, xl = flat_w[live], flat_x[live]
+        ew = np.exp(wl)
+        r = wl * ew - xl
+        w1 = wl + 1.0
+        dw = r / (ew * w1 - (wl + 2.0) * r / (2.0 * w1))
+        wl = wl - dw
+        flat_w[live] = wl
+        live = live[np.abs(dw) > 1e-16 * (1.0 + np.abs(wl))]
+        if live.size == 0:
+            break
+    ew = np.exp(w)
+    r = w * ew - x
+    if not negative:
+        return w - r / (ew * (w + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p2 <= 0.0, -1.0,
+                        np.where(w > -1.0, w - r / (ew * (w + 1.0)), w))

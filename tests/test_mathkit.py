@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import resolve_rate_ties_walk
+from oracles import lambert_w0_array_halley60, resolve_rate_ties_walk
 
 from uavsec import mathkit
 from uavsec.mathkit import (
@@ -98,6 +98,52 @@ class TestLambertW:
             mathkit.lambert_w0_array(np.array([1.0, bad, 2.0]))
         with pytest.raises(ValueError):
             lambert_w0(bad)
+
+
+# Inputs on which the 60-step Halley loop never met its stopping rule
+# (found among log-uniform x in [e^-5, e^60] and uniform x in [-1/e, 0]).
+STUCK_LAMBERT_X = np.array([
+    163487653.10105428, 2818192832352561.5, 5004686487251247.0,
+    3040352051489037.5, 5415941130752252.0, 220059964.69184393,
+    -0.33680184382168243, -0.2941329692838088, -0.35225899816321704,
+    -0.3076743900007719, -0.36141971949509855, -0.2882379869755895])
+
+
+class TestLambertWEarlyStop:
+    """The Halley loop stops an element whose iterate equals the one two
+    steps back, keeping the member of the cycle step 60 would hold."""
+
+    def test_matches_60_step_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(2026)
+        for x in (np.concatenate([np.exp(rng.uniform(-5.0, 60.0, 200_000)),
+                                  STUCK_LAMBERT_X[:6]]),
+                  np.concatenate([rng.uniform(-1.0 / math.e, 0.0, 50_000),
+                                  -1.0 / math.e + 10 ** rng.uniform(
+                                      -16.0, -1.0, 10_000),
+                                  np.exp(rng.uniform(-40.0, 60.0, 10_000)),
+                                  [-1.0 / math.e, 0.0], STUCK_LAMBERT_X])):
+            assert np.array_equal(mathkit.lambert_w0_array(x),
+                                  lambert_w0_array_halley60(x))
+
+    def test_stuck_inputs_stop_within_a_few_steps(self, monkeypatch):
+        # one np.exp per Halley step, and one for the final polish
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(a):
+                calls.append(1)
+                return np.exp(a)
+
+        monkeypatch.setattr(mathkit, "np", CountingNumpy())
+        for x in (STUCK_LAMBERT_X[:6], STUCK_LAMBERT_X[6:]):
+            calls.clear()
+            w = mathkit.lambert_w0_array(x)
+            assert len(calls) - 1 <= 8
+            assert np.array_equal(w, lambert_w0_array_halley60(x))
 
 
 class TestHypoexpCdf:

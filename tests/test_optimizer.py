@@ -1,15 +1,16 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import pso_at, solve_re_bisect
 from scipy.special import lambertw
 
 from uavsec import analytic, optimizer
-from uavsec.model import GuardZone, NetworkParams
+from uavsec.model import GuardZone, NetworkParams, beta
 from uavsec.optimizer import (
     RE_CEILING,
     RE_FLOOR,
@@ -527,12 +528,16 @@ class TestBlockSearchOracle:
         assert infeasible_grids > 0
 
     def test_reports_do_not_depend_on_block_size(self, monkeypatch):
+        # how many Newton cells the bound retires depends on the floor each
+        # block starts from (their sum does not: TestPruning)
         runs = {}
         for block in (1, 7, 1024, 4096):
             monkeypatch.setattr(optimizer, "_BLOCK_CELLS", block)
-            runs[block] = [(outcome(optimize_zone, p, eps, h_grid, d_grid),
-                            outcome(optimize_no_zone, p, eps, h_grid))
-                           for p, eps, h_grid, d_grid in oracle_configs()]
+            runs[block] = [
+                (without_counters(outcome(optimize_zone, p, eps, h_grid,
+                                          d_grid)),
+                 without_counters(outcome(optimize_no_zone, p, eps, h_grid)))
+                for p, eps, h_grid, d_grid in oracle_configs()]
         assert runs[1] == runs[7] == runs[1024] == runs[4096]
 
     def test_cells_do_not_depend_on_their_block(self):
@@ -676,3 +681,141 @@ class TestBlockSearchOracle:
             optimize_zone(params(), 0.01, d_grid=[0.0, -1.0])
         with pytest.raises(ValueError):
             optimize_zone(params(), 0.01, d_grid=[0.0, math.nan])
+
+
+def exhaustive_search(p, eps, h_grid, d_grid=None):
+    """The search without pruning: every cell's rate gap from
+    `_solve_re_cells`, its rt*, pc and capacity by the capacity formula,
+    and the first maximum in altitude-major order kept; d_grid None is the
+    no-zone search. Returns the report `_search` builds, without the
+    Newton counters, or the outage of the InfeasibleError it raises."""
+    h_grid = np.sort(np.asarray(h_grid, dtype=float))
+    zoned = d_grid is not None
+    d_grid = np.sort(np.asarray(d_grid, dtype=float)) if zoned else np.zeros(1)
+    h = np.repeat(h_grid, d_grid.size)
+    d = np.tile(d_grid, h_grid.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        re, achieved = optimizer._solve_re_cells(p, eps, h, d)
+        ok = ~np.isnan(re)
+        if not ok.any():
+            return float(achieved.min())
+        rt, pc = np.full(h.shape, np.nan), np.full(h.shape, np.nan)
+        rt[ok] = optimizer._rt_cells(p, re[ok], h[ok])
+        pc[ok] = analytic._pc_cells(p, beta(rt[ok]), h[ok])
+        density = p.lambda_u * np.exp(-math.pi * p.lambda_e * d ** 2)
+        cs = np.where(ok, (rt - re) * pc * density, -np.inf)
+    i = int(np.argmax(cs))
+    best = p.with_altitude(float(h[i]))
+    zone = GuardZone(float(d[i])) if zoned else None
+    pso = analytic.pso_zone_approx(best, beta(float(re[i])), zone)
+    if not cs[i] > 0.0:
+        return pso
+    diagnostics = {"h_grid_size": h_grid.size}
+    if zoned:
+        diagnostics["d_grid_size"] = d_grid.size
+    diagnostics["infeasible_cells"] = int(np.count_nonzero(~ok))
+    ratio = analytic.pc_simplified(best, float(rt[i])) / float(pc[i])
+    diagnostics["surrogate_pc_ratio"] = ratio if math.isfinite(ratio) else None
+    diagnostics["constraint_active"] = float(re[i]) > RE_FLOOR
+    return OptimumReport(rt=float(rt[i]), rs=float(rt[i]) - float(re[i]),
+                         re=float(re[i]), h=best.h, cs=float(cs[i]), pso=pso,
+                         d=zone.d if zoned else None, diagnostics=diagnostics)
+
+
+def without_counters(rep):
+    """A search outcome with the Newton counters taken out of its
+    diagnostics."""
+    if isinstance(rep, float):
+        return rep
+    diag = {k: v for k, v in rep.diagnostics.items()
+            if k not in ("newton_cells", "retired_cells")}
+    return dataclasses.replace(rep, diagnostics=diag)
+
+
+def bracketed_cells(p, eps, h_grid, d_grid):
+    """How many cells of the grid `_bracket_cells` sends to Newton."""
+    h = np.repeat(h_grid, d_grid.size)
+    d = np.tile(d_grid, h_grid.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        newton = optimizer._bracket_cells(p, eps, h, d)[2]
+    return 0 if newton is None else newton[0].size
+
+
+class TestPruning:
+    """The bound-and-prune search against the exhaustive first maximum."""
+
+    def test_reports_match_exhaustive_argmax_property(self, monkeypatch):
+        seen = {"retired": 0, "infeasible_cells": 0, "infeasible_grid": 0,
+                "no_eavesdroppers": 0, "d_equals_h": 0}
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.one_of(st.floats(-4.0, -2.0), st.floats(-9.0, -7.0),
+                         st.floats(-13.5, -12.5)),
+               st.one_of(st.just(-math.inf), st.floats(-4.0, -2.0)),
+               st.one_of(st.just(math.pi / 4.0), st.floats(0.4, 1.2)),
+               st.floats(-3.0, math.log10(0.2)),
+               st.lists(st.floats(10.0, 50.0), min_size=1, max_size=6),
+               st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+        # one example per case the counters below must see
+        @example(-3.0, -3.0, math.pi / 4.0, -2.0, [10.0, 20.0, 40.0],
+                 [0.0, 0.1, 0.3, 0.6, 1.0])
+        @example(-13.0, -2.0, math.pi / 4.0, -3.0, [10.0, 30.0],
+                 [0.0, 0.4, 1.0])
+        @example(-3.0, -math.inf, 0.7, -2.0, [10.0, 25.0], [0.0, 1.0])
+        def check(log_lu, log_le, theta_c, log_eps, hs, ds):
+            p = NetworkParams(lambda_u=10 ** log_lu, lambda_e=10 ** log_le,
+                              theta_c=theta_c)
+            eps = 10 ** log_eps
+            h_grid = np.unique(np.round(hs))
+            # zone radii out to the slack radii, plus every d == h cell
+            d_grid = np.unique(np.concatenate([
+                np.array(ds) * 5.0 / math.sqrt(math.pi
+                                               * (p.lambda_e or 1e-3)),
+                h_grid]))
+            for grid in (d_grid, None):
+                ref = exhaustive_search(p, eps, h_grid, grid)
+                for block in (1, 7, 4096):
+                    monkeypatch.setattr(optimizer, "_BLOCK_CELLS", block)
+                    got = (outcome(optimize_zone, p, eps, h_grid, grid)
+                           if grid is not None
+                           else outcome(optimize_no_zone, p, eps, h_grid))
+                    assert repr(without_counters(got)) == repr(ref)
+                    if isinstance(got, float):
+                        seen["infeasible_grid"] += 1
+                        continue
+                    seen["retired"] += got.diagnostics["retired_cells"]
+                    seen["infeasible_cells"] += (
+                        got.diagnostics["infeasible_cells"] > 0)
+            seen["no_eavesdroppers"] += p.lambda_e == 0.0
+            seen["d_equals_h"] += theta_c == math.pi / 4.0
+
+        check()
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("block", [1, 7, optimizer._BLOCK_CELLS])
+    def test_counters_add_up_to_bracketed_cells(self, monkeypatch, block):
+        monkeypatch.setattr(optimizer, "_BLOCK_CELLS", block)
+        grids = [(p, 0.01, default_h_grid(p), default_d_grid(p))
+                 for p in fig_sweep_params()[:3]] + oracle_configs()
+        for p, eps, h_grid, d_grid in grids:
+            for rep, grid in ((outcome(optimize_zone, p, eps, h_grid, d_grid),
+                               d_grid),
+                              (outcome(optimize_no_zone, p, eps, h_grid),
+                               np.zeros(1))):
+                if isinstance(rep, float):
+                    continue
+                assert (rep.diagnostics["newton_cells"]
+                        + rep.diagnostics["retired_cells"]
+                        == bracketed_cells(p, eps, h_grid, grid))
+
+    @pytest.mark.parametrize("p", fig_sweep_params(),
+                             ids=lambda p: f"{p.lambda_u:g}-{p.lambda_e:g}")
+    def test_most_inside_k_cells_retired_on_fig_grids(self, p):
+        h_grid, d_grid = default_h_grid(p), default_d_grid(p)
+        inside_k = np.count_nonzero(
+            np.tile(d_grid, h_grid.size)
+            < np.repeat(h_grid / math.tan(p.theta_c), d_grid.size))
+        rep = optimize_zone(p, 0.01)
+        assert inside_k > 1000
+        assert rep.diagnostics["retired_cells"] >= 0.9 * inside_k
+        assert rep.diagnostics["newton_cells"] >= 1
