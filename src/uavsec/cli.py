@@ -37,8 +37,12 @@ EXIT_VALIDATION = 5
 
 _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
               "epsilon")
-_MODES = ("analyze", "simulate", "validate", "optimize")
-_METRICS = ("pc", "pso", "cs")
+# Each mode and the sweep variables it never reads: the searches choose h,
+# d, rt and re, and only they have an outage target.
+_MODES = {"analyze": ("epsilon",), "simulate": ("epsilon",),
+          "validate": ("epsilon",), "optimize": ("h", "d", "rt", "re")}
+# Each metric and the rates it needs.
+_METRICS = {"pc": ("rt",), "pso": ("re",), "cs": ("rt", "re")}
 _NETWORK_KEYS = ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
                  "eta_los", "eta_nlos", "alpha_los", "alpha_nlos")
 
@@ -153,6 +157,23 @@ class ExperimentConfig:
             raise ValueError(f"name {self.name!r} must be a plain file name")
         if not self.sweep_values:
             raise ValueError("empty sweep list")
+        if self.sweep_variable in _MODES[self.mode]:
+            raise ValueError(f"{self.mode} mode never reads "
+                             f"{self.sweep_variable}: every row would be the "
+                             f"same")
+        if self.mode != "optimize":     # the searches ignore `metrics`
+            if not self.metrics:
+                raise ValueError("no metric to compute: set [code] rt for "
+                                 "pc, re for pso, or both for cs")
+            for metric in self.metrics:
+                missing = [rate for rate in _METRICS[metric]
+                           if getattr(self, rate) is None
+                           and self.sweep_variable != rate]
+                if missing:
+                    raise ValueError(f"metric {metric} needs [code] "
+                                     f"{' and '.join(missing)}")
+            if self.mode == "simulate" and "cs" in self.metrics:
+                raise ValueError("simulate mode has no cs estimate")
         sim = SimConfig(self.n_realizations, self.window_radius, self.seed,
                         self.model)
         for value in self.sweep_values:     # `at` checks network and zone
@@ -167,11 +188,11 @@ class ExperimentConfig:
             # the closed forms' own rules, under `_point_metrics`' conditions
             if self.mode != "simulate":
                 analytic._require_canonical_alphas(net)
-            if self.mode in ("analyze", "validate") and re is not None:
+            if self.mode in ("analyze", "validate"):
                 if "pso" in self.metrics:
                     check_threshold(beta(re), "pso_zone_approx: beta_e",
                                     positive=True)
-                if "cs" in self.metrics and rt is not None:
+                if "cs" in self.metrics:
                     check_threshold(rt - re, "stc: rs")
 
     @classmethod
@@ -211,9 +232,10 @@ class ExperimentConfig:
                   for section, table in _FIELDS.items()
                   for key, (name, parse) in table.items()
                   if cp.has_option(section, key)}
-        if not fields.get("metrics"):
-            fields["metrics"] = ("pc",) if network.lambda_e == 0 \
-                or fields.get("re") is None else ("pc", "pso")
+        if not fields.get("metrics"):     # the metrics the rates allow
+            fields["metrics"] = tuple(
+                metric for metric, rate in (("pc", "rt"), ("pso", "re"))
+                if rate in fields or fields["sweep_variable"] == rate)
         fields.setdefault("mode", "analyze")
         fields["name"] = fields.get("name") or default_name
         return cls(network=network, **fields)
@@ -254,11 +276,11 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
     out: dict[str, float] = {}
 
     if cfg.mode in ("analyze", "validate"):
-        if "pc" in cfg.metrics and rt is not None:
+        if "pc" in cfg.metrics:
             out["pc_approx"] = analytic.pc_approx(net, beta(rt))
-        if "pso" in cfg.metrics and re is not None:
+        if "pso" in cfg.metrics:
             out["pso_approx"] = analytic.pso_zone_approx(net, beta(re), zone)
-        if "cs" in cfg.metrics and rt is not None and re is not None:
+        if "cs" in cfg.metrics:
             p_c = out["pc_approx"] if "pc_approx" in out \
                 else analytic.pc_approx(net, beta(rt))
             density = analytic.effective_density(net.lambda_u, net.lambda_e,
@@ -273,7 +295,7 @@ def _point_metrics(cfg: ExperimentConfig, value: float) -> dict:
         sim = SimConfig(cfg.n_realizations, cfg.window_radius, cfg.seed,
                         model)
         for metric, rate in (("pc", rt), ("pso", re)):
-            if metric in names and metric in cfg.metrics and rate is not None:
+            if metric in names and metric in cfg.metrics:
                 est = (sim_connection(net, beta(rate), sim) if metric == "pc"
                        else sim_outage(net, beta(rate), zone, sim))
                 out[f"{metric}_mc{suffix}"] = est.value

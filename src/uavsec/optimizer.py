@@ -15,15 +15,13 @@ probability and capacity are reported as the screen computed them; only
 the reported outage is evaluated afterwards, by the scalar closed form.
 The screen is the only rate-gap solver (`solve_re` is a one-cell screen):
 a zone covering the LoS disk leaves only the NLoS tail, whose outage
-equation inverts through Lambert W (`re_closed_zone`, one cell of it).
-Other cells read only the convex log-outage G(q), q = lambda_u pi^2
-sqrt(beta_e) / 2: its sign at the bracket ends RE_FLOOR and 2 * RE_CEILING
-marks slack and unreachable cells, and the rest run a safeguarded Newton
-on G from that tail-only root, which lies at or below the true one. The
-codeword rate has one formula, `_rt_cells`; `rt_star`, `rs_star` and
-`large_zone_limit` are one-cell calls of it. Every cell's numbers are
-computed elementwise, so they do not depend on which block the cell falls
-in.
+equation inverts through Lambert W (`_tail_root`). Other cells read only
+the convex log-outage G(q), q = lambda_u pi^2 sqrt(beta_e) / 2: its sign
+at the bracket ends RE_FLOOR and 2 * RE_CEILING marks slack and
+unreachable cells, and the rest run a safeguarded Newton on G from that
+tail-only root, which lies at or below the true one. The codeword rate
+has one formula, `_rt_cells`. Every cell's numbers are computed
+elementwise, so they do not depend on which block the cell falls in.
 
 The search is bound-and-prune. Its floor is the best capacity some cell
 has attained: in earlier blocks, and in this block's cells that need no
@@ -45,8 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, mathkit
-from .model import (GuardZone, NetworkParams, beta, check_threshold,
-                    los_radius, q1)
+from .model import GuardZone, NetworkParams, beta, los_radius, q1
 
 __all__ = [
     "InfeasibleError",
@@ -54,10 +51,6 @@ __all__ = [
     "RE_FLOOR",
     "RE_CEILING",
     "solve_re",
-    "re_closed_zone",
-    "rt_star",
-    "rs_star",
-    "large_zone_limit",
     "default_h_grid",
     "default_d_grid",
     "optimize_no_zone",
@@ -147,26 +140,6 @@ def _tail_root(params: NetworkParams, epsilon: float, h, s):
     return w / s
 
 
-def re_closed_zone(params: NetworkParams, epsilon: float,
-                   zone: GuardZone) -> float:
-    """Closed-form rate gap for a guard zone covering the LoS disk (d >= K):
-    only the NLoS tail beyond d contributes, which inverts through the
-    Lambert W function. One cell of `_tail_root`, the root the screen
-    takes for such cells."""
-    check_epsilon(epsilon)
-    if zone.d < params.los_radius * (1.0 - 1e-12):
-        raise ValueError("re_closed_zone requires d >= the LoS radius")
-    if params.lambda_e == 0.0:
-        return RE_FLOOR
-    h = np.array([params.h])
-    with np.errstate(over="ignore"):
-        re = float(_re_of_q(params, _tail_root(params, epsilon, h,
-                                               h ** 2 + zone.d ** 2))[0])
-    if not math.isfinite(re):
-        raise InfeasibleError("closed-form rate gap undefined", float("nan"))
-    return max(re, RE_FLOOR)
-
-
 def _rt_cells(params: NetworkParams, re, h):
     """Codeword rate maximizing the surrogate objective
     (rt - re) * Pbar_c(rt) per cell of rate gap re and altitude h:
@@ -177,29 +150,6 @@ def _rt_cells(params: NetworkParams, re, h):
     z = (math.sqrt(params.eta_los / params.eta_nlos) * 2.0 ** (1.0 - re / 2.0)
          / (math.pi ** 2 * params.lambda_u * h))
     return re + (2.0 / _LN2) * mathkit.lambert_w0_array(z)
-
-
-def rt_star(params: NetworkParams, re_star: float) -> float:
-    """`_rt_cells` at one cell (altitude params.h), so it equals the
-    codeword rate the searches report for that cell."""
-    check_threshold(re_star, "rt_star: re_star")
-    return float(_rt_cells(params, np.array([re_star], dtype=float),
-                           np.array([params.h]))[0])
-
-
-def rs_star(params: NetworkParams, re_star: float) -> float:
-    """Secrecy rate at the optimum: rt* - re*, the subtraction by which the
-    searches report rs."""
-    check_threshold(re_star, "rs_star: re_star")
-    return rt_star(params, re_star) - re_star
-
-
-def large_zone_limit(params: NetworkParams) -> tuple[float, float]:
-    """Limiting rates for an unboundedly large guard zone (rate gap -> 0):
-    rt = rs = `rs_star` at re* = 0, independent of the eavesdropper density
-    and the zone radius."""
-    r = rs_star(params, 0.0)
-    return r, r
 
 
 def default_h_grid(params: NetworkParams) -> np.ndarray:
@@ -265,9 +215,8 @@ def _newton_q(params: NetworkParams, g, q, lo, hi, retire=None):
     monotone a cell's final rate gap is at least `_re_of_q(lo)` for any lo
     it held, whatever g's rounding. After each step's bracket update
     `retire(lo, j)`, if given, flags cells to drop; their rate gaps are
-    NaN. Returns the rate gaps and the steps each cell took."""
+    NaN. Returns the rate gaps."""
     re = _re_of_q(params, q)
-    steps = np.zeros(q.shape, dtype=int)
     last = hi - lo
     j = np.arange(q.size)
     for _ in range(_NEWTON_CAP):
@@ -284,12 +233,11 @@ def _newton_q(params: NetworkParams, g, q, lo, hi, retire=None):
         new = np.where(fast, newton, np.sqrt(lo[j] * hi[j]))
         last[j] = np.abs(new - q[j])
         q[j] = new
-        steps[j] += 1
         prev, re[j] = re[j], _re_of_q(params, new)
         j = j[np.abs(re[j] - prev) > _NEWTON_TOL]
         if j.size == 0:
             break
-    return re, steps
+    return re
 
 
 def _bracket_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
@@ -301,8 +249,8 @@ def _bracket_cells(params: NetworkParams, epsilon: float, h: np.ndarray,
     elsewhere), and the Newton cells as (cells, log-outage G, starts, lo,
     hi), or None.
 
-    Cells with d >= K take the Lambert-W root of `re_closed_zone`, floored
-    at RE_FLOOR. The rest, and those whose root overflows or passes the
+    Cells with d >= K take the Lambert-W root (`_tail_root`), floored at
+    RE_FLOOR. The rest, and those whose root overflows or passes the
     bracket [q(RE_FLOOR), q(2 * RE_CEILING)], read the log-outage G
     (`analytic._log_outage_cells`) at its ends: slack where G <= 0 at the
     floor, unreachable where G > 0 at the ceiling, else a Newton cell,
@@ -386,7 +334,7 @@ def _screen(params: NetworkParams, epsilon: float, h: np.ndarray,
             rs_hi = rt_lo - re_lo + _RS_PAD * (rt_lo + 2.0 * RE_CEILING)
             return rs_hi * pc_lo * density[c] < level
 
-    re[i], _ = _newton_q(params, g, q, lo, hi, retire)
+    re[i] = _newton_q(params, g, q, lo, hi, retire)
     solved = i[~np.isnan(re[i])]
     solve(solved)
     return re, rt, pc, cs, achieved, solved.size, i.size - solved.size

@@ -29,7 +29,9 @@ them: `analytic._disk_rows` must give the same values bit for bit.
 
 For the optimizer: `solve_re_bisect`, the scalar rate-gap solver the
 optimizer used before its array screen became its only solver, kept
-verbatim (slack test, one bracket expansion, bisection to 1e-12).
+verbatim (slack test, one bracket expansion, bisection to 1e-12); and
+`rt_star_scipy`, the codeword rate at one altitude and rate gap through
+scipy's Lambert W, not the library's.
 
 For Lambert W: `lambert_w0_array_halley60`, `mathkit.lambert_w0_array`
 as it was before it learned to stop the elements whose Halley iterates
@@ -46,6 +48,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import lambertw
 
 from uavsec import mathkit
 from uavsec.analytic import _GL7_W, _GL7_X
@@ -355,6 +358,15 @@ def solve_re_bisect(params, epsilon, zone=None):
                 f"outage target {epsilon:g} unreachable: minimum outage "
                 f"{achieved:g} at re = {hi:g} bps/Hz", achieved)
     return mathkit.bisect_root(f, RE_FLOOR, hi, 1e-12)
+
+
+def rt_star_scipy(p, re):
+    """The codeword rate rt* = re + (2/ln 2) W0(z), z = sqrt(eta_L/eta_N)
+    2^(1 - re/2) / (pi^2 lambda_u H), with scipy's Lambert W. At re = 0 it
+    is the large-zone limit rt = rs."""
+    z = (math.sqrt(p.eta_los / p.eta_nlos) * 2.0 ** (1.0 - re / 2.0)
+         / (math.pi ** 2 * p.lambda_u * p.h))
+    return re + (2.0 / math.log(2.0)) * float(lambertw(z).real)
 
 
 _TIE_REL_TOL = mathkit._TIE_REL_TOL

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import estimates_agree, pc_radial, pso_radial, solve_re_bisect
+from oracles import (estimates_agree, pc_radial, pso_radial, rt_star_scipy,
+                     solve_re_bisect)
 
 from uavsec import analytic, optimizer
 from uavsec.analytic import (
@@ -168,7 +169,7 @@ def test_criterion_07_optimizer_correctness():
         p = NetworkParams(lambda_u=10 ** rng.uniform(-4, -2), lambda_e=1e-3,
                           h=rng.uniform(10.0, 50.0))
         re = rng.uniform(0.0, 6.0)
-        rt = optimizer.rt_star(p, re)
+        rt = optimizer._rt_cells(p, np.array([re]), np.array([p.h]))[0]
         grid = re + np.arange(0.0, 30.0, 1e-3)
         surrogate = (grid - re) * np.exp(
             -(math.pi / 2) * p.lambda_u * p.h
@@ -184,7 +185,7 @@ def test_criterion_07_optimizer_correctness():
                           theta_c=rng.uniform(0.4, 1.2))
         zone = GuardZone(p.los_radius * rng.uniform(1.0, 4.0))
         eps = 10 ** rng.uniform(-3, -0.7)
-        worst_re = max(worst_re, abs(optimizer.re_closed_zone(p, eps, zone)
+        worst_re = max(worst_re, abs(optimizer.solve_re(p, eps, zone)
                                      - solve_re_bisect(p, eps, zone)))
 
     worst_eq = 0.0
@@ -246,10 +247,11 @@ def test_criterion_09_large_zone_limit():
     p = fig_params()
     d_max = optimizer.default_d_grid(p)[-1]
     ds = np.arange(0.0, d_max + 0.5, 1.0)
-    res = [optimizer.solve_re(p, 0.01, GuardZone(float(d))) for d in ds]
-    rts = np.array([optimizer.rt_star(p, re) for re in res])
-    rss = np.array([optimizer.rs_star(p, re) for re in res])
-    lim = optimizer.large_zone_limit(p)[0]
+    res = np.array([optimizer.solve_re(p, 0.01, GuardZone(float(d)))
+                    for d in ds])
+    rts = optimizer._rt_cells(p, res, np.full(res.size, p.h))
+    rss = rts - res
+    lim = rt_star_scipy(p, 0.0)     # rt = rs at zero rate gap
 
     rs_mono = bool(np.all(np.diff(rss) >= -1e-12))
     # valley-unimodal: nonincreasing then nondecreasing (either phase may be
@@ -267,9 +269,9 @@ def test_criterion_09_large_zone_limit():
         analytic.effective_density(p.lambda_u, p.lambda_e,
                                    GuardZone(float(ds[-1]))))
     re_big = optimizer.solve_re(p, 0.01, GuardZone(250.0))
-    big_ok = (re_big < 1e-3
-              and abs(optimizer.rt_star(p, re_big) - lim) < 1e-2
-              and abs(optimizer.rs_star(p, re_big) - lim) < 1e-2)
+    rt_big = optimizer._rt_cells(p, np.array([re_big]), np.array([p.h]))[0]
+    big_ok = (re_big < 1e-3 and abs(rt_big - lim) < 1e-2
+              and abs(rt_big - re_big - lim) < 1e-2)
     report(9, "large-zone limit (monotone rates, 1e-2 rel convergence, "
               "vanishing capacity)",
            rs_mono and unimodal and rel_rt <= 1e-2 and rel_rs <= 1e-2

@@ -369,8 +369,6 @@ EVALUATORS = {
     "stc": ("rs", lambda b: stc(b, 0.5, 1e-3)),
     "effective_density": ("lambda_e", lambda b: effective_density(
         1e-3, b, GuardZone(5.0))),
-    "rt_star": ("re_star", lambda b: optimizer.rt_star(params(), b)),
-    "rs_star": ("re_star", lambda b: optimizer.rs_star(params(), b)),
 }
 
 

@@ -43,6 +43,16 @@ n_realizations = 500
 seed = 1
 """
 
+
+def in_mode(text, mode):
+    """A TINY_CFG-based config in `mode`; simulate has no cs estimate, so
+    there it asks for pc and pso only."""
+    text = text.replace("mode = analyze", f"mode = {mode}")
+    if mode == "simulate":
+        text = text.replace("metrics = pc, pso, cs", "metrics = pc, pso")
+    return text
+
+
 REPO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -68,8 +78,11 @@ class TestConfigParsing:
         ("re", 2.5), ("epsilon", 0.05)])
     def test_point_sets_the_swept_variable(self, variable, value):
         base = ExperimentConfig.from_text(TINY_CFG)
+        # only optimize reads epsilon
+        mode = "optimize" if variable == "epsilon" else base.mode
         net, rt, re, zone, eps = replace(
-            base, sweep_variable=variable, sweep_values=(value,)).at(value)
+            base, mode=mode, sweep_variable=variable,
+            sweep_values=(value,)).at(value)
         got = {"h": net.h, "d": zone.d if zone is not None else None,
                "rt": rt, "re": re, "epsilon": eps}
         want = {"h": 10.0, "d": None, "rt": 5.0, "re": 1.0, "epsilon": 0.01}
@@ -186,7 +199,7 @@ class TestRun:
             (tmp_path / "b" / "tiny.csv").read_bytes()
 
     def test_simulate_mode(self, tmp_path):
-        text = TINY_CFG.replace("mode = analyze", "mode = simulate")
+        text = in_mode(TINY_CFG, "simulate")
         cfg_path = tmp_path / "sim.cfg"
         cfg_path.write_text(text)
         assert cli.run(str(cfg_path), str(tmp_path)) == EXIT_OK
@@ -291,8 +304,7 @@ class TestRun:
                                                    old, new):
         for mode in ("analyze", "simulate", "optimize"):
             cfg_path = tmp_path / "bad.cfg"
-            cfg_path.write_text(TINY_CFG.replace(old, new).replace(
-                "mode = analyze", f"mode = {mode}"))
+            cfg_path.write_text(in_mode(TINY_CFG.replace(old, new), mode))
             assert cli.run(str(cfg_path), str(tmp_path / "out")) == \
                 EXIT_CONFIG
             assert not (tmp_path / "out").exists()
@@ -310,17 +322,22 @@ class TestRun:
             "variable = h\nvalues = 10, 20, 40").replace(
             "seed = 1", "seed = 1\nwindow_radius = 30")
         cfg_path = tmp_path / "window.cfg"
-        cfg_path.write_text(text.replace("mode = analyze", f"mode = {mode}"))
+        cfg_path.write_text(in_mode(text, mode))
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
         out, err = capsys.readouterr()
         assert "tiny:" not in out        # no sweep point was computed
         assert ("window_radius = 30 must exceed the LoS radius 40 m at "
                 "h = 40 m") in err
-        # the modes that do not simulate ignore the window
-        for other in ("analyze", "optimize"):
-            ExperimentConfig.from_text(text.replace(
-                "mode = analyze", f"mode = {other}"))
+        # the modes that do not simulate ignore the window: analyze, and
+        # optimize (which never reads h) over theta_c, where K = 49 m at
+        # theta_c = 0.2
+        ExperimentConfig.from_text(text)
+        text = text.replace("variable = h\nvalues = 10, 20, 40",
+                            "variable = theta_c\nvalues = 0.785, 0.2")
+        with pytest.raises(ValueError, match="LoS radius 49.3315 m"):
+            ExperimentConfig.from_text(in_mode(text, mode))
+        ExperimentConfig.from_text(in_mode(text, "optimize"))
 
     # each closed form's domain (the cs case breaks it only at the second
     # sweep point); validate computes the same closed forms, and optimize
@@ -346,8 +363,7 @@ class TestRun:
         assert text != TINY_CFG
         for mode in modes:
             cfg_path = tmp_path / "domain.cfg"
-            cfg_path.write_text(text.replace("mode = analyze",
-                                             f"mode = {mode}"))
+            cfg_path.write_text(in_mode(text, mode))
             assert cli.run(str(cfg_path), str(tmp_path / "out")) == \
                 EXIT_CONFIG
             assert not (tmp_path / "out").exists()
@@ -355,8 +371,7 @@ class TestRun:
             assert "tiny:" not in out        # no sweep point was computed
             assert rule in err
         if "alpha_los" in new:               # the simulators take any exponent
-            ExperimentConfig.from_text(text.replace("mode = analyze",
-                                                    "mode = simulate"))
+            ExperimentConfig.from_text(in_mode(text, "simulate"))
 
     def test_altitude_outside_the_optimizer_range_writes_csv(self, tmp_path):
         cfg_path = tmp_path / "high.cfg"
@@ -376,11 +391,81 @@ class TestRun:
     def test_out_of_range_rate_exits_without_csv(self, tmp_path, capsys, old,
                                                  new, mode):
         cfg_path = tmp_path / "rate.cfg"
-        cfg_path.write_text(TINY_CFG.replace(old, new).replace(
-            "mode = analyze", f"mode = {mode}"))
+        cfg_path.write_text(in_mode(TINY_CFG.replace(old, new), mode))
         assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out" / "tiny.csv").exists()
         assert "tiny:" not in capsys.readouterr().out
+
+    # a sweep over a variable the mode never reads: every row would be the
+    # same (the searches choose h, d, rt and re; only they read epsilon)
+    @pytest.mark.parametrize("mode, variable, values", [
+        ("analyze", "epsilon", "0.01, 0.05"),
+        ("simulate", "epsilon", "0.01, 0.05"),
+        ("validate", "epsilon", "0.01, 0.05"),
+        ("optimize", "rt", "3, 5, 7"),
+        ("optimize", "re", "1, 2"),
+        ("optimize", "h", "10, 20"),
+        ("optimize", "d", "5, 10"),
+    ], ids=["analyze", "simulate", "validate", "optimize-rt", "optimize-re",
+            "optimize-h", "optimize-d"])
+    def test_sweep_the_mode_never_reads_exits_without_csv(
+            self, tmp_path, capsys, mode, variable, values):
+        cfg_path = tmp_path / "unread.cfg"
+        cfg_path.write_text(in_mode(TINY_CFG.replace(
+            "variable = lambda_e\nvalues = 1e-4, 1e-3",
+            f"variable = {variable}\nvalues = {values}"), mode))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == (
+            f"error: {mode} mode never reads {variable}: every row would be "
+            f"the same\n")
+
+    # pc needs rt, pso needs re, cs needs both and is never simulated
+    @pytest.mark.parametrize("mode, metrics, rates, message", [
+        ("simulate", "metrics = cs\n", "rt = 5\nre = 1\n",
+         "simulate mode has no cs estimate"),
+        ("analyze", "metrics = pso\n", "rt = 5\n",
+         "metric pso needs [code] re"),
+        ("validate", "metrics = pc\n", "re = 1\n",
+         "metric pc needs [code] rt"),
+        ("validate", "metrics = cs\n", "", "metric cs needs [code] rt and re"),
+        ("analyze", "", "",
+         "no metric to compute: set [code] rt for pc, re for pso, or both "
+         "for cs"),
+    ], ids=["simulate-cs", "analyze-pso-no-re", "validate-pc-no-rt",
+            "validate-cs-no-rates", "analyze-no-rates"])
+    def test_metric_the_mode_cannot_compute_exits_without_csv(
+            self, tmp_path, capsys, mode, metrics, rates, message):
+        cfg_path = tmp_path / "metric.cfg"
+        cfg_path.write_text(in_mode(TINY_CFG.replace(
+            "metrics = pc, pso, cs\n", metrics).replace(
+            "rt = 5\nre = 1\n", rates), mode))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rates, sweep, metrics", [
+        ("rt = 5\nre = 1\n", "lambda_e", ("pc", "pso")),
+        ("rt = 5\n", "lambda_e", ("pc",)),
+        ("re = 1\n", "lambda_e", ("pso",)),
+        ("rt = 5\n", "re", ("pc", "pso")),
+        ("", "rt", ("pc",)),
+    ], ids=["both", "rt", "re", "rt-re-swept", "rt-swept"])
+    def test_default_metrics_are_what_the_rates_allow(self, rates, sweep,
+                                                      metrics):
+        text = TINY_CFG.replace("metrics = pc, pso, cs\n", "").replace(
+            "rt = 5\nre = 1\n", rates).replace(
+            "variable = lambda_e\nvalues = 1e-4, 1e-3",
+            f"variable = {sweep}\nvalues = 2, 3")
+        assert ExperimentConfig.from_text(text).metrics == metrics
+
+    def test_optimize_ignores_metrics(self):
+        # so it needs neither rate
+        text = TINY_CFG.replace("mode = analyze", "mode = optimize").replace(
+            "rt = 5\nre = 1\n", "")
+        assert ExperimentConfig.from_text(text).metrics == ("pc", "pso", "cs")
+        assert ExperimentConfig.from_text(text.replace(
+            "metrics = pc, pso, cs\n", "")).metrics == ()
 
     def test_saturated_outage_writes_csv(self, tmp_path):
         # pi lambda_u H^2 = 711.5 is past exp's float range in the outage

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import pso_at, solve_re_bisect
-from scipy.special import lambertw
+from oracles import pso_at, rt_star_scipy, solve_re_bisect
 
 from uavsec import analytic, optimizer
 from uavsec.model import GuardZone, NetworkParams, beta
@@ -16,14 +15,10 @@ from uavsec.optimizer import (
     RE_FLOOR,
     InfeasibleError,
     OptimumReport,
-    large_zone_limit,
     default_d_grid,
     default_h_grid,
     optimize_no_zone,
     optimize_zone,
-    re_closed_zone,
-    rs_star,
-    rt_star,
     solve_re,
 )
 
@@ -46,14 +41,6 @@ def random_zone_config(rng):
 
 def surrogate_objective(p, rt, re):
     return (rt - re) * analytic.pc_simplified(p, rt)
-
-
-def rt_star_scipy(p, re):
-    """The codeword rate rt* = re + (2/ln 2) W0(z), z = sqrt(eta_L/eta_N)
-    2^(1 - re/2) / (pi^2 lambda_u H), with scipy's Lambert W."""
-    z = (math.sqrt(p.eta_los / p.eta_nlos) * 2.0 ** (1.0 - re / 2.0)
-         / (math.pi ** 2 * p.lambda_u * p.h))
-    return re + (2.0 / math.log(2.0)) * float(lambertw(z).real)
 
 
 def oracle_search(p, eps, h_grid, d_grid=None):
@@ -157,13 +144,14 @@ def assert_reports_equal(got, ref):
 
 
 def assert_gap_is_solve_re(rep, p, eps):
-    """The reported rates are `solve_re`'s, `rt_star`'s and `rs_star`'s at
-    the winning cell."""
+    """The reported rate gap is `solve_re`'s at the winning cell, the
+    codeword rate is `_rt_cells`' at that gap and altitude, and the secrecy
+    rate is their difference."""
     zone = GuardZone(rep.d) if rep.d is not None else None
-    best = p.with_altitude(rep.h)
-    assert rep.re == solve_re(best, eps, zone)
-    assert rep.rt == rt_star(best, rep.re)
-    assert rep.rs == rs_star(best, rep.re)
+    assert rep.re == solve_re(p.with_altitude(rep.h), eps, zone)
+    assert rep.rt == optimizer._rt_cells(p, np.array([rep.re]),
+                                         np.array([rep.h]))[0]
+    assert rep.rs == rep.rt - rep.re
 
 
 class TestSolveRe:
@@ -211,7 +199,7 @@ class TestSolveRe:
             with pytest.raises(ValueError):
                 optimize_zone(params(), eps)
             with pytest.raises(ValueError, match="epsilon"):
-                re_closed_zone(params(), eps, GuardZone(20.0))
+                solve_re(params(), eps, GuardZone(20.0))
 
     def test_unreachable_target_is_infeasible(self):
         # At lambda_u = 1e-13 the interference is too weak: even at the
@@ -259,30 +247,24 @@ class TestClosedFormZoneGap:
         rng = np.random.default_rng(21)
         for _ in range(20):
             p, zone, eps = random_zone_config(rng)
-            closed = re_closed_zone(p, eps, zone)
             root = solve_re_bisect(p, eps, zone)
-            assert abs(closed - root) <= 1e-6
-            assert closed == solve_re(p, eps, zone)
+            assert abs(solve_re(p, eps, zone) - root) <= 1e-6
 
     def test_relaxed_target_drives_gap_to_zero(self):
         # the W argument shrinks like 1/ln(1/(1-eps)), so the gap drains
         # toward zero as the outage target relaxes
         p = params()
         zone = GuardZone(30.0)
-        res = [re_closed_zone(p, eps, zone)
+        res = [solve_re(p, eps, zone)
                for eps in (0.01, 0.1, 0.5, 1.0 - 1e-9)]
         assert all(b < a for a, b in zip(res, res[1:]))
         assert res[-1] < 1e-2
 
     def test_larger_zone_needs_smaller_gap(self):
         p = params()
-        res = [re_closed_zone(p, 0.01, GuardZone(d))
+        res = [solve_re(p, 0.01, GuardZone(d))
                for d in (10.0, 20.0, 40.0, 80.0)]
         assert all(b < a for a, b in zip(res, res[1:]))
-
-    def test_requires_zone_covering_los_disk(self):
-        with pytest.raises(ValueError):
-            re_closed_zone(params(), 0.01, GuardZone(5.0))
 
 
 class TestRateFormulas:
@@ -292,7 +274,7 @@ class TestRateFormulas:
             p = NetworkParams(lambda_u=10 ** rng.uniform(-4, -2),
                               lambda_e=1e-3, h=rng.uniform(10.0, 50.0))
             re = rng.uniform(0.0, 6.0)
-            rt = rt_star(p, re)
+            rt = optimizer._rt_cells(p, np.array([re]), np.array([p.h]))[0]
             grid = re + np.arange(0.0, 30.0, 1e-3)
             obj = (grid - re) * np.exp(
                 -(math.pi / 2) * p.lambda_u * p.h
@@ -302,8 +284,8 @@ class TestRateFormulas:
 
     def test_concavity_at_optimum(self):
         p = params()
-        for re in (0.0, 1.0, 4.0):
-            rt = rt_star(p, re)
+        res = np.array([0.0, 1.0, 4.0])
+        for re, rt in zip(res, optimizer._rt_cells(p, res, np.full(3, p.h))):
             h = 1e-4
             second = (surrogate_objective(p, rt + h, re)
                       - 2 * surrogate_objective(p, rt, re)
@@ -311,34 +293,64 @@ class TestRateFormulas:
             assert second <= 0.0
 
     def test_rate_identity(self):
-        p = params()
-        for re in (0.0, 0.5, 2.0, 7.0):
-            assert rt_star(p, re) - re == rs_star(p, re)
+        # the searches report rs as rt - re, exactly
+        for search in (optimize_no_zone, optimize_zone):
+            for le in (0.0, 1e-4, 1e-3, 1e-2):
+                rep = search(params(lambda_e=le), 0.01)
+                assert rep.rs == rep.rt - rep.re
 
     def test_secrecy_rate_positive(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             p = NetworkParams(lambda_u=10 ** rng.uniform(-4, -2),
                               lambda_e=1e-3, h=rng.uniform(10.0, 50.0))
-            assert rs_star(p, rng.uniform(0.0, 10.0)) > 0.0
+            re = rng.uniform(0.0, 10.0)
+            rt = optimizer._rt_cells(p, np.array([re]), np.array([p.h]))
+            assert rt[0] - re > 0.0
 
     def test_zero_gap_matches_limit(self):
+        # at re = 0 the codeword rate is the large-zone limit rt = rs
         p = params()
-        rt_lim, rs_lim = large_zone_limit(p)
-        assert rt_lim == rs_lim
-        assert rt_star(p, 0.0) == pytest.approx(rt_lim, rel=1e-14)
-        assert rs_star(p, 0.0) == pytest.approx(rs_lim, rel=1e-14)
+        rt = optimizer._rt_cells(p, np.zeros(1), np.array([p.h]))[0]
+        assert rt == pytest.approx(rt_star_scipy(p, 0.0), rel=1e-14)
 
     def test_limit_independent_of_eavesdroppers(self):
-        a = large_zone_limit(params(lambda_e=1e-4))
-        b = large_zone_limit(params(lambda_e=1e-2))
+        a, b = (optimizer._rt_cells(params(lambda_e=le), np.zeros(1),
+                                    np.array([10.0])) for le in (1e-4, 1e-2))
         assert a == b
 
     def test_secrecy_rate_grows_with_zone(self):
         p = params()
-        res = [solve_re(p, 0.01, GuardZone(d)) for d in (0.0, 10, 20, 40, 80)]
-        rss = [rs_star(p, re) for re in res]
+        res = np.array([solve_re(p, 0.01, GuardZone(d))
+                        for d in (0.0, 10, 20, 40, 80)])
+        rss = optimizer._rt_cells(p, res, np.full(res.size, p.h)) - res
         assert all(b >= a for a, b in zip(rss, rss[1:]))
+
+    def test_reported_rates_match_scipy_property(self):
+        # an oracle for the reported rates: rt is scipy's rt* at the
+        # reported altitude and rate gap, and rs = rt - re exactly
+        seen = {"no_zone": 0, "zone": 0}
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.floats(-4.0, -2.0), st.floats(-4.0, -2.0),
+               st.floats(-3.0, math.log10(0.2)), st.floats(10.0, 50.0))
+        def check(log_lu, log_le, log_eps, h):
+            p = NetworkParams(lambda_u=10 ** log_lu, lambda_e=10 ** log_le)
+            eps = 10 ** log_eps
+            for tag, rep in (
+                    ("no_zone", outcome(optimize_no_zone, p, eps, [h])),
+                    ("zone", outcome(optimize_zone, p, eps, [h]))):
+                if isinstance(rep, float):
+                    continue
+                assert rep.h == h
+                assert rep.rs == rep.rt - rep.re
+                assert rel_close(rep.rt,
+                                 rt_star_scipy(p.with_altitude(h), rep.re),
+                                 1e-12)
+                seen[tag] += 1
+
+        check()
+        assert all(seen.values()), seen
 
 
 class TestGridSearches:
@@ -355,14 +367,15 @@ class TestGridSearches:
         assert rep.re == RE_FLOOR
         # altitude maximizes the capacity directly
         p = params(lambda_e=0.0)
-        best_h = max(
-            np.arange(10.0, 50.5, 1.0),
-            key=lambda h: analytic.stc(
-                rs_star(p.with_altitude(float(h)), RE_FLOOR),
-                analytic.pc_approx(p.with_altitude(float(h)),
-                                   2 ** rt_star(p.with_altitude(float(h)),
-                                                RE_FLOOR) - 1),
-                p.lambda_u))
+
+        def capacity(h):
+            rt = rt_star_scipy(p.with_altitude(float(h)), RE_FLOOR)
+            return analytic.stc(
+                rt - RE_FLOOR,
+                analytic.pc_approx(p.with_altitude(float(h)), 2 ** rt - 1),
+                p.lambda_u)
+
+        best_h = max(np.arange(10.0, 50.5, 1.0), key=capacity)
         assert rep.h == best_h
 
     def test_grid_refinement_stability(self):
@@ -413,7 +426,8 @@ class TestGridSearches:
         p = NetworkParams(lambda_u=0.0921, lambda_e=1.1223e-3, h=49.6,
                           h_min=49.0, h_max=50.0, theta_c=0.579)
         best = p.with_altitude(49.0)
-        rt = rt_star(best, solve_re(best, 0.01))
+        rt = optimizer._rt_cells(best, np.array([solve_re(best, 0.01)]),
+                                 np.array([best.h]))[0]
         assert analytic.pc_approx(best, 2.0 ** rt - 1.0) == 0.0
         for search in (lambda: optimize_no_zone(p, 0.01),
                        lambda: optimize_zone(p, 0.01, d_grid=[0.0])):
@@ -577,12 +591,20 @@ class TestBlockSearchOracle:
             assert_gap_is_solve_re(got, p, 0.01)
 
     def test_newton_steps_on_fig_grids(self, monkeypatch):
+        # a step calls g once on each live cell, and `_solve_re_cells`
+        # retires none, so g's calls per cell are the steps it took
         steps = []
 
-        def spy(*args):
-            re, n = newton(*args)
-            steps.append(n)
-            return re, n
+        def spy(params, g, q, lo, hi, retire=None):
+            assert retire is None
+            calls = np.zeros(q.size, dtype=int)
+
+            def counted(q_j, j):
+                calls[j] += 1
+                return g(q_j, j)
+
+            steps.append(calls)
+            return newton(params, counted, q, lo, hi, retire)
 
         def solve(p, h, d):
             steps.clear()

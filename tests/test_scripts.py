@@ -1,11 +1,14 @@
-"""Load every script under scripts/, run the window audit and the fast
-figure set, and install and exercise the benchmark's tracer, so a renamed
-library name or parameter they use, or a bundled config the checks reject,
-fails here rather than in a user's run or a benchmark pass."""
+"""Load every script under scripts/, run the window audit, the fast
+figure set and the reach trace, and install and exercise the benchmark's
+tracer, so a renamed library name or parameter they use, a bundled config
+the checks reject, or library code that only tests call, fails here
+rather than in a user's run or a benchmark pass."""
 
 import glob
 import os
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +84,32 @@ def test_reproduce_figures_goes_past_a_rejected_config(monkeypatch, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: closed forms require")
     assert sorted(os.listdir(out)) == ["good.csv", "good.svg"]
+
+
+# What `scripts/reach.py` finds that no run reaches, and why each stays.
+UNREACHED = {
+    "analytic.effective_density": "only analyze-mode cs reaches it, and no "
+                                  "bundled config or workload runs that",
+    "analytic.stc": "only analyze-mode cs reaches it, as above",
+    "mathkit.AccuracyError.__init__": "an error path",
+    "mathkit.lambert_w0": "the benchmark tracer binds it (ROADMAP item 1)",
+    "mathkit.bisect_root": "the benchmark tracer binds it (ROADMAP item 1)",
+    "optimizer.InfeasibleError.__init__": "an error path",
+    "optimizer.solve_re": "the benchmark tracer binds it (ROADMAP item 1)",
+    "optimizer._solve_re_cells": "the body of `solve_re`, as above",
+}
+
+
+def test_reach_finds_no_code_that_only_tests_call():
+    # a fresh process: the trace imports the benchmark's workloads
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (os.path.join(ROOT, "src"),
+                      os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "reach.py")],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(proc.stdout.splitlines()) == sorted(UNREACHED)
 
 
 def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
