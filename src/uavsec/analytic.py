@@ -117,11 +117,12 @@ def _pso_cell(params: NetworkParams, beta_e: float, d: float) -> float:
     d = np.array([d])
     k = np.array([params.los_radius])
     with np.errstate(over="ignore", invalid="ignore"):
-        tail, disk, _ = _brace_cells(params, q1(params, beta_e), h, d, k,
-                                     h ** 2 + np.maximum(d, k) ** 2)
+        tail, disk, _ = _brace_cells(params, q1(params, beta_e), h,
+                                     h ** 2 + np.maximum(d, k) ** 2,
+                                     _annulus_cells(h, d, k))
     brace = float(tail[0] + disk[0])
     if not brace < math.inf:
-        return 1.0  # past float range (inf, or inf - inf inside D)
+        return 1.0  # past float range
     return -math.expm1(-2.0 * math.pi * params.lambda_e * brace)
 
 
@@ -175,51 +176,74 @@ _GL7_W = np.array([0.1294849661688697, 0.2797053914892766,
                    0.1294849661688697])
 
 
-def _disk_moments_cells(b, u1, u2):
+def _disk_moments_cells(b, u1, u2, width):
     """exp(b) * integral of s*exp(-s) over [u1, u2], i.e.
     (1+u1)e^(b-u1) - (1+u2)e^(b-u2), per cell, and with it the second
     moment exp(b) * integral of s^2*exp(-s) over [u1, u2] by the same split
     (the antiderivative of s^2*exp(-s) is -(2 + 2s + s^2)*exp(-s)).
-    Narrow or near-origin intervals (u2 - u1 < 0.1 or u2 < 1e-3), where the
-    direct difference loses all precision, go through fixed quadrature of
-    the smooth integrands instead. The quadrature runs on those cells only,
-    and sums each cell's nodes by itself (not by a BLAS product, whose
-    rounding depends on how many cells share the call), so a cell's values
-    do not depend on the other cells. Cells past float range
-    (b - u1 > 700) give inf for both, where the outage saturates at 1, and
-    are evaluated at b = u1 so that nothing overflows."""
-    saturated = b - u1 > 700.0
+    `width` is u2 - u1, formed by the caller without cancellation; at most
+    0 is an empty interval. Narrow or near-origin intervals (width < 0.1
+    or u2 < 1e-3), where the direct difference loses all precision, go
+    through fixed quadrature of the smooth integrands instead. The
+    quadrature runs on those cells only, and sums each cell's nodes by
+    itself (not by a BLAS product, whose rounding depends on how many cells
+    share the call), so a cell's values do not depend on the other cells.
+    Cells past float range give inf for the first moment, where the outage
+    saturates at 1, and NaN for the second, a slope no Newton step can use,
+    and are evaluated at b = u1 so that nothing overflows. The second
+    moment's terms overflow first: (2 + 2u + u^2) e^(b - u) is at most
+    2 e^(b - u + 2 log(1 + u)), so a cell saturates once
+    b - u1 + 2 log(1 + u1) passes 700 (the bound's exponent is largest at
+    u1 unless u1 < 1, and then by at most 2 log 2 - 1)."""
+    saturated = b - u1 + 2.0 * np.log1p(u1) > 700.0
     b = np.where(saturated, u1, b)
     e1, e2 = np.exp(b - u1), np.exp(b - u2)
     first = (1.0 + u1) * e1 - (1.0 + u2) * e2
     second = (2.0 + u1 * (2.0 + u1)) * e1 - (2.0 + u2 * (2.0 + u2)) * e2
-    quad = np.flatnonzero((u2 - u1 < 0.1) | (u2 < 1e-3))
-    half = 0.5 * (u2[quad] - u1[quad])
+    quad = np.flatnonzero((width < 0.1) | (u2 < 1e-3))
+    half = 0.5 * width[quad]
     s = 0.5 * (u1[quad] + u2[quad])[:, None] + half[:, None] * _GL7_X
     tilt = s * np.exp(b[quad, None] - s)
     first[quad] = half * (tilt * _GL7_W).sum(axis=1)
     second[quad] = half * (s * tilt * _GL7_W).sum(axis=1)
-    empty = u2 <= u1
-    first[saturated] = second[saturated] = np.inf
+    empty = width <= 0.0
+    first[saturated], second[saturated] = np.inf, np.nan
     return np.where(empty, 0.0, first), np.where(empty, 0.0, second)
 
 
-def _brace_cells(params: NetworkParams, q, h, d, k, s):
+# A zone radius within this relative distance of K is K: K = H / tan(theta_c)
+# carries a few roundings (one ulp above H at 45 deg), and a LoS annulus
+# that thin is rounding, not geometry.
+_AT_K = 4.0 * np.finfo(float).eps
+
+
+def _annulus_cells(h, d, k):
+    """The LoS annulus of `_brace_cells` per cell (altitude h, zone radius
+    d, LoS radius k): its ends s1 = sqrt(h^2 + d^2), s2 = sqrt(h^2 + k^2)
+    and its width s2 - s1, formed as (k - d)(k + d) / (s1 + s2), not as a
+    difference of rounded numbers, and 0 for d within `_AT_K` of k. A
+    width at most 0 (d >= k) is an empty annulus."""
+    s1, s2 = np.sqrt(h ** 2 + d * d), np.sqrt(h ** 2 + k * k)
+    return s1, s2, np.where(np.abs(k - d) <= _AT_K * k, 0.0,
+                            (k - d) * (k + d) / (s1 + s2))
+
+
+def _brace_cells(params: NetworkParams, q, h, s, annulus):
     """The outage brace T + D of `pso_zone_approx` per cell (altitude h,
-    zone radius d, LoS radius k, s = h^2 + max(d, k)^2) at q = `q1`, so
-    that P_so = 1 - exp(-2 pi lambda_e (T + D)). T = e^(b - q s) / (2q) is
-    the NLoS tail beyond sqrt(s - h^2) and D the integral over the LoS
-    annulus [s1, s2] = [sqrt(h^2 + d^2), sqrt(h^2 + k^2)] (empty for
-    d >= k) of x e^(b - c q x) dx, with b = pi lambda_u h^2 and
+    s = h^2 + max(d, k)^2 for zone radius d and LoS radius k, and the LoS
+    annulus (s1, s2, width) of `_annulus_cells`) at q = `q1`, so that
+    P_so = 1 - exp(-2 pi lambda_e (T + D)). T = e^(b - q s) / (2q) is the
+    NLoS tail beyond sqrt(s - h^2) and D the integral over the annulus
+    [s1, s2] of x e^(b - c q x) dx, with b = pi lambda_u h^2 and
     c = sqrt(eta_N/eta_L). Returns T, D and c times D's second moment (the
     same integral of x^2 e^(b - c q x)), which is -dD/dq; past float range
-    they are inf."""
+    D is inf and the moment NaN."""
     b = math.pi * params.lambda_u * h ** 2
     c = math.sqrt(params.eta_nlos / params.eta_los)
     a = c * q
     tail = np.exp(b - q * s - np.log(2.0 * q))
-    disk, disk2 = _disk_moments_cells(b, a * np.sqrt(h ** 2 + d * d),
-                                      a * np.sqrt(h ** 2 + k * k))
+    s1, s2, width = annulus
+    disk, disk2 = _disk_moments_cells(b, a * s1, a * s2, a * width)
     return tail, disk / (a * a), c * (disk2 / a ** 3)
 
 
@@ -234,8 +258,11 @@ def _log_outage_cells(params: NetworkParams, epsilon: float, h, d, k, s):
     log_rho = math.log(-math.log1p(-epsilon)
                        / (2.0 * math.pi * params.lambda_e))
 
+    s1, s2, width = _annulus_cells(h, d, k)
+
     def g(q, j):
-        tail, disk, slope = _brace_cells(params, q, h[j], d[j], k[j], s[j])
+        tail, disk, slope = _brace_cells(params, q, h[j], s[j],
+                                         (s1[j], s2[j], width[j]))
         brace = tail + disk
         return (np.log(brace) - log_rho,
                 -(tail * (s[j] + 1.0 / q) + slope) / brace)

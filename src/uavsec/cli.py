@@ -37,12 +37,17 @@ EXIT_VALIDATION = 5
 
 _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
               "epsilon")
-# Each mode and the sweep variables it never reads: the searches choose h,
-# d, rt and re, and only they have an outage target.
+# Each mode and the variables it never reads, which it may not sweep (nor,
+# for the [code] rates and [zone] d, set): the searches choose h, d, rt and
+# re, and only they have an outage target.
 _MODES = {"analyze": ("epsilon",), "simulate": ("epsilon",),
           "validate": ("epsilon",), "optimize": ("h", "d", "rt", "re")}
 # Each metric and the rates it needs.
 _METRICS = {"pc": ("rt",), "pso": ("re",), "cs": ("rt", "re")}
+# Each metric and the sweep variables it never reads: the connection
+# involves neither eavesdroppers nor the rate gap, the outage not the
+# codeword rate.
+_UNREAD = {"pc": ("lambda_e", "d", "re"), "pso": ("rt",), "cs": ()}
 _NETWORK_KEYS = ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
                  "eta_los", "eta_nlos", "alpha_los", "alpha_nlos")
 
@@ -161,6 +166,11 @@ class ExperimentConfig:
             raise ValueError(f"{self.mode} mode never reads "
                              f"{self.sweep_variable}: every row would be the "
                              f"same")
+        for key, value in (("[code] rt", self.rt), ("[code] re", self.re),
+                           ("[zone] d", self.zone_d)):
+            if value is not None and key.split()[1] in _MODES[self.mode]:
+                raise ValueError(f"{self.mode} mode never reads {key}: the "
+                                 f"searches choose it")
         if self.mode != "optimize":     # the searches ignore `metrics`
             if not self.metrics:
                 raise ValueError("no metric to compute: set [code] rt for "
@@ -174,6 +184,11 @@ class ExperimentConfig:
                                      f"{' and '.join(missing)}")
             if self.mode == "simulate" and "cs" in self.metrics:
                 raise ValueError("simulate mode has no cs estimate")
+            if all(self.sweep_variable in _UNREAD[m] for m in self.metrics):
+                raise ValueError(f"no requested metric reads "
+                                 f"{self.sweep_variable} (metrics = "
+                                 f"{', '.join(self.metrics)}): every row "
+                                 f"would be the same")
         sim = SimConfig(self.n_realizations, self.window_radius, self.seed,
                         self.model)
         for value in self.sweep_values:     # `at` checks network and zone

@@ -10,40 +10,55 @@ thresholds, config), and chunks could be evaluated concurrently without
 changing the result. The chunk is the stream partition and is frozen:
 changing `_estimate`'s chunk size changes every simulator CSV. Within a
 chunk the draw order is canonical (counts, positions, then fading), and
-fading is drawn for every link under both fading models, so runs that
-differ only in the model share their NLoS draws.
+fading is drawn alike under both fading models, so runs that differ only
+in the model share their NLoS draws.
 
-The block bounds memory: inside a chunk, `_interference` builds, fades and
-sums links a block of whole receivers at a time (at most `BLOCK_LINKS`
-links, each holding about 90 bytes of live temporaries under
-tracemalloc). The block's fades are the next draws of the chunk's
-stream, and each receiver's interference is summed in the same order
-whatever the block size, so estimates do not depend on it. A chunk is one
-`count` call, freeing its arrays before the next chunk draws (two chunks'
-arrays at once made peak RSS vary by 8 MB). A link is its squared
+The block bounds memory: inside a chunk, links are built, faded and
+summed a block of whole receivers at a time (`_blocks`: at most
+`BLOCK_LINKS` links, each holding about 90 bytes of live temporaries
+under tracemalloc). The draws of consecutive blocks are consecutive draws
+of the chunk's stream, and each receiver's interference is summed in link
+order whatever the block size, so estimates do not depend on it. A chunk
+is one `count` call, freeing its arrays before the next chunk draws (two
+chunks' arrays at once made peak RSS vary by 8 MB). A link is its squared
 horizontal span, read through the kernel `model.links`.
 
 The outage screen: an eavesdropper decodes when its signal exceeds beta_e
-times its interference, and most do not. So in a block with at least
-`SCREEN_GATE` links per interferer (below that, sorting the interferers
-costs more than it saves), `sim_outage` first sums, per eavesdropper, its
-links to the `SCREEN_K` interferers of its realization that lie nearest
-it in x (one sort of the block's interferers by realization and x, one
-`searchsorted`), and sums all of its links only if signal > beta_e *
-partial. The estimate is still bit-identical:
-- each partial term equals its term in the full sum bit for bit (same
-  span, same fade, the same elementwise operations in `model.gains`);
-- the partial terms are a subsequence of the eavesdropper's terms in link
-  order, and `np.bincount` adds each sum left to right from 0. Every term
-  is >= 0, and rounding to nearest is monotone, so by induction over the
-  terms the partial sum is <= the full sum (Higham, Accuracy and
-  Stability of Numerical Algorithms, 2002, ch. 4);
-- beta_e >= 0, so beta_e * partial <= beta_e * full, and an eavesdropper
-  the partial sum rules out fails the full test too.
-Which interferers the screen picks changes only its speed. An unscreened
-block keeps the contiguous path, with no gather of its fades, and the
-screen's arrays are built per block from the block's slice of
-interferers, never per chunk, so they do not raise the chunk's peak.
+times its interference, and most do not. So a chunk with at least
+`SCREEN_GATE` links per kept interferer (below that, sorting the
+interferers costs more than it saves; the gate reads positions only)
+draws its link fades in two passes, each eavesdropper by eavesdropper over
+the whole chunk:
+1. the screen (`_screen`): each eavesdropper with more than `SCREEN_K`
+   links draws the fades of its links to the `SCREEN_K` interferers of its
+   realization nearest it in x (one sort of a block's interferers by
+   realization and x, one `searchsorted`) and sums them. It stays open
+   only if signal > beta_e * partial;
+2. the full sums (`_open_sums`): each open eavesdropper (every one with at
+   most `SCREEN_K` links is open) draws the fades of its other links in
+   link order, gets the screen's fades back at the links they belong to,
+   and sums all of its links in link order.
+Fades that no sum reads are never drawn, and the estimate keeps its exact
+law:
+- a settled eavesdropper fails the full test too. The partial terms are a
+  subsequence of its full sum's terms in link order, every term is >= 0
+  and `np.bincount` adds each sum left to right from 0, so with rounding
+  to nearest the partial sum is <= the full sum by induction over the
+  terms (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+  ch. 4); and beta_e >= 0;
+- which links are near and which eavesdroppers stay open depends only on
+  the positions and on earlier draws, so every fade drawn after those
+  decisions is a fresh Exp(1) draw, independent of them. Together with
+  the fades a settled eavesdropper never draws, which cannot change its
+  verdict, the fades are i.i.d. Exp(1) as in the unscreened chunk, and
+  every verdict has its unscreened law (conditional sampling; Asmussen
+  and Glynn, Stochastic Simulation, 2007, ch. V).
+So `SCREEN_K` and `SCREEN_GATE` move estimates only within their
+sampling error, not bit for bit. An unscreened chunk draws every fade
+contiguously in link order, as the simulator did before the screen. The
+passes run in the blocks of `_blocks`, and between them keep only the
+open eavesdroppers' near-link offsets (in the smallest integer type that
+holds them) and fades.
 
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width
@@ -90,13 +105,16 @@ __all__ = ["SimConfig", "sim_connection", "sim_outage"]
 _Z95 = 1.959963984540054
 
 # `sim_outage`'s screen (module docstring): each eavesdropper's SCREEN_K
-# nearest-in-x interferers, in blocks of at least SCREEN_GATE links
-# (eavesdroppers per realization) per interferer. On the ten outage points
-# of the benchmark's mc_validate workload (2 cores, CPU-time minimums),
-# K = 8 to 16 ran within 3% of each other, K = 4 3-5% and K = 32 10-15%
-# slower. Screening every block cost 7-11% more at lambda_e <= 1e-4 (1.2
-# to 1.7 eavesdroppers per realization); gates of 2 to 8 were within noise.
-SCREEN_K = 16
+# nearest-in-x interferers, in chunks of at least SCREEN_GATE links
+# (eavesdroppers per realization) per kept interferer. On the four dense
+# outage points of the benchmark's mc_validate workload (lambda_e = 1e-3
+# and 3e-3, with and without a 20 m zone; 2 cores, CPU-time minimums of 3
+# seeds at n = 4000, two rounds), K = 8 to 12 ran within 3% of each other,
+# K = 6 and 16 8-13% and K = 24 27-40% slower. Screening every block cost
+# 7-11% more at lambda_e <= 1e-4 (1.2 to 1.7 eavesdroppers per
+# realization); gates of 2 to 8 were within noise (both measured when every
+# fade was drawn up front).
+SCREEN_K = 12
 SCREEN_GATE = 4
 
 MODELS = ("exact", "rayleigh")      # the values of `SimConfig.model`
@@ -152,41 +170,40 @@ def _estimate(cfg: SimConfig, work: float, count) -> MetricEstimate:
     return _binary_estimate(events, n)
 
 
-def _interference(params: NetworkParams, los_faded: bool, rng,
-                  sizes: np.ndarray, spans, screen=None) -> np.ndarray:
-    """Interference at consecutive receivers, receiver i summing sizes[i]
-    links, in blocks of whole receivers with at most BLOCK_LINKS links (or
-    one receiver). `spans(lo, hi, first, last)` gives the squared spans of
-    links [first, last), those of receivers [lo, hi); their fades are the
-    stream's next draws.
-
-    `screen(lo, hi, first, fades)`, if given, may settle receivers of a
-    block from some of their links. It returns None (sum every link of the
-    block), or a lower bound on each of the block's sums, the receivers
-    (an index array) it leaves open and the squared spans of their links.
-    Only the open receivers are summed in full, from the block's fades at
-    their links; the others get the bound."""
+def _blocks(sizes: np.ndarray):
+    """Blocks of whole consecutive receivers, receiver i holding sizes[i]
+    links: (lo, hi, first, last) for receivers [lo, hi) and their links
+    [first, last), at most BLOCK_LINKS links a block (or one receiver)."""
     ends = np.cumsum(sizes)
-    out = np.empty(len(sizes))
     lo = first = 0
     while lo < len(ends):
         hi = max(int(np.searchsorted(ends, first + BLOCK_LINKS,
                                      side="right")), lo + 1)
         last = int(ends[hi - 1])
-        fades = rng.standard_exponential(last - first)
-        screened = None if screen is None else screen(lo, hi, first, fades)
-        if screened is None:
-            rows, span2 = slice(lo, hi), spans(lo, hi, first, last)
-        else:
-            out[lo:hi], rows, span2 = screened
-            fades = fades[_ranges(ends[rows] - sizes[rows] - first,
-                                  sizes[rows])]
-        blens = sizes[rows]
-        out[rows] = np.bincount(
-            np.repeat(np.arange(len(blens)), blens),
-            weights=gains(params, los_faded, span2, fades),
-            minlength=len(blens))
+        yield lo, hi, first, last
         lo, first = hi, last
+
+
+def _link_sums(params: NetworkParams, los_faded: bool, span2: np.ndarray,
+               fades: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per receiver, the gains of its sizes[i] consecutive links (squared
+    spans `span2`, fades `fades`), added left to right from 0 in link
+    order by `np.bincount`."""
+    return np.bincount(np.repeat(np.arange(len(sizes)), sizes),
+                       weights=gains(params, los_faded, span2, fades),
+                       minlength=len(sizes))
+
+
+def _interference(params: NetworkParams, los_faded: bool, sizes: np.ndarray,
+                  links) -> np.ndarray:
+    """Interference at consecutive receivers, receiver i summing its
+    sizes[i] links, a block of `_blocks(sizes)` at a time:
+    `links(lo, hi, first, last)` gives the squared spans and the fades of
+    links [first, last), those of receivers [lo, hi)."""
+    out = np.empty(len(sizes))
+    for lo, hi, first, last in _blocks(sizes):
+        out[lo:hi] = _link_sums(params, los_faded,
+                                *links(lo, hi, first, last), sizes[lo:hi])
     return out
 
 
@@ -223,13 +240,114 @@ def sim_connection(params: NetworkParams, beta_t: float,
         counts = rng.poisson(area_mean, m)
         horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
         interference = _interference(
-            params, los_faded, rng, counts,
-            lambda lo, hi, first, last: horiz2[first:last])
+            params, los_faded, counts,
+            lambda lo, hi, first, last: (
+                horiz2[first:last], rng.standard_exponential(last - first)))
         sig_fades = rng.standard_exponential(m)
         signal = gains(params, los_faded, np.zeros(m), sig_fades)
         return int(np.count_nonzero(signal > beta_t * interference))
 
     return _estimate(cfg, area_mean, count)
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    """One chunk's eavesdropper-interferer links: eavesdropper i, at
+    (ex[i], ey[i]), sees the lens[i] interferers of its realization,
+    ux/uy[first[i]:first[i] + lens[i]], all within `reach` of the
+    origin."""
+
+    ux: np.ndarray
+    uy: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    lens: np.ndarray
+    first: np.ndarray
+    reach: float
+
+    def spans(self, rows) -> np.ndarray:
+        """Squared spans of the links of eavesdroppers `rows` (a slice or
+        an ascending index array), eavesdropper by eavesdropper."""
+        blens = self.lens[rows]
+        u = _ranges(self.first[rows], blens)
+        dx = self.ux[u] - np.repeat(self.ex[rows], blens)
+        dy = self.uy[u] - np.repeat(self.ey[rows], blens)
+        return dx * dx + dy * dy
+
+
+def _screen(params: NetworkParams, los_faded: bool, rng, pairs: _Pairs,
+            signal: np.ndarray, beta_e: float):
+    """The screen pass of a screened chunk (module docstring). Returns
+    which eavesdroppers stay open (a bool array) and, a row each for the
+    open ones with more than SCREEN_K links, in order, the offsets of
+    their SCREEN_K near links (ascending) and those links' fades."""
+    lens, first = pairs.lens, pairs.first
+    is_open = np.ones(len(lens), bool)
+    dtype = np.min_scalar_type(int(lens.max()))
+    near_kept = [np.empty((0, SCREEN_K), dtype)]
+    fades_kept = [np.empty((0, SCREEN_K))]
+    for lo, hi, _, _ in _blocks(lens):
+        blens = lens[lo:hi]
+        wide = np.flatnonzero(blens > SCREEN_K)
+        if wide.size == 0:
+            continue
+        # The block's interferers are ux[u0:u0 + n_u]; g[i] is
+        # eavesdropper lo + i's first one, counted from u0.
+        u0 = first[lo]
+        g = first[lo:hi] - u0
+        n_u = int(g[-1] + blens[-1])
+        # Sort them by (realization, x): the key x + r * 4 reach keeps
+        # realization r's interferers apart from every other's.
+        mark = np.zeros(n_u, bool)
+        mark[g[blens > 0]] = True
+        shift = np.cumsum(mark) * (4.0 * pairs.reach)
+        key = pairs.ux[u0:u0 + n_u] + shift
+        order = np.argsort(key)
+        # Each wide eavesdropper's SCREEN_K interferers nearest it in x,
+        # as offsets among its links.
+        e, gw, lw = lo + wide, g[wide], blens[wide]
+        at = np.searchsorted(key[order], pairs.ex[e] + shift[gw])
+        start = np.clip(at - SCREEN_K // 2, gw, gw + lw - SCREEN_K)
+        near = np.sort(order[start[:, None] + np.arange(SCREEN_K)]
+                       - gw[:, None], axis=1)
+        u = first[e][:, None] + near
+        dx = pairs.ux[u] - pairs.ex[e][:, None]
+        dy = pairs.uy[u] - pairs.ey[e][:, None]
+        fades = rng.standard_exponential((len(e), SCREEN_K))
+        partial = _link_sums(params, los_faded, (dx * dx + dy * dy).ravel(),
+                             fades.ravel(), np.full(len(e), SCREEN_K))
+        kept = signal[e] > beta_e * partial
+        is_open[e[~kept]] = False
+        near_kept.append(near[kept].astype(dtype))
+        fades_kept.append(fades[kept])
+    return is_open, np.concatenate(near_kept), np.concatenate(fades_kept)
+
+
+def _open_sums(params: NetworkParams, los_faded: bool, rng, pairs: _Pairs,
+               rows: np.ndarray, near: np.ndarray,
+               near_fades: np.ndarray) -> np.ndarray:
+    """The full-sum pass of a screened chunk: the interference at the open
+    eavesdroppers `rows` (ascending), each summing all of its links in
+    link order. `_screen`'s fades (`near`, `near_fades`) go back at the
+    links they belong to; every other fade is the stream's next draw,
+    eavesdropper by eavesdropper in link order."""
+    sizes = pairs.lens[rows]
+    wide = sizes > SCREEN_K
+    slot = np.cumsum(wide) - wide   # rows of `near` before each open row
+
+    def links(lo, hi, first, last):
+        blens = sizes[lo:hi]
+        w = np.flatnonzero(wide[lo:hi])
+        ours = slice(slot[lo], slot[lo] + len(w))
+        at = ((np.cumsum(blens) - blens)[w][:, None] + near[ours]).ravel()
+        fresh = np.ones(last - first, bool)
+        fresh[at] = False
+        fades = np.empty(last - first)
+        fades[at] = near_fades[ours].ravel()
+        fades[fresh] = rng.standard_exponential(last - first - at.size)
+        return pairs.spans(rows[lo:hi]), fades
+
+    return _interference(params, los_faded, sizes, links)
 
 
 def _outage_windows(params: NetworkParams, beta_e: float, cfg: SimConfig,
@@ -269,8 +387,9 @@ def sim_outage(params: NetworkParams, beta_e: float,
     interferers on [0, R_u]; see the module docstring for the window policy.
     In each chunk only the interferers of realizations with an eavesdropper
     are kept, right after each draw, converted to x/y (cos/sin) and paired
-    with the eavesdroppers of their realization, one block at a time, each
-    dense block screened first (module docstring).
+    with the eavesdroppers of their realization, one block at a time; a
+    dense chunk draws its link fades in the screen's two passes (module
+    docstring).
     """
     check_threshold(beta_e, "sim_outage: beta_e")
     d0 = zone.d if zone is not None else 0.0
@@ -292,79 +411,34 @@ def sim_outage(params: NetworkParams, beta_e: float,
         keep = np.repeat(e_counts > 0, u_counts)
         ur = np.sqrt(rng.random(tu)[keep]) * u_win
         uphi = rng.random(tu)[keep] * (2.0 * math.pi)
+        del keep
         er2 = d0 ** 2 + rng.random(te) * (e_win ** 2 - d0 ** 2)
         ephi = rng.random(te) * (2.0 * math.pi)
-        sig_fades = rng.standard_exponential(te)
-        ux = np.cos(uphi) * ur
-        uy = np.sin(uphi) * ur
-        del keep, ur, uphi
+        signal = gains(params, los_faded, er2, rng.standard_exponential(te))
         er = np.sqrt(er2)
-        ex = er * np.cos(ephi)
-        ey = er * np.sin(ephi)
-        e_seg = np.repeat(np.arange(m), e_counts)
-
-        # Eavesdropper i sees the lens[i] interferers of its realization,
-        # the first of them at index u_first[i] of `ux`.
+        del er2
         paired = np.where(e_counts > 0, u_counts, 0)
-        lens = u_counts[e_seg]
-        u_first = (np.cumsum(paired) - paired)[e_seg]
+        pairs = _Pairs(ux=np.cos(uphi) * ur, uy=np.sin(uphi) * ur,
+                       ex=er * np.cos(ephi), ey=er * np.sin(ephi),
+                       lens=np.repeat(u_counts, e_counts),
+                       first=np.repeat(np.cumsum(paired) - paired, e_counts),
+                       reach=u_win)
+        del ur, uphi, er, ephi, paired
 
-        def pair_spans(rows):
-            # Squared spans of the links of eavesdroppers `rows` (a slice
-            # or an index array), eavesdropper by eavesdropper.
-            blens = lens[rows]
-            pair_u = _ranges(u_first[rows], blens)
-            dx = ux[pair_u] - np.repeat(ex[rows], blens)
-            dy = uy[pair_u] - np.repeat(ey[rows], blens)
-            return dx * dx + dy * dy
-
-        def screen(lo, hi, first, fades):
-            # The block's interferers are ux[u0:u0 + n_u]; g[i] is
-            # eavesdropper lo + i's first one, counted from u0.
-            blens = lens[lo:hi]
-            u0 = u_first[lo]
-            g = u_first[lo:hi] - u0
-            n_u = int(g[-1] + blens[-1])
-            if n_u == 0 or fades.size < SCREEN_GATE * n_u:
-                return None
-            # Sort them by (realization, x): the key x + r * 4 u_win keeps
-            # realization r's interferers apart from every other's.
-            mark = np.zeros(n_u, bool)
-            mark[g[blens > 0]] = True
-            shift = np.cumsum(mark) * (4.0 * u_win)
-            key = ux[u0:u0 + n_u] + shift
-            order = np.argsort(key)
-            # For each eavesdropper with more than SCREEN_K interferers,
-            # the SCREEN_K nearest it in x, as link numbers in canonical
-            # order.
-            wide = np.flatnonzero(blens > SCREEN_K)
-            e, gw, lw = lo + wide, g[wide], blens[wide]
-            at = np.searchsorted(key[order], ex[e] + shift[gw])
-            start = np.clip(at - SCREEN_K // 2, gw, gw + lw - SCREEN_K)
-            near = np.sort(order[start[:, None] + np.arange(SCREEN_K)]
-                           - gw[:, None], axis=1)
-            u = u_first[e][:, None] + near
-            dx = ux[u] - ex[e][:, None]
-            dy = uy[u] - ey[e][:, None]
-            link = (np.cumsum(blens) - blens)[wide][:, None] + near
-            partial = np.bincount(
-                np.repeat(np.arange(len(wide)), SCREEN_K),
-                weights=gains(params, los_faded, (dx * dx + dy * dy).ravel(),
-                              fades[link.ravel()]),
-                minlength=len(wide))
-            bound = np.zeros(hi - lo)
-            bound[wide] = partial
-            undecided = blens <= SCREEN_K
-            undecided[wide] = signal[e] > beta_e * partial
-            rows = lo + np.flatnonzero(undecided)
-            return bound, rows, pair_spans(rows)
-
-        signal = gains(params, los_faded, er2, sig_fades)
-        interference = _interference(
-            params, los_faded, rng, lens,
-            lambda lo, hi, first, last: pair_spans(slice(lo, hi)), screen)
-        decoded = signal > beta_e * interference
-        return int(np.count_nonzero(
-            np.bincount(e_seg, weights=decoded, minlength=m) > 0))
+        if pairs.lens.sum() >= SCREEN_GATE * pairs.ux.size:
+            is_open, near, near_fades = _screen(params, los_faded, rng,
+                                                pairs, signal, beta_e)
+            rows = np.flatnonzero(is_open)
+            decoded = np.zeros(te, bool)
+            decoded[rows] = signal[rows] > beta_e * _open_sums(
+                params, los_faded, rng, pairs, rows, near, near_fades)
+        else:
+            decoded = signal > beta_e * _interference(
+                params, los_faded, pairs.lens,
+                lambda lo, hi, first, last: (
+                    pairs.spans(slice(lo, hi)),
+                    rng.standard_exponential(last - first)))
+        return int(np.count_nonzero(np.bincount(
+            np.repeat(np.arange(m), e_counts), weights=decoded, minlength=m)))
 
     return _estimate(cfg, u_mean + e_mean + e_mean * max(u_mean, 1.0), count)

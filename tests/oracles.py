@@ -8,8 +8,11 @@ relative tolerance.
 
 For the outage closed form: `pso_form` with its `disk_term`, the scalar
 form that `pso_zone_approx` evaluated before it became one cell of
-`analytic._brace_cells`, kept verbatim. The two agree to rounding, which
-where the LoS annulus is thin is the rounding of its width. The bisection
+`analytic._brace_cells`, kept verbatim: it takes the LoS annulus width as
+a difference of rounded numbers, which `analytic` forms without
+cancellation (and takes as 0 for a zone within rounding of K). The two
+agree to rounding, which where the annulus is thin is the rounding of this
+copy's width. The bisection
 oracle below reads this copy: a run of the test suite makes about two
 million outage calls through it, at 2-8 us each against 47-62 us for one
 cell (2 cores, Python 3.11, numpy 2.4).

@@ -276,6 +276,69 @@ class TestOverflowSaturation:
                 assert abs(got - ref) <= 2e-12
 
 
+    def test_second_moment_saturates_with_the_first(self):
+        # Here D's second moment passes float range while b - u1 <= 700
+        # (it was inf - inf): both moments saturate together, so the
+        # log-outage is +inf, its slope NaN (Newton bisects), and nothing
+        # warns
+        p = NetworkParams(lambda_u=0.0148, lambda_e=1.32e-7, h=182.6,
+                          theta_c=1.5486)
+        q = model.q1(p, 4.1e5)
+        h, d, k = np.array([p.h]), np.array([0.0]), np.array([p.los_radius])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, slope = analytic._log_outage_cells(
+                p, 0.01, h, d, k, h ** 2 + k ** 2)(q, np.arange(1))
+            assert pso_zone_approx(p, 4.1e5, None) == 1.0
+        assert math.isfinite(g[0]) or g[0] == math.inf
+
+
+class TestLoSAnnulusWidth:
+    def test_zone_at_k_has_no_annulus(self):
+        # At theta_c = 45 deg K = h / tan(pi/4) rounds one ulp above h, so
+        # d = h lies one ulp inside the LoS disk. That annulus is rounding:
+        # the outage is the d = K one, and falls with the rate gap. The old
+        # width a s2 - a s1 (kept in `oracles.pso_form`) gave 1.0 at re = 3
+        # and 8 and 0 at re = 10.
+        p = NetworkParams(lambda_u=1e-2, lambda_e=1e-3, h=45.0)
+        k = p.los_radius
+        assert k > 45.0
+        res = np.linspace(0.1, 12.5, 125)
+        at_h = [pso_zone_approx(p, 2.0 ** re - 1.0, GuardZone(45.0))
+                for re in res]
+        assert at_h == [pso_zone_approx(p, 2.0 ** re - 1.0, GuardZone(k))
+                        for re in res]
+        assert all(a >= b for a, b in zip(at_h, at_h[1:]))
+        assert at_h[0] == 1.0 and at_h[-1] == 0.0
+        assert optimizer.solve_re(p, 0.01, GuardZone(45.0)) \
+            == optimizer.solve_re(p, 0.01, GuardZone(k))
+        assert pso_form(p, 2.0 ** 3 - 1.0, 45.0) == 1.0
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-6, 1e-9])
+    def test_thin_annulus_term_is_accurate(self, gap):
+        # D on an annulus (K - d) / K = gap wide, against mpmath at 50
+        # digits: the width a (K - d)(K + d) / (s1 + s2) carries no
+        # cancellation, so D keeps about full precision however thin the
+        # annulus (the difference a s2 - a s1 lost up to 4 eps s2 / width)
+        p = NetworkParams(lambda_u=3e-3, lambda_e=1e-3, h=20.0,
+                          theta_c=0.6)
+        k = p.los_radius
+        d = k * (1.0 - gap)
+        q = model.q1(p, 2.0 ** 4 - 1.0)
+        h = np.array([p.h])
+        _, disk, _ = analytic._brace_cells(
+            p, q, h, h ** 2 + k ** 2,
+            analytic._annulus_cells(h, np.array([d]), np.array([k])))
+        with mpmath.workdps(50):
+            a = mpmath.sqrt(mpmath.mpf(p.eta_nlos) / p.eta_los) * q
+            u1 = a * mpmath.sqrt(mpmath.mpf(p.h) ** 2 + mpmath.mpf(d) ** 2)
+            u2 = a * mpmath.sqrt(mpmath.mpf(p.h) ** 2 + mpmath.mpf(k) ** 2)
+            exact = mpmath.exp(mpmath.pi * mpmath.mpf(p.lambda_u) * p.h ** 2
+                               ) * mpmath.quad(lambda s: s * mpmath.exp(-s),
+                                               [u1, u2]) / a ** 2
+        assert disk[0] == pytest.approx(float(exact), rel=1e-14)
+
+
 density = st.floats(-8.0, -1.0).map(lambda x: 10.0 ** x)
 
 
@@ -310,18 +373,21 @@ def assert_matches_form(got, p, beta, d):
     reference `oracles.pso_form` to 1e-12 relative (1e-300 absolute) and
     lies in its class: 0, interior or 1.
 
-    Inside the LoS disk both forms take the annulus width as s2 - s1, a
-    difference of rounded numbers, and round them differently (k**2
-    against k*k). So the tolerance adds four roundings of s2 relative to
-    the width (K - d)(K + d) / (s1 + s2); the largest gap seen over 90,000
-    draws was 0.82 of that allowance. Where it leaves the class open (a
-    width near rounding level), the class is not compared."""
+    Inside the LoS disk the reference takes the annulus width as
+    s2 - s1, a difference of rounded numbers, while `analytic` forms it
+    as (K - d)(K + d) / (s1 + s2). So the tolerance adds four roundings of
+    s2 relative to that width, of the larger outage: where the reference's
+    width rounds to 0 (K below rounding of h) it loses the whole annulus
+    term, which `analytic` keeps. The largest gap seen over 45,000 draws
+    (d = 0, 1e-9 below K and uniform below K) was 0.46 of that allowance.
+    Where it leaves the class open (a width near rounding level), the
+    class is not compared."""
     ref = pso_form(p, beta, d)
     k = p.los_radius
     s1, s2 = math.hypot(p.h, d), math.hypot(p.h, k)
     width = (k - d) * (k + d) / (s1 + s2)
     rel = 1e-12 + (4.0 * EPS * s2 / width if d < k else 0.0)
-    assert got == pytest.approx(ref, rel=rel, abs=1e-300)
+    assert abs(got - ref) <= max(rel * max(got, ref), 1e-300)
     if rel < 1e-9:
         assert (got == 0.0, got == 1.0) == (ref == 0.0, ref == 1.0)
 

@@ -46,10 +46,13 @@ seed = 1
 
 def in_mode(text, mode):
     """A TINY_CFG-based config in `mode`; simulate has no cs estimate, so
-    there it asks for pc and pso only."""
+    there it asks for pc and pso only, and optimize chooses the rates, so
+    there they are not set."""
     text = text.replace("mode = analyze", f"mode = {mode}")
     if mode == "simulate":
         text = text.replace("metrics = pc, pso, cs", "metrics = pc, pso")
+    if mode == "optimize":
+        text = text.replace("rt = 5\nre = 1\n", "")
     return text
 
 
@@ -78,14 +81,16 @@ class TestConfigParsing:
         ("re", 2.5), ("epsilon", 0.05)])
     def test_point_sets_the_swept_variable(self, variable, value):
         base = ExperimentConfig.from_text(TINY_CFG)
-        # only optimize reads epsilon
+        # only optimize reads epsilon, and it takes no rates
+        rates = {"rt": None, "re": None} if variable == "epsilon" \
+            else {"rt": 5.0, "re": 1.0}
         mode = "optimize" if variable == "epsilon" else base.mode
         net, rt, re, zone, eps = replace(
             base, mode=mode, sweep_variable=variable,
-            sweep_values=(value,)).at(value)
+            sweep_values=(value,), **rates).at(value)
         got = {"h": net.h, "d": zone.d if zone is not None else None,
                "rt": rt, "re": re, "epsilon": eps}
-        want = {"h": 10.0, "d": None, "rt": 5.0, "re": 1.0, "epsilon": 0.01}
+        want = {"h": 10.0, "d": None, **rates, "epsilon": 0.01}
         want[variable] = value
         assert got == want
         # [h_min, h_max] = [10, 50] is the optimizer's range, whatever h is
@@ -207,7 +212,7 @@ class TestRun:
         assert "pc_mc" in header and "pc_mc_hw" in header
 
     def test_optimize_mode(self, tmp_path):
-        text = TINY_CFG.replace("mode = analyze", "mode = optimize")
+        text = in_mode(TINY_CFG, "optimize")
         cfg_path = tmp_path / "opt.cfg"
         cfg_path.write_text(text)
         assert cli.run(str(cfg_path), str(tmp_path)) == EXIT_OK
@@ -420,6 +425,44 @@ class TestRun:
             f"error: {mode} mode never reads {variable}: every row would be "
             f"the same\n")
 
+    # optimize chooses the rates and the zone: a fixed one is never read
+    @pytest.mark.parametrize("old, new, key", [
+        ("[code]\n", "[code]\nrt = 5\n", "[code] rt"),
+        ("[code]\n", "[code]\nre = 1\n", "[code] re"),
+        ("[sim]\n", "[zone]\nd = 10\n\n[sim]\n", "[zone] d"),
+    ], ids=["rt", "re", "d"])
+    def test_optimize_with_a_fixed_rate_or_zone_exits_without_csv(
+            self, tmp_path, capsys, old, new, key):
+        cfg_path = tmp_path / "fixed.cfg"
+        cfg_path.write_text(in_mode(TINY_CFG, "optimize").replace(old, new))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == (
+            f"error: optimize mode never reads {key}: the searches choose "
+            f"it\n")
+
+    # a sweep over a variable that no requested metric reads: pc reads
+    # neither lambda_e, d nor re, pso not rt
+    @pytest.mark.parametrize("metrics, variable, values", [
+        ("pc", "d", "5, 10, 20"),
+        ("pc", "re", "1, 2"),
+        ("pc", "lambda_e", "1e-4, 1e-3"),
+        ("pso", "rt", "4, 5"),
+    ], ids=["pc-d", "pc-re", "pc-lambda_e", "pso-rt"])
+    @pytest.mark.parametrize("mode", ["analyze", "simulate", "validate"])
+    def test_sweep_no_requested_metric_reads_exits_without_csv(
+            self, tmp_path, capsys, mode, metrics, variable, values):
+        cfg_path = tmp_path / "unread.cfg"
+        cfg_path.write_text(in_mode(TINY_CFG.replace(
+            "metrics = pc, pso, cs", f"metrics = {metrics}").replace(
+            "variable = lambda_e\nvalues = 1e-4, 1e-3",
+            f"variable = {variable}\nvalues = {values}"), mode))
+        assert cli.run(str(cfg_path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == (
+            f"error: no requested metric reads {variable} (metrics = "
+            f"{metrics}): every row would be the same\n")
+
     # pc needs rt, pso needs re, cs needs both and is never simulated
     @pytest.mark.parametrize("mode, metrics, rates, message", [
         ("simulate", "metrics = cs\n", "rt = 5\nre = 1\n",
@@ -446,7 +489,7 @@ class TestRun:
 
     @pytest.mark.parametrize("rates, sweep, metrics", [
         ("rt = 5\nre = 1\n", "lambda_e", ("pc", "pso")),
-        ("rt = 5\n", "lambda_e", ("pc",)),
+        ("rt = 5\n", "lambda_u", ("pc",)),
         ("re = 1\n", "lambda_e", ("pso",)),
         ("rt = 5\n", "re", ("pc", "pso")),
         ("", "rt", ("pc",)),

@@ -169,17 +169,15 @@ class TestBlocks:
     def test_invariance_cases_reach_the_edges(self, monkeypatch):
         # The outage cases above hold a chunk without eavesdroppers,
         # eavesdroppers without interferers and eavesdroppers whose pairs
-        # exceed a 3-pair block. `_interference` gets each eavesdropper's
-        # pair count, once per chunk that has eavesdroppers.
-        interference = montecarlo._interference
+        # exceed a 3-pair block. Each chunk that has eavesdroppers builds
+        # one `_Pairs` with each eavesdropper's pair count.
+        pairs = montecarlo._Pairs
         sizes = []
         for p, zone, cfg in _OUTAGE_CASES:
             seen = []
             monkeypatch.setattr(
-                montecarlo, "_interference",
-                lambda p, los_faded, rng, s, spans, screen=None, seen=seen:
-                seen.append(s) or interference(p, los_faded, rng, s, spans,
-                                               screen))
+                montecarlo, "_Pairs",
+                lambda seen=seen, **kw: seen.append(kw["lens"]) or pairs(**kw))
             sim_outage(p, 1.0, zone, cfg)
             sizes.append(seen)
         assert len(sizes[3]) == 2 and sizes[4] == []   # of 3 and 1 chunks
@@ -188,52 +186,113 @@ class TestBlocks:
 
     @pytest.mark.parametrize("model", ["exact", "rayleigh"],
                              ids=["ExactLoSNLoS", "AllRayleigh"])
-    def test_estimates_do_not_depend_on_the_screen(self, monkeypatch,
-                                                   model):
-        # Screen widths 1, 3 and the module's, the screen off (gate inf),
-        # and every block screened (gate 0), where the lambda_u = 1e-4
-        # case's realizations hold fewer interferers than the width.
+    def test_unscreened_estimates_pinned(self, monkeypatch, model):
+        # With the screen off (gate inf) every chunk draws all of its fades
+        # in link order, as the simulator did before the screen: these are
+        # the values it gave (only the lambda_e = 1e-5 case differs between
+        # the two models).
+        monkeypatch.setattr(montecarlo, "SCREEN_GATE", math.inf)
         cases = _OUTAGE_CASES + [
             (params(lambda_e=3e-3), GuardZone(20.0), SimConfig(200, seed=9))]
-        k, gate = montecarlo.SCREEN_K, montecarlo.SCREEN_GATE
-        runs = []
-        for width, at in ((k, gate), (1, gate), (3, gate), (k, math.inf),
-                          (1, 0), (k, 0)):
-            monkeypatch.setattr(montecarlo, "SCREEN_K", width)
-            monkeypatch.setattr(montecarlo, "SCREEN_GATE", at)
-            runs.append([sim_outage(p, 1.0, zone, replace(cfg, model=model))
-                         for p, zone, cfg in cases])
-        assert all(run == runs[0] for run in runs[1:])
+        got = [sim_outage(p, 1.0, zone, replace(cfg, model=model))
+               for p, zone, cfg in cases]
+        rare = {"exact": (0.006224826071036251, 0.0012042573287190672),
+                "rayleigh": (0.0062858537776150376, 0.0012101089946383434)}
+        assert [(e.value, e.half_width) for e in got] == [
+            (0.43, 0.05602206580006757), (0.053, 0.013885483775132173),
+            (1.0, 0.009422663188633286), rare[model],
+            (0.0, 0.018496749103492836), (0.22, 0.05741055363045683)]
+
+    @pytest.mark.parametrize("model", ["exact", "rayleigh"],
+                             ids=["ExactLoSNLoS", "AllRayleigh"])
+    def test_estimates_do_not_depend_on_the_screen(self, monkeypatch,
+                                                   model):
+        # Screen widths 1, 3 and 16 agree with the unscreened
+        # estimate (gate inf) within 3 combined half-widths: at a dense
+        # point, whose chunks every gate of 0 to 4 screens, and at a sparse
+        # one (about 2.6 eavesdroppers per realization), which only gate 0
+        # screens. The screen changes which draw feeds which link, not the
+        # law of the estimate.
+        cfg = SimConfig(20_000, seed=11, model=model)
+        for p, zone, gate in ((params(lambda_e=3e-3), GuardZone(20.0),
+                               montecarlo.SCREEN_GATE),
+                              (params(lambda_e=3e-4), None, 0)):
+            monkeypatch.setattr(montecarlo, "SCREEN_GATE", math.inf)
+            unscreened = sim_outage(p, 1.0, zone, cfg)
+            monkeypatch.setattr(montecarlo, "SCREEN_GATE", gate)
+            for width in (1, 3, 16):
+                monkeypatch.setattr(montecarlo, "SCREEN_K", width)
+                est = sim_outage(p, 1.0, zone, cfg)
+                assert abs(est.value - unscreened.value) <= 3 * math.hypot(
+                    est.half_width, unscreened.half_width)
 
     def test_screened_sums_bound_the_exact_ones(self, monkeypatch):
-        # Per eavesdropper of a dense case, the screened interference is at
-        # most the exact sum: the partial sum where the screen settled it
-        # (most eavesdroppers), else the sum. A sparse case screens no
-        # block.
-        interference = montecarlo._interference
-        sums, screened_blocks = [], []
+        # Within one dense run, per chunk: every open eavesdropper's full
+        # sum is `gains` + `np.bincount` over its links' spans and the
+        # fades it used, bit for bit; the screen's fades sit at the links
+        # they were drawn for, where the full sum's terms add up to the
+        # partial sum bit for bit; and the partial sum is at most the full
+        # one. The screen settles most wide eavesdroppers. A sparse case
+        # screens no chunk.
+        screen, open_sums = montecarlo._screen, montecarlo._open_sums
+        link_sums, interference = (montecarlo._link_sums,
+                                   montecarlo._interference)
+        chunks = []
 
-        def spy(p, los_faded, rng, s, spans, screen=None):
-            def watched(*block):
-                out = screen(*block)
-                screened_blocks.append(out is not None)
-                return out
-            sums.append(interference(p, los_faded, rng, s, spans, watched))
-            return sums[-1]
+        def record(phase):
+            # `_link_sums` keeping each call's arguments and sums in `phase`
+            def sums(*args):
+                phase.append((args, link_sums(*args)))
+                return phase[-1][1]
+            monkeypatch.setattr(montecarlo, "_link_sums", sums)
 
-        monkeypatch.setattr(montecarlo, "_interference", spy)
-        gate = montecarlo.SCREEN_GATE
-        for at in (gate, math.inf):
-            monkeypatch.setattr(montecarlo, "SCREEN_GATE", at)
-            sim_outage(params(lambda_e=3e-3), 1.0, None,
-                       SimConfig(200, seed=9))
-        screened, exact = sums
-        assert (screened <= exact).all()
-        assert 0.8 < (screened < exact).mean() < 1.0
-        monkeypatch.setattr(montecarlo, "SCREEN_GATE", gate)
-        screened_blocks.clear()
+        def spy_screen(*args):
+            chunks.append({"pairs": args[3], "screen": [], "full": []})
+            record(chunks[-1]["screen"])
+            chunks[-1]["result"] = screen(*args)
+            return chunks[-1]["result"]
+
+        def spy_open_sums(*args):
+            record(chunks[-1]["full"])
+            return open_sums(*args)
+
+        monkeypatch.setattr(montecarlo, "_screen", spy_screen)
+        monkeypatch.setattr(montecarlo, "_open_sums", spy_open_sums)
+        p = params(lambda_e=3e-3)
+        sim_outage(p, 1.0, None, SimConfig(200, seed=9))
+        k = montecarlo.SCREEN_K
+        settled = []
+        for chunk in chunks:
+            lens = chunk["pairs"].lens
+            is_open, near, near_fades = chunk["result"]
+            partial = np.concatenate([out for _, out in chunk["screen"]])
+            full = np.concatenate([out for _, out in chunk["full"]])
+            span2 = np.concatenate([a[2] for a, _ in chunk["full"]])
+            fades = np.concatenate([a[3] for a, _ in chunk["full"]])
+            rows = np.flatnonzero(is_open)
+            sizes = lens[rows]
+            assert np.array_equal(span2, chunk["pairs"].spans(rows))
+            assert np.array_equal(full, np.bincount(
+                np.repeat(np.arange(len(rows)), sizes),
+                weights=gains(p, False, span2, fades), minlength=len(rows)))
+            wide_rows = sizes > k
+            at = ((np.cumsum(sizes) - sizes)[wide_rows][:, None] + near)
+            assert np.array_equal(fades[at], near_fades)
+            opened = is_open[lens > k]
+            assert np.array_equal(partial[opened], np.bincount(
+                np.repeat(np.arange(len(at)), k),
+                weights=gains(p, False, span2[at].ravel(), fades[at].ravel()),
+                minlength=len(at)))
+            assert (partial[opened] <= full[wide_rows]).all()
+            settled.append(~opened)
+        assert 0.8 < np.concatenate(settled).mean() < 1.0
+        chunks.clear()
+        monkeypatch.setattr(montecarlo, "_link_sums", link_sums)
+        sums = []
+        monkeypatch.setattr(montecarlo, "_interference",
+                            lambda *a: sums.append(1) or interference(*a))
         sim_outage(params(lambda_e=3e-5), 1.0, None, SimConfig(2000, seed=9))
-        assert screened_blocks and not any(screened_blocks)
+        assert sums and not chunks
 
     @pytest.mark.parametrize("run, expected", [
         (lambda: sim_outage(params(lambda_u=1e-2, lambda_e=1e-2), 1.0, None,
@@ -247,13 +306,13 @@ class TestBlocks:
          "(0.048, 0.007649385645711224)"),
         (lambda: sim_outage(params(h=20.0), 0.5, GuardZone(10.0),
                             SimConfig(1500, 80.0, seed=23)),
-         "(0.5613333333333334, 0.0251119359501625)"),
+         "(0.5573333333333333, 0.025136128092198978)"),
         (lambda: sim_outage(params(lambda_e=3e-5), 1.0, None,
                             SimConfig(20_000, seed=28)),
          "(0.017, 0.0017915721915767102)"),
         (lambda: sim_outage(params(lambda_u=3e-3, lambda_e=3e-3, h=20.0),
                             1.0, None, SimConfig(3000, 30.0, seed=29)),
-         "(0.215, 0.014700818712605217)"),
+         "(0.217, 0.01475021027740463)"),
         (lambda: sim_connection(params(), 31.0, SimConfig(20_000, seed=25)),
          "(0.72445, 0.006192093553042943)"),
         (lambda: sim_connection(params(lambda_u=1e-2), 0.3,

@@ -134,10 +134,10 @@ def test_benchmark_tracer_observers_read_their_arguments(monkeypatch,
     import tracer
 
     base = ("[network]\nlambda_u = 1e-3\nlambda_e = 1e-4\n\n"
-            "[code]\nrt = 5\nre = 1\n\n[sweep]\nvariable = lambda_e\n"
-            "values = 1e-4\n\n")
+            "[sweep]\nvariable = lambda_e\nvalues = 1e-4\n\n")
     texts = {"val": "[experiment]\nmode = validate\nmetrics = pc, pso\n\n"
-                    + base + "[zone]\nd = 5\n\n[sim]\nn_realizations = 200\n",
+                    + base + "[code]\nrt = 5\nre = 1\n\n[zone]\nd = 5\n\n"
+                    "[sim]\nn_realizations = 200\n",
              "opt": "[experiment]\nmode = optimize\n\n" + base}
     net = NetworkParams(lambda_u=1e-3, lambda_e=1e-4)
     t = tracer.Tracer("t")
