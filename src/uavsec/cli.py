@@ -42,12 +42,11 @@ _SWEEPABLE = ("lambda_u", "lambda_e", "h", "theta_c", "d", "rt", "re",
 # re, and only they have an outage target.
 _MODES = {"analyze": ("epsilon",), "simulate": ("epsilon",),
           "validate": ("epsilon",), "optimize": ("h", "d", "rt", "re")}
-# Each metric and the rates it needs.
+# Each metric and the rates it needs; it never reads the other rate.
 _METRICS = {"pc": ("rt",), "pso": ("re",), "cs": ("rt", "re")}
-# Each metric and the sweep variables it never reads: the connection
-# involves neither eavesdroppers nor the rate gap, the outage not the
-# codeword rate.
-_UNREAD = {"pc": ("lambda_e", "d", "re"), "pso": ("rt",), "cs": ()}
+# Each metric and the other sweep variables it never reads: the
+# connection involves no eavesdropper.
+_UNREAD = {"pc": ("lambda_e", "d")}
 _NETWORK_KEYS = ("lambda_u", "lambda_e", "h", "theta_c", "h_min", "h_max",
                  "eta_los", "eta_nlos", "alpha_los", "alpha_nlos")
 
@@ -184,7 +183,8 @@ class ExperimentConfig:
                                      f"{' and '.join(missing)}")
             if self.mode == "simulate" and "cs" in self.metrics:
                 raise ValueError("simulate mode has no cs estimate")
-            if all(self.sweep_variable in _UNREAD[m] for m in self.metrics):
+            if all(self.sweep_variable in {"rt", "re"} - set(_METRICS[m])
+                   | set(_UNREAD.get(m, ())) for m in self.metrics):
                 raise ValueError(f"no requested metric reads "
                                  f"{self.sweep_variable} (metrics = "
                                  f"{', '.join(self.metrics)}): every row "

@@ -110,10 +110,14 @@ _Z95 = 1.959963984540054
 # outage points of the benchmark's mc_validate workload (lambda_e = 1e-3
 # and 3e-3, with and without a 20 m zone; 2 cores, CPU-time minimums of 3
 # seeds at n = 4000, two rounds), K = 8 to 12 ran within 3% of each other,
-# K = 6 and 16 8-13% and K = 24 27-40% slower. Screening every block cost
-# 7-11% more at lambda_e <= 1e-4 (1.2 to 1.7 eavesdroppers per
-# realization); gates of 2 to 8 were within noise (both measured when every
-# fade was drawn up front).
+# K = 6 and 16 8-13% and K = 24 27-40% slower. At all ten of its outage
+# points (CPU-time minimums of 3 seeds x 3 reps): gate 0 cost 9-10% more
+# at lambda_e = 3e-5 and up to 5% more at 1e-4, and was within 4% of
+# gate 4 at 1e-3 and 3e-3; gates 0 and 2 also screen lambda_e = 3e-4
+# (about 2.6 eavesdroppers per realization) and ran it 8-13% faster, 3 to
+# 4 ms a call out of about 2 s of simulation; gate 8 was 7% slower at 3e-3
+# without the zone. Gate 4 leaves the chunks at lambda_e <= 3e-4
+# unscreened, so those estimates keep the bits of the contiguous draws.
 SCREEN_K = 12
 SCREEN_GATE = 4
 

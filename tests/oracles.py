@@ -12,10 +12,11 @@ form that `pso_zone_approx` evaluated before it became one cell of
 a difference of rounded numbers, which `analytic` forms without
 cancellation (and takes as 0 for a zone within rounding of K). The two
 agree to rounding, which where the annulus is thin is the rounding of this
-copy's width. The bisection
-oracle below reads this copy: a run of the test suite makes about two
-million outage calls through it, at 2-8 us each against 47-62 us for one
-cell (2 cores, Python 3.11, numpy 2.4).
+copy's width. Where that width is mostly rounding, `pso_form_mp` is the
+same form at 60 digits with the width taken without cancellation. The
+bisection oracle below reads the float copy: a run of the test suite makes
+about two million outage calls through it, at 2-8 us each against 47-62 us
+for one cell (2 cores, Python 3.11, numpy 2.4).
 
 For the array kernels: `gains` and the radius x angle exceedance field of
 the semi-analytic evaluators as they were before they learned to work in
@@ -49,6 +50,7 @@ early exit and a Python walk over each run of tied neighbours).
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import lambertw
@@ -163,6 +165,29 @@ def pso_form(params: NetworkParams, beta_e: float, d: float) -> float:
     if not math.isfinite(brace):
         return 1.0
     return -math.expm1(-2.0 * math.pi * params.lambda_e * brace)
+
+
+def pso_form_mp(params: NetworkParams, beta_e: float, d: float) -> float:
+    """`pso_form` for d < K at 60 digits from the float inputs, with the
+    annulus width u2 - u1 taken as a (K - d)(K + d) / (s1 + s2) and the
+    disk integral in closed form, so it holds however thin the annulus."""
+    if params.lambda_e == 0.0:
+        return 0.0
+    if params.lambda_u == 0.0:
+        return 1.0
+    with mpmath.workdps(60):
+        h, d, k = (mpmath.mpf(x) for x in (params.h, d, params.los_radius))
+        q = mpmath.mpf(q1(params, beta_e))
+        a = q * mpmath.sqrt(mpmath.mpf(params.eta_nlos) / params.eta_los)
+        b = mpmath.pi * params.lambda_u * h ** 2
+        s1, s2 = mpmath.sqrt(h ** 2 + d ** 2), mpmath.sqrt(h ** 2 + k ** 2)
+        u1, w = a * s1, a * (k - d) * (k + d) / (s1 + s2)
+        # integral of s e^(b - s) over [u1, u1 + w]
+        disk = mpmath.exp(b - u1) * ((1 + u1) * -mpmath.expm1(-w)
+                                     - w * mpmath.exp(-w))
+        tail = mpmath.exp(b - q * (h ** 2 + k ** 2)) / (2 * q)
+        brace = tail + disk / a ** 2
+        return float(-mpmath.expm1(-2 * mpmath.pi * params.lambda_e * brace))
 
 
 def estimates_agree(a, b) -> bool:

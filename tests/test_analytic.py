@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (ExceedanceField, chernoff_exponents, disk_rows,
-                     estimates_agree, pc_radial, pso_form, pso_radial,
-                     solve_re_bisect)
+                     estimates_agree, pc_radial, pso_form, pso_form_mp,
+                     pso_radial, solve_re_bisect)
 
 from uavsec import analytic, model, montecarlo, optimizer
 from uavsec.analytic import (
@@ -376,20 +376,19 @@ def assert_matches_form(got, p, beta, d):
     Inside the LoS disk the reference takes the annulus width as
     s2 - s1, a difference of rounded numbers, while `analytic` forms it
     as (K - d)(K + d) / (s1 + s2). So the tolerance adds four roundings of
-    s2 relative to that width, of the larger outage: where the reference's
-    width rounds to 0 (K below rounding of h) it loses the whole annulus
-    term, which `analytic` keeps. The largest gap seen over 45,000 draws
-    (d = 0, 1e-9 below K and uniform below K) was 0.46 of that allowance.
-    Where it leaves the class open (a width near rounding level), the
-    class is not compared."""
+    s2 relative to that width. Where that allowance passes 1e-9 (an
+    annulus within a few million ulps of s2, where the reference's width
+    is mostly or wholly rounding) the reference is `oracles.pso_form_mp`
+    instead, at 1e-12 relative."""
     ref = pso_form(p, beta, d)
     k = p.los_radius
     s1, s2 = math.hypot(p.h, d), math.hypot(p.h, k)
     width = (k - d) * (k + d) / (s1 + s2)
     rel = 1e-12 + (4.0 * EPS * s2 / width if d < k else 0.0)
-    assert abs(got - ref) <= max(rel * max(got, ref), 1e-300)
-    if rel < 1e-9:
-        assert (got == 0.0, got == 1.0) == (ref == 0.0, ref == 1.0)
+    if rel >= 1e-9:
+        ref, rel = pso_form_mp(p, beta, d), 1e-12
+    assert got == pytest.approx(ref, rel=rel, abs=1e-300)
+    assert (got == 0.0, got == 1.0) == (ref == 0.0, ref == 1.0)
 
 
 def test_closed_forms_match_reference_form():

@@ -207,7 +207,7 @@ class TestBlocks:
                              ids=["ExactLoSNLoS", "AllRayleigh"])
     def test_estimates_do_not_depend_on_the_screen(self, monkeypatch,
                                                    model):
-        # Screen widths 1, 3 and 16 agree with the unscreened
+        # Screen widths 1, 3, SCREEN_K and 16 agree with the unscreened
         # estimate (gate inf) within 3 combined half-widths: at a dense
         # point, whose chunks every gate of 0 to 4 screens, and at a sparse
         # one (about 2.6 eavesdroppers per realization), which only gate 0
@@ -220,7 +220,7 @@ class TestBlocks:
             monkeypatch.setattr(montecarlo, "SCREEN_GATE", math.inf)
             unscreened = sim_outage(p, 1.0, zone, cfg)
             monkeypatch.setattr(montecarlo, "SCREEN_GATE", gate)
-            for width in (1, 3, 16):
+            for width in (1, 3, montecarlo.SCREEN_K, 16):
                 monkeypatch.setattr(montecarlo, "SCREEN_K", width)
                 est = sim_outage(p, 1.0, zone, cfg)
                 assert abs(est.value - unscreened.value) <= 3 * math.hypot(
@@ -343,8 +343,8 @@ class TestBlocks:
 
     def test_screen_memory_at_the_densest_benchmark_point(self):
         # The densest outage point of the benchmark's mc_validate workload
-        # peaks at 19.1 MiB with the screen's arrays built per block (19.9
-        # MiB unscreened), which bounds its share of peak RSS.
+        # peaks at 16.3 MiB with the two-pass screen (19.0 MiB when every
+        # fade was drawn up front), which bounds its share of peak RSS.
         tracemalloc.start()
         try:
             sim_outage(params(lambda_e=3e-3), 1.0, None,
