@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Check that two checkouts write byte-identical figure outputs.
+"""Check that two checkouts write byte-identical figure outputs and
+validation tables.
 
 Runs `scripts/reproduce_figures.py` of each checkout, with that checkout's
 `src` on PYTHONPATH, into OUT_DIR/parent and OUT_DIR/change, which must not
-exist yet. The two runs go side by side; each one's console output goes to
-OUT_DIR/<side>.log. Then compares every CSV and SVG byte for byte and
-prints one line per file. Exits 1 if a run fails, or a file differs or is
-missing on one side.
+exist yet, and `uavsec validate --fast` of each checkout, whose printed
+table goes to OUT_DIR/<side>/validate.txt. All four runs go side by side;
+the other console output of a side goes to OUT_DIR/<side>.log. Then
+compares every CSV, SVG and validate.txt byte for byte and prints one line
+per file. Exits 1 if a run fails (a FAIL verdict included), or a file
+differs or is missing on one side.
 
 Usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR OUT_DIR
 """
@@ -29,19 +32,23 @@ def main() -> int:
         os.makedirs(side_dir)
         env = {**os.environ,
                "PYTHONPATH": os.path.abspath(os.path.join(root, "src"))}
-        with open(os.path.join(out_dir, side + ".log"), "w") as log:
-            procs[side] = subprocess.Popen(
+        with open(os.path.join(out_dir, side + ".log"), "w") as log, \
+                open(os.path.join(side_dir, "validate.txt"), "w") as table:
+            procs[side, "reproduce_figures.py"] = subprocess.Popen(
                 [sys.executable,
                  os.path.join(root, "scripts", "reproduce_figures.py"),
                  side_dir], env=env, stdout=log, stderr=subprocess.STDOUT)
+            procs[side, "uavsec validate --fast"] = subprocess.Popen(
+                [sys.executable, "-m", "uavsec.cli", "validate", "--fast"],
+                env=env, stdout=table, stderr=log)
     status = 0
-    for side, proc in procs.items():
+    for (side, what), proc in procs.items():
         if proc.wait():
-            print(f"{side}: reproduce_figures.py exited {proc.returncode}")
+            print(f"{side}: {what} exited {proc.returncode}")
             status = 1
     names = sorted({name for side in checkouts
                     for name in os.listdir(os.path.join(out_dir, side))
-                    if name.endswith((".csv", ".svg"))})
+                    if name.endswith((".csv", ".svg", "validate.txt"))})
     for name in names:
         paths = [os.path.join(out_dir, side, name) for side in checkouts]
         missing = [side for side, path in zip(checkouts, paths)

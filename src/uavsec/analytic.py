@@ -116,8 +116,10 @@ def _pso_cell(params: NetworkParams, beta_e: float, d: float) -> float:
     h = np.array([params.h])
     d = np.array([d])
     k = np.array([params.los_radius])
+    # q1 as an array too: past float range its powers are inf, which
+    # saturates the cell, not an OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        tail, disk, _ = _brace_cells(params, q1(params, beta_e), h,
+        tail, disk, _ = _brace_cells(params, q1(params, np.array([beta_e])), h,
                                      h ** 2 + np.maximum(d, k) ** 2,
                                      _annulus_cells(h, d, k))
     brace = float(tail[0] + disk[0])

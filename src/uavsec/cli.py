@@ -337,16 +337,12 @@ def run(config_path: str, out_dir: str | None = None,
         cfg = ExperimentConfig.from_file(config_path)
         if n_realizations is not None:
             cfg = replace(cfg, n_realizations=n_realizations)
-        columns = [cfg.sweep_variable]
         for value in sorted(cfg.sweep_values):
-            metrics = _point_metrics(cfg, value)
-            for key in metrics:
-                if key not in columns:
-                    columns.append(key)
-            rows.append([value] + [metrics.get(c, float("nan"))
-                                   for c in columns[1:]])
+            metrics = _point_metrics(cfg, value)    # the same keys each point
+            rows.append([value, *metrics.values()])
             summary = " ".join(f"{k}={_fmt(v)}" for k, v in metrics.items())
             print(f"{cfg.name}: {cfg.sweep_variable}={_fmt(value)} {summary}")
+        columns = [cfg.sweep_variable, *metrics]
         os.makedirs(directory, exist_ok=True)
         csv_path = os.path.join(directory, f"{cfg.name}.csv")
         write_csv(csv_path, columns, rows)

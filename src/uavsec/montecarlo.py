@@ -13,14 +13,14 @@ chunk the draw order is canonical (counts, positions, then fading), and
 fading is drawn alike under both fading models, so runs that differ only
 in the model share their NLoS draws.
 
-The block bounds memory: inside a chunk, links are built, faded and
-summed a block of whole receivers at a time (`_blocks`: at most
-`BLOCK_LINKS` links, each holding about 90 bytes of live temporaries
-under tracemalloc). The draws of consecutive blocks are consecutive draws
-of the chunk's stream, and each receiver's interference is summed in link
-order whatever the block size, so estimates do not depend on it. A chunk
-is one `count` call, freeing its arrays before the next chunk draws (two
-chunks' arrays at once made peak RSS vary by 8 MB). A link is its squared
+The block bounds memory: one loop (`_interference`) builds, fades and sums
+a chunk's links a block of whole receivers at a time (`_blocks`: at most
+`BLOCK_LINKS` links, each holding about 90 bytes of live temporaries under
+tracemalloc). The draws of consecutive blocks are consecutive draws of the
+chunk's stream, and each receiver's interference is summed in link order
+whatever the block size, so estimates do not depend on it. A chunk is one
+`count` call, freeing its arrays before the next chunk draws (two chunks'
+arrays at once made peak RSS vary by 8 MB). A link is its squared
 horizontal span, read through the kernel `model.links`.
 
 The outage screen: an eavesdropper decodes when its signal exceeds beta_e
@@ -34,10 +34,10 @@ the whole chunk:
    realization nearest it in x (one sort of a block's interferers by
    realization and x, one `searchsorted`) and sums them. It stays open
    only if signal > beta_e * partial;
-2. the full sums (`_open_sums`): each open eavesdropper (every one with at
-   most `SCREEN_K` links is open) draws the fades of its other links in
-   link order, gets the screen's fades back at the links they belong to,
-   and sums all of its links in link order.
+2. the full sums (`_interference`, given the screen's fades): each open
+   eavesdropper (every one with at most `SCREEN_K` links is open) draws
+   the fades of its other links in link order, gets the screen's fades
+   back at their links, and sums all of its links in link order.
 Fades that no sum reads are never drawn, and the estimate keeps its exact
 law:
 - a settled eavesdropper fails the full test too. The partial terms are a
@@ -54,8 +54,8 @@ law:
   every verdict has its unscreened law (conditional sampling; Asmussen
   and Glynn, Stochastic Simulation, 2007, ch. V).
 So `SCREEN_K` and `SCREEN_GATE` move estimates only within their
-sampling error, not bit for bit. An unscreened chunk draws every fade
-contiguously in link order, as the simulator did before the screen. The
+sampling error, not bit for bit. An unscreened chunk runs pass 2 alone,
+drawing every fade contiguously in link order as before the screen. The
 passes run in the blocks of `_blocks`, and between them keep only the
 open eavesdroppers' near-link offsets (in the smallest integer type that
 holds them) and fades.
@@ -198,16 +198,36 @@ def _link_sums(params: NetworkParams, los_faded: bool, span2: np.ndarray,
                        minlength=len(sizes))
 
 
-def _interference(params: NetworkParams, los_faded: bool, sizes: np.ndarray,
-                  links) -> np.ndarray:
+def _interference(params: NetworkParams, los_faded: bool, rng,
+                  sizes: np.ndarray, spans, near=None) -> np.ndarray:
     """Interference at consecutive receivers, receiver i summing its
-    sizes[i] links, a block of `_blocks(sizes)` at a time:
-    `links(lo, hi, first, last)` gives the squared spans and the fades of
-    links [first, last), those of receivers [lo, hi)."""
+    sizes[i] links in link order, a block of `_blocks(sizes)` at a time:
+    `spans(lo, hi, first, last)` gives the squared spans of links
+    [first, last), those of receivers [lo, hi). Each link's fade is the
+    stream's next Exp(1) draw, receiver by receiver in link order, except
+    where `near`, `_screen`'s (offsets, fades) with a row for each
+    receiver with more than SCREEN_K links, puts a fade back at its link."""
     out = np.empty(len(sizes))
+    if near is not None:
+        offsets, kept = near
+        wide = sizes > SCREEN_K
+        slot = np.cumsum(wide) - wide   # rows of `near` before each receiver
     for lo, hi, first, last in _blocks(sizes):
-        out[lo:hi] = _link_sums(params, los_faded,
-                                *links(lo, hi, first, last), sizes[lo:hi])
+        if near is None:
+            fades = rng.standard_exponential(last - first)
+        else:
+            blens = sizes[lo:hi]
+            w = np.flatnonzero(wide[lo:hi])
+            ours = slice(slot[lo], slot[lo] + len(w))
+            at = ((np.cumsum(blens) - blens)[w, None] + offsets[ours]).ravel()
+            fresh = np.ones(last - first, bool)
+            fresh[at] = False
+            fades = np.empty(last - first)
+            fades[at] = kept[ours].ravel()
+            fades[fresh] = rng.standard_exponential(last - first - at.size)
+        out[lo:hi] = _link_sums(params, los_faded, spans(lo, hi, first, last),
+                                fades, sizes[lo:hi])
+        del fades   # two blocks' fades live at once: +2.4 MB peak RSS
     return out
 
 
@@ -244,9 +264,8 @@ def sim_connection(params: NetworkParams, beta_t: float,
         counts = rng.poisson(area_mean, m)
         horiz2 = rng.random(int(counts.sum())) * window ** 2  # r^2 uniform
         interference = _interference(
-            params, los_faded, counts,
-            lambda lo, hi, first, last: (
-                horiz2[first:last], rng.standard_exponential(last - first)))
+            params, los_faded, rng, counts,
+            lambda lo, hi, first, last: horiz2[first:last])
         sig_fades = rng.standard_exponential(m)
         signal = gains(params, los_faded, np.zeros(m), sig_fades)
         return int(np.count_nonzero(signal > beta_t * interference))
@@ -269,9 +288,9 @@ class _Pairs:
     first: np.ndarray
     reach: float
 
-    def spans(self, rows) -> np.ndarray:
-        """Squared spans of the links of eavesdroppers `rows` (a slice or
-        an ascending index array), eavesdropper by eavesdropper."""
+    def spans(self, rows: np.ndarray) -> np.ndarray:
+        """Squared spans of the links of eavesdroppers `rows` (an ascending
+        index array), eavesdropper by eavesdropper."""
         blens = self.lens[rows]
         u = _ranges(self.first[rows], blens)
         dx = self.ux[u] - np.repeat(self.ex[rows], blens)
@@ -325,33 +344,6 @@ def _screen(params: NetworkParams, los_faded: bool, rng, pairs: _Pairs,
         near_kept.append(near[kept].astype(dtype))
         fades_kept.append(fades[kept])
     return is_open, np.concatenate(near_kept), np.concatenate(fades_kept)
-
-
-def _open_sums(params: NetworkParams, los_faded: bool, rng, pairs: _Pairs,
-               rows: np.ndarray, near: np.ndarray,
-               near_fades: np.ndarray) -> np.ndarray:
-    """The full-sum pass of a screened chunk: the interference at the open
-    eavesdroppers `rows` (ascending), each summing all of its links in
-    link order. `_screen`'s fades (`near`, `near_fades`) go back at the
-    links they belong to; every other fade is the stream's next draw,
-    eavesdropper by eavesdropper in link order."""
-    sizes = pairs.lens[rows]
-    wide = sizes > SCREEN_K
-    slot = np.cumsum(wide) - wide   # rows of `near` before each open row
-
-    def links(lo, hi, first, last):
-        blens = sizes[lo:hi]
-        w = np.flatnonzero(wide[lo:hi])
-        ours = slice(slot[lo], slot[lo] + len(w))
-        at = ((np.cumsum(blens) - blens)[w][:, None] + near[ours]).ravel()
-        fresh = np.ones(last - first, bool)
-        fresh[at] = False
-        fades = np.empty(last - first)
-        fades[at] = near_fades[ours].ravel()
-        fades[fresh] = rng.standard_exponential(last - first - at.size)
-        return pairs.spans(rows[lo:hi]), fades
-
-    return _interference(params, los_faded, sizes, links)
 
 
 def _outage_windows(params: NetworkParams, beta_e: float, cfg: SimConfig,
@@ -429,19 +421,15 @@ def sim_outage(params: NetworkParams, beta_e: float,
                        reach=u_win)
         del ur, uphi, er, ephi, paired
 
+        is_open, near = np.ones(te, bool), None
         if pairs.lens.sum() >= SCREEN_GATE * pairs.ux.size:
-            is_open, near, near_fades = _screen(params, los_faded, rng,
-                                                pairs, signal, beta_e)
-            rows = np.flatnonzero(is_open)
-            decoded = np.zeros(te, bool)
-            decoded[rows] = signal[rows] > beta_e * _open_sums(
-                params, los_faded, rng, pairs, rows, near, near_fades)
-        else:
-            decoded = signal > beta_e * _interference(
-                params, los_faded, pairs.lens,
-                lambda lo, hi, first, last: (
-                    pairs.spans(slice(lo, hi)),
-                    rng.standard_exponential(last - first)))
+            is_open, *near = _screen(params, los_faded, rng, pairs, signal,
+                                     beta_e)
+        rows = np.flatnonzero(is_open)
+        decoded = np.zeros(te, bool)
+        decoded[rows] = signal[rows] > beta_e * _interference(
+            params, los_faded, rng, pairs.lens[rows],
+            lambda lo, hi, first, last: pairs.spans(rows[lo:hi]), near)
         return int(np.count_nonzero(np.bincount(
             np.repeat(np.arange(m), e_counts), weights=decoded, minlength=m)))
 

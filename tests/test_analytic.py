@@ -292,6 +292,17 @@ class TestOverflowSaturation:
             assert pso_zone_approx(p, 4.1e5, None) == 1.0
         assert math.isfinite(g[0]) or g[0] == math.inf
 
+    def test_huge_rate_gap_gives_no_outage(self):
+        # a rate gap of 710 bps/Hz or more: q1 and its powers pass float
+        # range, and the one-cell form saturates to no outage like the
+        # array cells (a Python-float q1 raises OverflowError at `a ** 3`)
+        p = params()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pso_approx(p, 2.0 ** 900 - 1.0) == 0.0
+            assert pso_approx(p, 2.0 ** 1023.5 - 1.0) == 0.0
+            assert pso_zone_approx(p, 2.0 ** 710 - 1.0, GuardZone(5.0)) == 0.0
+
 
 class TestLoSAnnulusWidth:
     def test_zone_at_k_has_no_annulus(self):

@@ -525,6 +525,18 @@ class TestRun:
         assert dict(zip(header.split(","), row.split(",")))["pso_approx"] \
             == "1"
 
+    def test_huge_rate_gap_writes_csv(self, tmp_path):
+        # re = 900 bps/Hz: the outage form saturates to 0, not a traceback
+        text = (TINY_CFG.replace("metrics = pc, pso, cs", "metrics = pso")
+                .replace("re = 1", "re = 900")
+                .replace("values = 1e-4, 1e-3", "values = 1e-3"))
+        cfg_path = tmp_path / "gap.cfg"
+        cfg_path.write_text(text)
+        assert cli.run(str(cfg_path), str(tmp_path)) == EXIT_OK
+        header, row = (tmp_path / "tiny.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["pso_approx"] \
+            == "0"
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.run(str(tmp_path / "nope.cfg"), str(tmp_path)) == \
             EXIT_CONFIG

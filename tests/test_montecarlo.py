@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -234,9 +237,9 @@ class TestBlocks:
         # partial sum bit for bit; and the partial sum is at most the full
         # one. The screen settles most wide eavesdroppers. A sparse case
         # screens no chunk.
-        screen, open_sums = montecarlo._screen, montecarlo._open_sums
-        link_sums, interference = (montecarlo._link_sums,
-                                   montecarlo._interference)
+        screen, link_sums, interference = (montecarlo._screen,
+                                           montecarlo._link_sums,
+                                           montecarlo._interference)
         chunks = []
 
         def record(phase):
@@ -252,12 +255,14 @@ class TestBlocks:
             chunks[-1]["result"] = screen(*args)
             return chunks[-1]["result"]
 
-        def spy_open_sums(*args):
-            record(chunks[-1]["full"])
-            return open_sums(*args)
+        def spy_full_sums(*args):
+            # the `_interference` call given the screen's fades (`near`)
+            if args[5] is not None:
+                record(chunks[-1]["full"])
+            return interference(*args)
 
         monkeypatch.setattr(montecarlo, "_screen", spy_screen)
-        monkeypatch.setattr(montecarlo, "_open_sums", spy_open_sums)
+        monkeypatch.setattr(montecarlo, "_interference", spy_full_sums)
         p = params(lambda_e=3e-3)
         sim_outage(p, 1.0, None, SimConfig(200, seed=9))
         k = montecarlo.SCREEN_K
@@ -329,6 +334,29 @@ class TestBlocks:
         # random streams, and so every simulator CSV, and must fail here.
         est = run()
         assert repr((est.value, est.half_width)) == expected
+
+    def test_golden_streams_in_a_fresh_process(self):
+        # The outage-2-dense-chunks and connection-3-chunks cases above give
+        # the same estimates in a new interpreter as in this one.
+        runs = ["sim_outage(NetworkParams(lambda_u=1e-2, lambda_e=1e-2, "
+                "h=10.0), 1.0, None, SimConfig(300, seed=31))",
+                "sim_connection(NetworkParams(lambda_u=1e-3, lambda_e=1e-3, "
+                "h=10.0), 31.0, SimConfig(20_000, seed=25))"]
+        code = ("from uavsec.model import NetworkParams\n"
+                "from uavsec.montecarlo import SimConfig, sim_connection, "
+                "sim_outage\n" + "".join(
+                    f"e = {run}\nprint(repr((e.value, e.half_width)))\n"
+                    for run in runs))
+        here = {"NetworkParams": NetworkParams, "SimConfig": SimConfig,
+                "sim_connection": sim_connection, "sim_outage": sim_outage}
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            repr((e.value, e.half_width))
+            for e in (eval(run, here) for run in runs)]
 
     def test_outage_memory_bounded(self):
         # Without blocks this call peaks at about 370 MiB of pair arrays.
