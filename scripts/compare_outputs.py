@@ -8,16 +8,45 @@ exist yet, and `uavsec validate --fast` of each checkout, whose printed
 table goes to OUT_DIR/<side>/validate.txt. All four runs go side by side;
 the other console output of a side goes to OUT_DIR/<side>.log. Then
 compares every CSV, SVG and validate.txt byte for byte and prints one line
-per file. Exits 1 if a run fails (a FAIL verdict included), or a file
-differs or is missing on one side.
+per file. Under each CSV that differs it also prints every Monte Carlo
+cell (a `*_mc*` column) that moved, with its gap in combined half-widths,
+|change - parent| / hypot(parent's, change's `_hw` cell). Exits 1 if a run
+fails (a FAIL verdict included), or a file differs or is missing on one
+side.
 
 Usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR OUT_DIR
 """
 
+import csv
 import filecmp
+import math
 import os
 import subprocess
 import sys
+
+
+def moved_cells(paths: list) -> list:
+    """One line per Monte Carlo cell whose value differs between the
+    parent's and the change's CSV (rows paired in order), naming its
+    column and row (the first column's value) and giving both values and
+    their gap in combined half-widths."""
+    tables = []
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.DictReader(fh)))
+    lines = []
+    for a, b in zip(*tables):
+        key = next(iter(a))
+        for col in a:
+            if "_mc" not in col or col.endswith("_hw") \
+                    or col not in b or a[col] == b[col]:
+                continue
+            spread = math.hypot(float(a[col + "_hw"]), float(b[col + "_hw"]))
+            gap = abs(float(b[col]) - float(a[col]))
+            gap = gap / spread if spread else math.inf
+            lines.append(f"    {col} at {key} = {a[key]}: {a[col]} -> "
+                         f"{b[col]} ({gap:.2f} combined half-widths)")
+    return lines
 
 
 def main() -> int:
@@ -59,6 +88,9 @@ def main() -> int:
             verdict = ("identical" if filecmp.cmp(*paths, shallow=False)
                        else "differs")
         print(f"{verdict:18s} {name}")
+        if verdict == "differs" and name.endswith(".csv"):
+            print("\n".join(moved_cells(paths)) or "    no Monte Carlo cell "
+                  "moved")
         status = status or int(verdict != "identical")
     if not names:
         print("no CSV or SVG written")

@@ -23,18 +23,23 @@ whatever the block size, so estimates do not depend on it. A chunk is one
 arrays at once made peak RSS vary by 8 MB). A link is its squared
 horizontal span, read through the kernel `model.links`.
 
-The outage screen: an eavesdropper decodes when its signal exceeds beta_e
-times its interference, and most do not. So a chunk with at least
-`SCREEN_GATE` links per kept interferer (below that, sorting the
-interferers costs more than it saves; the gate reads positions only)
-draws its link fades in two passes, each eavesdropper by eavesdropper over
-the whole chunk:
-1. the screen (`_screen`): each eavesdropper with more than `SCREEN_K`
-   links draws the fades of its links to the `SCREEN_K` interferers of its
-   realization nearest it in x (one sort of a block's interferers by
-   realization and x, one `searchsorted`) and sums them. It stays open
-   only if signal > beta_e * partial;
-2. the full sums (`_interference`, given the screen's fades): each open
+The outage screen: a realization is in outage when some eavesdropper's
+signal exceeds beta_e times its interference, and most eavesdroppers do
+not decode. So a chunk with at least `SCREEN_GATE` links per kept
+interferer (below that, sorting the interferers costs more than it saves;
+the gate reads positions only) draws its link fades in three passes, each
+over the whole chunk:
+1. the leads (`_interference`): each realization's eavesdropper with the
+   largest signal, first on ties, draws the fades of its links in link
+   order and sums them, lead by lead. A realization whose lead decodes is
+   in outage, and none of its other eavesdroppers is evaluated;
+2. the screen (`_screen`), over the other eavesdroppers of the undecided
+   realizations: each one with more than `SCREEN_K` links draws the fades
+   of its links to the `SCREEN_K` interferers of its realization nearest
+   it in x (one sort of a block's interferers by realization and x, one
+   `searchsorted`) and sums them. It stays open only if signal > beta_e *
+   partial;
+3. the full sums (`_interference`, given the screen's fades): each open
    eavesdropper (every one with at most `SCREEN_K` links is open) draws
    the fades of its other links in link order, gets the screen's fades
    back at their links, and sums all of its links in link order.
@@ -46,19 +51,26 @@ law:
   to nearest the partial sum is <= the full sum by induction over the
   terms (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
   ch. 4); and beta_e >= 0;
-- which links are near and which eavesdroppers stay open depends only on
-  the positions and on earlier draws, so every fade drawn after those
+- an eavesdropper that is never evaluated cannot change its realization's
+  verdict: it belongs to a realization whose lead decodes, and an OR that
+  is already true stays true;
+- which eavesdropper leads depends only on the positions and the signal
+  fades, which realizations stay open only on those and the leads' link
+  fades, and which links are near and which eavesdroppers stay open only
+  on the positions and earlier draws. So every fade drawn after those
   decisions is a fresh Exp(1) draw, independent of them. Together with
-  the fades a settled eavesdropper never draws, which cannot change its
-  verdict, the fades are i.i.d. Exp(1) as in the unscreened chunk, and
-  every verdict has its unscreened law (conditional sampling; Asmussen
-  and Glynn, Stochastic Simulation, 2007, ch. V).
+  the fades that are never drawn, which cannot change a verdict, the
+  fades are i.i.d. Exp(1) as in the unscreened chunk, and every
+  realization's verdict has its unscreened law (conditional sampling;
+  Asmussen and Glynn, Stochastic Simulation, 2007, ch. V).
 So `SCREEN_K` and `SCREEN_GATE` move estimates only within their
-sampling error, not bit for bit. An unscreened chunk runs pass 2 alone,
-drawing every fade contiguously in link order as before the screen. The
-passes run in the blocks of `_blocks`, and between them keep only the
-open eavesdroppers' near-link offsets (in the smallest integer type that
-holds them) and fades.
+sampling error, not bit for bit. An unscreened chunk runs pass 3 alone
+over every eavesdropper, drawing every fade contiguously in link order as
+before the screen. The passes run in the blocks of `_blocks`; the screen
+and the full sums take the undecided eavesdroppers as indexes into the
+chunk's pairs, not as copies, and between them keep only the open
+eavesdroppers' near-link offsets (in the smallest integer type that holds
+them) and fades.
 
 Window policy: the connection simulator sizes the interferer window so the
 closed-form truncation bias stays below 5% of the Monte Carlo half-width
@@ -106,18 +118,19 @@ _Z95 = 1.959963984540054
 
 # `sim_outage`'s screen (module docstring): each eavesdropper's SCREEN_K
 # nearest-in-x interferers, in chunks of at least SCREEN_GATE links
-# (eavesdroppers per realization) per kept interferer. On the four dense
-# outage points of the benchmark's mc_validate workload (lambda_e = 1e-3
-# and 3e-3, with and without a 20 m zone; 2 cores, CPU-time minimums of 3
-# seeds at n = 4000, two rounds), K = 8 to 12 ran within 3% of each other,
-# K = 6 and 16 8-13% and K = 24 27-40% slower. At all ten of its outage
-# points (CPU-time minimums of 3 seeds x 3 reps): gate 0 cost 9-10% more
-# at lambda_e = 3e-5 and up to 5% more at 1e-4, and was within 4% of
-# gate 4 at 1e-3 and 3e-3; gates 0 and 2 also screen lambda_e = 3e-4
-# (about 2.6 eavesdroppers per realization) and ran it 8-13% faster, 3 to
-# 4 ms a call out of about 2 s of simulation; gate 8 was 7% slower at 3e-3
-# without the zone. Gate 4 leaves the chunks at lambda_e <= 3e-4
-# unscreened, so those estimates keep the bits of the contiguous draws.
+# (eavesdroppers per realization) per kept interferer. Measured with the
+# lead phase (2 cores, CPU-time minimums of 3 seeds at n = 4000, 1e5 at
+# lambda_e = 3e-5 and 1e-4 without a zone): on the four dense outage
+# points of the benchmark's mc_validate workload (lambda_e = 1e-3 and
+# 3e-3, with and without a 20 m zone), K = 8 to 16 ran within 8% of each
+# other, and K = 10 read 0.4-1.9% below K = 12 in a six-round repeat,
+# within the host's noise. Gates 4 and 8 screen the same chunks at all ten
+# of its outage points (12 to 43 links per kept interferer at lambda_e >=
+# 1e-3, 3.3 to 3.6 at 3e-4). Gates 0 and 2 also screen lambda_e = 3e-4,
+# which gate 2 ran 2-11% faster (about 5 ms a call out of about 2 s of
+# simulation), and gate 0 cost 14-19% more at 3e-5 and 1e-4. Gate 4
+# leaves the chunks at lambda_e <= 3e-4 unscreened, so those estimates
+# keep the bits of the contiguous draws.
 SCREEN_K = 12
 SCREEN_GATE = 4
 
@@ -299,14 +312,15 @@ class _Pairs:
 
 
 def _screen(params: NetworkParams, los_faded: bool, rng, pairs: _Pairs,
-            signal: np.ndarray, beta_e: float):
-    """The screen pass of a screened chunk (module docstring). Returns
-    which eavesdroppers stay open (a bool array) and, a row each for the
-    open ones with more than SCREEN_K links, in order, the offsets of
-    their SCREEN_K near links (ascending) and those links' fades."""
-    lens, first = pairs.lens, pairs.first
-    is_open = np.ones(len(lens), bool)
-    dtype = np.min_scalar_type(int(lens.max()))
+            rows: np.ndarray, signal: np.ndarray, beta_e: float):
+    """The screen pass over eavesdroppers `rows` (an ascending index array)
+    of a screened chunk (module docstring). Returns which of them stay
+    open (a bool array over `rows`) and, a row each for the open ones with
+    more than SCREEN_K links, in order, the offsets of their SCREEN_K near
+    links (ascending) and those links' fades."""
+    lens = pairs.lens[rows]
+    is_open = np.ones(len(rows), bool)
+    dtype = np.min_scalar_type(int(lens.max(initial=0)))
     near_kept = [np.empty((0, SCREEN_K), dtype)]
     fades_kept = [np.empty((0, SCREEN_K))]
     for lo, hi, _, _ in _blocks(lens):
@@ -314,33 +328,38 @@ def _screen(params: NetworkParams, los_faded: bool, rng, pairs: _Pairs,
         wide = np.flatnonzero(blens > SCREEN_K)
         if wide.size == 0:
             continue
-        # The block's interferers are ux[u0:u0 + n_u]; g[i] is
-        # eavesdropper lo + i's first one, counted from u0.
-        u0 = first[lo]
-        g = first[lo:hi] - u0
+        # The block's interferers are ux[u0:u0 + n_u], among them those of
+        # the realizations between its eavesdroppers' that `rows` skips;
+        # g[i] is eavesdropper rows[lo + i]'s first one, counted from u0.
+        first = pairs.first[rows[lo:hi]]
+        u0 = first[0]
+        g = first - u0
         n_u = int(g[-1] + blens[-1])
         # Sort them by (realization, x): the key x + r * 4 reach keeps
-        # realization r's interferers apart from every other's.
-        mark = np.zeros(n_u, bool)
+        # realization r's interferers apart from every other's, r counting
+        # the starts and ends of the realizations seen (a skipped
+        # realization's interferers get a key of their own).
+        mark = np.zeros(n_u + 1, bool)
         mark[g[blens > 0]] = True
-        shift = np.cumsum(mark) * (4.0 * pairs.reach)
+        mark[(g + blens)[blens > 0]] = True
+        shift = np.cumsum(mark[:n_u]) * (4.0 * pairs.reach)
         key = pairs.ux[u0:u0 + n_u] + shift
         order = np.argsort(key)
         # Each wide eavesdropper's SCREEN_K interferers nearest it in x,
         # as offsets among its links.
-        e, gw, lw = lo + wide, g[wide], blens[wide]
+        e, gw, lw = rows[lo + wide], g[wide], blens[wide]
         at = np.searchsorted(key[order], pairs.ex[e] + shift[gw])
         start = np.clip(at - SCREEN_K // 2, gw, gw + lw - SCREEN_K)
         near = np.sort(order[start[:, None] + np.arange(SCREEN_K)]
                        - gw[:, None], axis=1)
-        u = first[e][:, None] + near
+        u = first[wide][:, None] + near
         dx = pairs.ux[u] - pairs.ex[e][:, None]
         dy = pairs.uy[u] - pairs.ey[e][:, None]
         fades = rng.standard_exponential((len(e), SCREEN_K))
         partial = _link_sums(params, los_faded, (dx * dx + dy * dy).ravel(),
                              fades.ravel(), np.full(len(e), SCREEN_K))
         kept = signal[e] > beta_e * partial
-        is_open[e[~kept]] = False
+        is_open[lo + wide[~kept]] = False
         near_kept.append(near[kept].astype(dtype))
         fades_kept.append(fades[kept])
     return is_open, np.concatenate(near_kept), np.concatenate(fades_kept)
@@ -384,8 +403,8 @@ def sim_outage(params: NetworkParams, beta_e: float,
     In each chunk only the interferers of realizations with an eavesdropper
     are kept, right after each draw, converted to x/y (cos/sin) and paired
     with the eavesdroppers of their realization, one block at a time; a
-    dense chunk draws its link fades in the screen's two passes (module
-    docstring).
+    dense chunk draws its link fades in the screen's three passes, leads
+    first (module docstring).
     """
     check_threshold(beta_e, "sim_outage: beta_e")
     d0 = zone.d if zone is not None else 0.0
@@ -411,22 +430,43 @@ def sim_outage(params: NetworkParams, beta_e: float,
         er2 = d0 ** 2 + rng.random(te) * (e_win ** 2 - d0 ** 2)
         ephi = rng.random(te) * (2.0 * math.pi)
         signal = gains(params, los_faded, er2, rng.standard_exponential(te))
+        # Polar positions go as soon as their x/y are made, so that they
+        # and the pairs are never all live at once (about 2.5 MiB of the
+        # chunk's peak at lambda_e = 3e-3).
+        ux, uy = np.cos(uphi) * ur, np.sin(uphi) * ur
+        del ur, uphi
         er = np.sqrt(er2)
         del er2
+        ex, ey = er * np.cos(ephi), er * np.sin(ephi)
+        del er, ephi
         paired = np.where(e_counts > 0, u_counts, 0)
-        pairs = _Pairs(ux=np.cos(uphi) * ur, uy=np.sin(uphi) * ur,
-                       ex=er * np.cos(ephi), ey=er * np.sin(ephi),
+        pairs = _Pairs(ux=ux, uy=uy, ex=ex, ey=ey,
                        lens=np.repeat(u_counts, e_counts),
                        first=np.repeat(np.cumsum(paired) - paired, e_counts),
                        reach=u_win)
-        del ur, uphi, er, ephi, paired
+        del ux, uy, ex, ey, paired
 
-        is_open, near = np.ones(te, bool), None
-        if pairs.lens.sum() >= SCREEN_GATE * pairs.ux.size:
-            is_open, *near = _screen(params, los_faded, rng, pairs, signal,
-                                     beta_e)
-        rows = np.flatnonzero(is_open)
         decoded = np.zeros(te, bool)
+        near = None
+        if pairs.lens.sum() >= SCREEN_GATE * pairs.ux.size:
+            # Pass 1 (module docstring): each realization's eavesdropper
+            # with the largest signal, first on ties, leads.
+            n_e = e_counts[e_counts > 0]
+            starts = np.cumsum(n_e) - n_e
+            top = np.flatnonzero(signal == np.repeat(
+                np.maximum.reduceat(signal, starts), n_e))
+            leads = top[np.searchsorted(top, starts)]
+            decoded[leads] = signal[leads] > beta_e * _interference(
+                params, los_faded, rng, pairs.lens[leads],
+                lambda lo, hi, first, last: pairs.spans(leads[lo:hi]))
+            rest = np.repeat(~decoded[leads], n_e)
+            rest[leads] = False
+            rows = np.flatnonzero(rest)
+            is_open, *near = _screen(params, los_faded, rng, pairs, rows,
+                                     signal, beta_e)
+            rows = rows[is_open]
+        else:
+            rows = np.arange(te)
         decoded[rows] = signal[rows] > beta_e * _interference(
             params, los_faded, rng, pairs.lens[rows],
             lambda lo, hi, first, last: pairs.spans(rows[lo:hi]), near)

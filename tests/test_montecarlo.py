@@ -211,13 +211,17 @@ class TestBlocks:
     def test_estimates_do_not_depend_on_the_screen(self, monkeypatch,
                                                    model):
         # Screen widths 1, 3, SCREEN_K and 16 agree with the unscreened
-        # estimate (gate inf) within 3 combined half-widths: at a dense
-        # point, whose chunks every gate of 0 to 4 screens, and at a sparse
-        # one (about 2.6 eavesdroppers per realization), which only gate 0
-        # screens. The screen changes which draw feeds which link, not the
-        # law of the estimate.
+        # estimate (gate inf) within 3 combined half-widths: at two dense
+        # points, whose chunks every gate of 0 to 4 screens (without a
+        # zone, where the leads settle about two thirds of the
+        # realizations, and with one), and at a sparse one (about 2.6
+        # eavesdroppers per realization), which only gate 0 screens. The
+        # lead phase and the screen change which draw feeds which link and
+        # which eavesdroppers are summed, not the law of the estimate.
         cfg = SimConfig(20_000, seed=11, model=model)
-        for p, zone, gate in ((params(lambda_e=3e-3), GuardZone(20.0),
+        for p, zone, gate in ((params(lambda_e=3e-3), None,
+                               montecarlo.SCREEN_GATE),
+                              (params(lambda_e=3e-3), GuardZone(20.0),
                                montecarlo.SCREEN_GATE),
                               (params(lambda_e=3e-4), None, 0)):
             monkeypatch.setattr(montecarlo, "SCREEN_GATE", math.inf)
@@ -230,74 +234,100 @@ class TestBlocks:
                     est.half_width, unscreened.half_width)
 
     def test_screened_sums_bound_the_exact_ones(self, monkeypatch):
-        # Within one dense run, per chunk: every open eavesdropper's full
-        # sum is `gains` + `np.bincount` over its links' spans and the
-        # fades it used, bit for bit; the screen's fades sit at the links
-        # they were drawn for, where the full sum's terms add up to the
-        # partial sum bit for bit; and the partial sum is at most the full
-        # one. The screen settles most wide eavesdroppers. A sparse case
-        # screens no chunk.
+        # Within one dense run, per chunk: each realization's lead, its
+        # eavesdropper with the largest signal (first on ties), is summed
+        # first; no lead and no eavesdropper of a realization whose lead
+        # decodes reaches the screen; each of the screen's near windows is
+        # SCREEN_K links consecutive in x around its eavesdropper. Every
+        # lead's and every open eavesdropper's sum is `gains` +
+        # `np.bincount` over its links' spans and the fades it used, bit
+        # for bit; the screen's fades sit at the links they were drawn
+        # for, where the full sum's terms add up to the partial sum bit for
+        # bit; and the partial sum is at most the full one. The screen
+        # settles most wide eavesdroppers it sees. A sparse case screens no
+        # chunk.
         screen, link_sums, interference = (montecarlo._screen,
                                            montecarlo._link_sums,
                                            montecarlo._interference)
-        chunks = []
+        calls = []
 
-        def record(phase):
-            # `_link_sums` keeping each call's arguments and sums in `phase`
+        def spy(name, run):
+            # `run`, keeping its arguments, result and every `_link_sums`
+            # call it makes (arguments and sums) in `calls`
             def sums(*args):
-                phase.append((args, link_sums(*args)))
-                return phase[-1][1]
-            monkeypatch.setattr(montecarlo, "_link_sums", sums)
+                calls[-1]["sums"].append((args, link_sums(*args)))
+                return calls[-1]["sums"][-1][1]
 
-        def spy_screen(*args):
-            chunks.append({"pairs": args[3], "screen": [], "full": []})
-            record(chunks[-1]["screen"])
-            chunks[-1]["result"] = screen(*args)
-            return chunks[-1]["result"]
+            def call(*args):
+                calls.append({"name": name, "args": args, "sums": []})
+                monkeypatch.setattr(montecarlo, "_link_sums", sums)
+                calls[-1]["result"] = run(*args)
+                return calls[-1]["result"]
+            return call
 
-        def spy_full_sums(*args):
-            # the `_interference` call given the screen's fades (`near`)
-            if args[5] is not None:
-                record(chunks[-1]["full"])
-            return interference(*args)
+        def joined(call):
+            # a call's sums, spans and fades, over all of its blocks
+            args, sums = zip(*call["sums"])
+            return (np.concatenate(sums), np.concatenate([a[2] for a in args]),
+                    np.concatenate([a[3] for a in args]))
 
-        monkeypatch.setattr(montecarlo, "_screen", spy_screen)
-        monkeypatch.setattr(montecarlo, "_interference", spy_full_sums)
+        def bincount(sizes, span2, fades):
+            return np.bincount(np.repeat(np.arange(len(sizes)), sizes),
+                               weights=gains(p, False, span2, fades),
+                               minlength=len(sizes))
+
+        monkeypatch.setattr(montecarlo, "_screen", spy("screen", screen))
+        monkeypatch.setattr(montecarlo, "_interference",
+                            spy("sums", interference))
         p = params(lambda_e=3e-3)
         sim_outage(p, 1.0, None, SimConfig(200, seed=9))
         k = montecarlo.SCREEN_K
+        assert calls and [c["name"] for c in calls] == [
+            "sums", "screen", "sums"] * (len(calls) // 3)
         settled = []
-        for chunk in chunks:
-            lens = chunk["pairs"].lens
-            is_open, near, near_fades = chunk["result"]
-            partial = np.concatenate([out for _, out in chunk["screen"]])
-            full = np.concatenate([out for _, out in chunk["full"]])
-            span2 = np.concatenate([a[2] for a, _ in chunk["full"]])
-            fades = np.concatenate([a[3] for a, _ in chunk["full"]])
-            rows = np.flatnonzero(is_open)
+        for lead_call, screen_call, full_call in zip(*[iter(calls)] * 3):
+            pairs, rest, signal = screen_call["args"][3:6]
+            lens = pairs.lens
+            # Every eavesdropper has interferers, so those of one
+            # realization, and only they, share their first one.
+            assert (lens > 0).all()
+            groups = np.split(np.arange(len(lens)),
+                              np.flatnonzero(np.diff(pairs.first)) + 1)
+            leads = np.array([g[np.argmax(signal[g])] for g in groups])
+            lead_sums, span2, fades = joined(lead_call)
+            assert np.array_equal(span2, pairs.spans(leads))
+            assert np.array_equal(lead_sums,
+                                  bincount(lens[leads], span2, fades))
+            undecided = np.repeat(signal[leads] <= lead_sums,
+                                  [len(g) for g in groups])
+            undecided[leads] = False
+            assert np.array_equal(rest, np.flatnonzero(undecided))
+            is_open, near, near_fades = screen_call["result"]
+            partial = np.concatenate([out for _, out in screen_call["sums"]])
+            full, span2, fades = joined(full_call)
+            rows = rest[is_open]
             sizes = lens[rows]
-            assert np.array_equal(span2, chunk["pairs"].spans(rows))
-            assert np.array_equal(full, np.bincount(
-                np.repeat(np.arange(len(rows)), sizes),
-                weights=gains(p, False, span2, fades), minlength=len(rows)))
+            assert np.array_equal(span2, pairs.spans(rows))
+            assert np.array_equal(full, bincount(sizes, span2, fades))
             wide_rows = sizes > k
+            for e, offsets in zip(rows[wide_rows], near):
+                x = pairs.ux[pairs.first[e]:pairs.first[e] + lens[e]]
+                rank = np.argsort(np.argsort(x))
+                pos = np.searchsorted(np.sort(x), pairs.ex[e])
+                lo = min(max(pos - k // 2, 0), lens[e] - k)
+                assert np.array_equal(np.sort(rank[offsets]),
+                                      np.arange(lo, lo + k))
             at = ((np.cumsum(sizes) - sizes)[wide_rows][:, None] + near)
             assert np.array_equal(fades[at], near_fades)
-            opened = is_open[lens > k]
-            assert np.array_equal(partial[opened], np.bincount(
-                np.repeat(np.arange(len(at)), k),
-                weights=gains(p, False, span2[at].ravel(), fades[at].ravel()),
-                minlength=len(at)))
+            opened = is_open[lens[rest] > k]
+            assert np.array_equal(partial[opened], bincount(
+                np.full(len(at), k), span2[at].ravel(), fades[at].ravel()))
             assert (partial[opened] <= full[wide_rows]).all()
             settled.append(~opened)
         assert 0.8 < np.concatenate(settled).mean() < 1.0
-        chunks.clear()
-        monkeypatch.setattr(montecarlo, "_link_sums", link_sums)
-        sums = []
-        monkeypatch.setattr(montecarlo, "_interference",
-                            lambda *a: sums.append(1) or interference(*a))
+        calls.clear()
         sim_outage(params(lambda_e=3e-5), 1.0, None, SimConfig(2000, seed=9))
-        assert sums and not chunks
+        assert calls and {c["name"] for c in calls} == {"sums"}
 
     @pytest.mark.parametrize("run, expected", [
         (lambda: sim_outage(params(lambda_u=1e-2, lambda_e=1e-2), 1.0, None,
@@ -311,13 +341,13 @@ class TestBlocks:
          "(0.048, 0.007649385645711224)"),
         (lambda: sim_outage(params(h=20.0), 0.5, GuardZone(10.0),
                             SimConfig(1500, 80.0, seed=23)),
-         "(0.5573333333333333, 0.025136128092198978)"),
+         "(0.564, 0.02509488779072965)"),
         (lambda: sim_outage(params(lambda_e=3e-5), 1.0, None,
                             SimConfig(20_000, seed=28)),
          "(0.017, 0.0017915721915767102)"),
         (lambda: sim_outage(params(lambda_u=3e-3, lambda_e=3e-3, h=20.0),
                             1.0, None, SimConfig(3000, 30.0, seed=29)),
-         "(0.217, 0.01475021027740463)"),
+         "(0.213, 0.014650911047573992)"),
         (lambda: sim_connection(params(), 31.0, SimConfig(20_000, seed=25)),
          "(0.72445, 0.006192093553042943)"),
         (lambda: sim_connection(params(lambda_u=1e-2), 0.3,
@@ -371,8 +401,9 @@ class TestBlocks:
 
     def test_screen_memory_at_the_densest_benchmark_point(self):
         # The densest outage point of the benchmark's mc_validate workload
-        # peaks at 16.3 MiB with the two-pass screen (19.0 MiB when every
-        # fade was drawn up front), which bounds its share of peak RSS.
+        # peaks at 13.2 MiB at seed 1 (15.7 MiB while the polar positions
+        # outlived the pairs, 19.0 MiB when every fade was drawn up front),
+        # which bounds its share of peak RSS.
         tracemalloc.start()
         try:
             sim_outage(params(lambda_e=3e-3), 1.0, None,
@@ -381,6 +412,22 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
+
+    def test_outage_memory_at_the_benchmark_peak_rss_point(self):
+        # The dense 20 m zone point of the benchmark's mc_validate workload
+        # sets its peak RSS. The lead phase passes the undecided
+        # eavesdroppers to the screen as indexes into the chunk's pairs:
+        # 13.9 MiB at seed 1 (16.4 MiB while the polar positions outlived
+        # the pairs); copying them into pairs of their own peaked at 19.8
+        # MiB.
+        tracemalloc.start()
+        try:
+            sim_outage(params(lambda_e=3e-3), 1.0, GuardZone(20.0),
+                       SimConfig(4000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("run, bound_mib", [
         # Three full chunks with eavesdroppers in about 2/3 of the

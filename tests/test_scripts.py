@@ -34,6 +34,20 @@ def test_bench_pairs_counts_source_lines():
     assert counts["total"] == sum(counts["files"].values())
 
 
+def test_compare_outputs_lists_moved_cells(tmp_path):
+    # Only the Monte Carlo cells that moved are listed, each with its gap
+    # in combined half-widths (here 0.003 / hypot(0.003, 0.004) = 0.6).
+    script = runpy.run_path(
+        os.path.join(ROOT, "scripts", "compare_outputs.py"), run_name="smoke")
+    head = "lambda_e,pso_approx,pso_mc_exact,pso_mc_exact_hw\n"
+    paths = [tmp_path / "parent.csv", tmp_path / "change.csv"]
+    paths[0].write_text(head + "0.001,0.5,0.42,0.003\n0.003,0.8,0.75,0.01\n")
+    paths[1].write_text(head + "0.001,0.6,0.423,0.004\n0.003,0.8,0.75,0.01\n")
+    assert script["moved_cells"](paths) == [
+        "    pso_mc_exact at lambda_e = 0.001: 0.42 -> 0.423 "
+        "(0.60 combined half-widths)"]
+
+
 def test_outage_window_audit_runs(monkeypatch, capsys):
     # the one script that reaches the simulator through a private name
     monkeypatch.setattr("sys.argv", ["outage_window_audit.py", "200"])
